@@ -1,105 +1,18 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Compatibility names for the former kernel layer.
 
-Set the environment variable ``ERGOXEB_NO_NUMBA=1`` (before import) to force
-the pure-numpy fallback path.  The fallback is also taken automatically when
-numba cannot be imported.  ``benchmarks/bench_kernels.py`` times both paths.
+Every numeric kernel is now a single numpy or stdlib routine in the module
+that uses it.  Two names stay here because code outside the package relies
+on them: ``using_numba()`` (always ``False``; benchmark and environment
+reports record it) and ``neumaier_sum``, the exactly rounded ``math.fsum``.
+``estimators`` calls the sum through this module so that a caller can wrap
+it to count summed terms.
 """
 
-import os
+import math
 
-import numpy as np
-
-_DISABLED = os.environ.get("ERGOXEB_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via ERGOXEB_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+neumaier_sum = math.fsum
 
 
 def using_numba():
-    """True when the jitted kernel path is active."""
-    return HAS_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# gate application: apply a (m x m) block to gathered amplitude groups
-# ---------------------------------------------------------------------------
-
-def _apply_block_groups_numpy(amps, group_idx, gate):
-    # group_idx: (G, m) flat indices into amps; gate acts on each row.
-    sub = amps[group_idx]
-    amps[group_idx] = sub @ gate.T
-
-
-def _apply_block_groups_py(amps, group_idx, gate):
-    ngroups, m = group_idx.shape
-    scratch = np.empty(m, dtype=np.complex128)
-    for g in range(ngroups):
-        for r in range(m):
-            acc = 0.0 + 0.0j
-            for c in range(m):
-                acc += gate[r, c] * amps[group_idx[g, c]]
-            scratch[r] = acc
-        for r in range(m):
-            amps[group_idx[g, r]] = scratch[r]
-
-
-# ---------------------------------------------------------------------------
-# compensated (Neumaier) summation in fixed index order
-# ---------------------------------------------------------------------------
-
-def _neumaier_sum_py(x):
-    total = 0.0
-    comp = 0.0
-    for i in range(x.shape[0]):
-        v = x[i]
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-# ---------------------------------------------------------------------------
-# alias-method table draws (table built in numpy; see noise.sample_bitstrings)
-# ---------------------------------------------------------------------------
-
-def _alias_draw_py(accept, alias, u_bin, u_acc):
-    k = accept.shape[0]
-    out = np.empty(u_bin.shape[0], dtype=np.int64)
-    for i in range(u_bin.shape[0]):
-        b = int(u_bin[i] * k)
-        if b >= k:
-            b = k - 1
-        if u_acc[i] < accept[b]:
-            out[i] = b
-        else:
-            out[i] = alias[b]
-    return out
-
-
-def _alias_draw_numpy(accept, alias, u_bin, u_acc):
-    k = accept.shape[0]
-    bins = np.minimum((u_bin * k).astype(np.int64), k - 1)
-    return np.where(u_acc < accept[bins], bins, alias[bins]).astype(np.int64)
-
-
-if HAS_NUMBA:
-    _apply_block_groups_nb = njit(cache=True)(_apply_block_groups_py)
-    _neumaier_sum_nb = njit(cache=True)(_neumaier_sum_py)
-    _alias_draw_nb = njit(cache=True)(_alias_draw_py)
-
-    apply_block_groups = _apply_block_groups_nb
-    neumaier_sum = _neumaier_sum_nb
-    alias_draw = _alias_draw_nb
-else:
-    apply_block_groups = _apply_block_groups_numpy
-    neumaier_sum = _neumaier_sum_py
-    alias_draw = _alias_draw_numpy
+    """Always False: no jitted kernel path exists."""
+    return False

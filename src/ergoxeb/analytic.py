@@ -10,37 +10,13 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(z):
-    """Natural log of Gamma(z) for z > 0 (Lanczos approximation)."""
+    """Natural log of Gamma(z) for z > 0 (``math.lgamma``)."""
     z = float(z)
     if z <= 0.0:
         raise ValueError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    w = z - 1.0
-    x = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (w + 0.5) * math.log(t) - t + math.log(x)
+    return math.lgamma(z)
 
 
 # Bernoulli-number tails of the digamma/trigamma asymptotic series.

@@ -204,7 +204,7 @@ def correlation_C_f(P, Q, scheme):
             "probability vanishes there; the correlation is undefined"
         )
     terms = scheme.g(P.probs[mask], N) * Q.probs[mask]
-    return float(_accel.neumaier_sum(np.ascontiguousarray(terms)))
+    return float(_accel.neumaier_sum(terms))
 
 
 def estimate_C_f(P, samples, scheme):
@@ -220,7 +220,7 @@ def estimate_C_f(P, samples, scheme):
             f"sampled bitstring {index_to_bitstring(bad, P.dims.n)} has zero "
             f"ideal probability; {scheme.name} estimator undefined"
         )
-    gvals = np.ascontiguousarray(scheme.g(pvals, P.dims.N))
+    gvals = scheme.g(pvals, P.dims.N)
     value = float(_accel.neumaier_sum(gvals)) / samples.T
     if samples.T > 1:
         se = float(np.std(gvals, ddof=1)) / math.sqrt(samples.T)
@@ -295,6 +295,8 @@ def linear_xeb(P, samples):
 
 def log_xeb(P, samples):
     """Per-sample mean of ln P(x_i) (logarithmic cross-entropy summary)."""
+    if samples.T < 1:
+        raise ValueError("need at least one sample")
     pvals = P.probs[samples.bitstrings]
     if np.any(pvals == 0.0):
         bad = int(samples.bitstrings[np.flatnonzero(pvals == 0.0)[0]])
@@ -302,8 +304,7 @@ def log_xeb(P, samples):
             f"sampled bitstring {index_to_bitstring(bad, P.dims.n)} has zero "
             "ideal probability; log-XEB undefined"
         )
-    logs = np.ascontiguousarray(np.log(pvals))
-    return float(_accel.neumaier_sum(logs)) / samples.T
+    return float(_accel.neumaier_sum(np.log(pvals))) / samples.T
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .statevector import OutputDistribution, SystemDims
 
 
@@ -98,33 +97,23 @@ def experimental_distribution(P, noise):
     return OutputDistribution(P.dims, q)
 
 
-def _alias_tables(probs):
-    k = probs.size
-    accept = probs * k
-    alias = np.arange(k, dtype=np.int64)
-    small = [i for i in range(k) if accept[i] < 1.0]
-    large = [i for i in range(k) if accept[i] >= 1.0]
-    accept = accept.copy()
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        alias[s] = l
-        accept[l] -= 1.0 - accept[s]
-        (small if accept[l] < 1.0 else large).append(l)
-    return accept, alias
-
-
 def sample_bitstrings(Q, T, seed):
-    """Draw T i.i.d. bitstrings from Q via the alias method."""
+    """Draw T i.i.d. bitstrings from Q by inverse-CDF search.
+
+    Each draw takes one uniform u and returns the first index whose
+    cumulative probability exceeds u times the total.  Zero-probability
+    indices repeat the preceding cumulative value and so are never chosen;
+    the clamp only catches u * total rounding up to the total itself.
+    """
     if T < 0:
         raise ValueError(f"sample count must be >= 0, got {T}")
     rng = np.random.Generator(np.random.PCG64(seed))
     if T == 0:
         draws = np.empty(0, dtype=np.int64)
     else:
-        accept, alias = _alias_tables(Q.probs)
-        u = rng.random((2, T))
-        draws = _accel.alias_draw(accept, alias, u[0], u[1])
+        cdf = np.cumsum(Q.probs)
+        draws = np.searchsorted(cdf, rng.random(T) * cdf[-1], side="right")
+        np.minimum(draws, np.flatnonzero(Q.probs)[-1], out=draws)
     return SampleSet(Q.dims, draws, provenance=f"simulated(seed={seed})")
 
 
@@ -228,7 +217,12 @@ def read_probabilities(path):
                 raise ValueError(
                     f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
                 )
-            rows[bitstring_to_index(bits)] = p
+            j = bitstring_to_index(bits)
+            if j in rows:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate bitstring {bits!r}"
+                )
+            rows[j] = p
     if n is None:
         raise ValueError(f"{path}: no probability rows found")
     dims = SystemDims(n)

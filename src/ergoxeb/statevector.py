@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
-
 DEFAULT_QUBIT_CAP = 24
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -69,21 +67,25 @@ class OutputDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.shape != (self.dims.N,):
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.shape != (self.dims.N,):
             raise ValueError(
-                f"probability vector has shape {self.probs.shape}, "
+                f"probability vector has shape {probs.shape}, "
                 f"expected ({self.dims.N},)"
             )
-        if np.any(self.probs < -1e-15):
+        lowest = float(probs.min())
+        if lowest < -1e-15:
             raise ValueError("probability entries below -1e-15")
-        # Clamp tiny negative rounding noise, renormalize if needed.
-        np.clip(self.probs, 0.0, None, out=self.probs)
-        total = float(self.probs.sum())
+        # Clamp tiny negative rounding noise, renormalize if needed; both
+        # make new arrays, so the caller's array is never modified.
+        if lowest < 0.0:
+            probs = np.clip(probs, 0.0, None)
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             if abs(total - 1.0) > NORM_TOL:
                 raise ValueError(f"probabilities sum to {total!r}, not 1")
-            self.probs /= total
+            probs = probs / total
+        self.probs = probs
 
 
 def _check_unitary(matrix, tol=UNITARY_TOL):
@@ -149,35 +151,36 @@ def apply_block(state, targets, block):
     for t in targets:
         if not 0 <= t < dims.n:
             raise ValueError(f"target qubit {t} out of range for n={dims.n}")
-    amps = state.amplitudes.copy()
-    _apply_block_inplace(amps, dims.n, targets, np.asarray(block, np.complex128))
-    return PureState(dims, amps)
+    gate = (targets, np.asarray(block, np.complex128))
+    return PureState(dims, _apply_gates(state.amplitudes, dims.n, [gate]))
 
 
-def _group_indices(n, targets):
-    """Flat index array (num_groups, 2**k) enumerating the target subspace.
+def _apply_gates(amps, n, gates):
+    """Apply ``gates`` in order to ``amps`` and return the resulting array.
 
-    Column m of each row is the basis state with target-qubit bits set to the
-    bits of m (bit j of m on qubit targets[j]) and the remaining qubits fixed
-    to the row's pattern.
+    ``amps`` has shape (N,) or (N, B); a trailing axis is a batch of B
+    independent states.  The amplitudes are viewed as a (2,)*n tensor whose
+    axis n-1-q is qubit q, and each block is contracted into a second
+    buffer with ``np.einsum(..., out=)``.  The two buffers swap roles after
+    every gate, so ``amps`` itself is overwritten once there are two gates.
     """
-    k = len(targets)
-    n_rest = n - k
-    rest = [q for q in range(n) if q not in targets]
-    base = np.zeros(1 << n_rest, dtype=np.int64)
-    for pos, q in enumerate(rest):
-        bit = (np.arange(1 << n_rest, dtype=np.int64) >> pos) & 1
-        base |= bit << q
-    offs = np.zeros(1 << k, dtype=np.int64)
-    for j, q in enumerate(targets):
-        bit = (np.arange(1 << k, dtype=np.int64) >> j) & 1
-        offs |= bit << q
-    return base[:, None] | offs[None, :]
-
-
-def _apply_block_inplace(amps, n, targets, block):
-    idx = _group_indices(n, targets)
-    _accel.apply_block_groups(amps, idx, block)
+    batch = amps.shape[1:]
+    cur = amps.reshape((2,) * n + batch)
+    nxt = np.empty_like(cur)
+    labels = list(range(n + len(batch)))
+    for targets, block in gates:
+        k = len(targets)
+        # Row/column axis a of the reshaped block is bit k-1-a of its index,
+        # i.e. qubit targets[k-1-a].
+        axes = [n - 1 - t for t in reversed(targets)]
+        new = list(range(n + 1, n + 1 + k))
+        out_labels = labels.copy()
+        for a, label in zip(axes, new):
+            out_labels[a] = label
+        np.einsum(block.reshape((2,) * (2 * k)), new + axes, cur, labels,
+                  out_labels, out=nxt)
+        cur, nxt = nxt, cur
+    return cur.reshape(amps.shape)
 
 
 def output_distribution(program):
@@ -185,13 +188,10 @@ def output_distribution(program):
     dims = program.dims
     if program.unitary is not None:
         amps = program.unitary[:, 0].copy()
-        for targets, block in program.gates:
-            _apply_block_inplace(amps, dims.n, targets, block)
     else:
         amps = np.zeros(dims.N, dtype=np.complex128)
         amps[0] = 1.0
-        for targets, block in program.gates:
-            _apply_block_inplace(amps, dims.n, targets, block)
+    amps = _apply_gates(amps, dims.n, program.gates)
     norm = float(np.vdot(amps, amps).real)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm drifted to {norm!r} during simulation")
@@ -206,14 +206,9 @@ def program_unitary(program):
     u = program.unitary.copy() if program.unitary is not None else np.eye(
         dims.N, dtype=np.complex128
     )
-    for targets, block in program.gates:
-        full = np.empty_like(u)
-        for col in range(dims.N):
-            amps = u[:, col].copy()
-            _apply_block_inplace(amps, dims.n, targets, block)
-            full[:, col] = amps
-        u = full
-    return u
+    # Column c of u is the image of basis state c: all N columns form the
+    # batch axis of one kernel call.
+    return _apply_gates(u, dims.n, program.gates)
 
 
 # ---------------------------------------------------------------------------

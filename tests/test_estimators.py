@@ -247,6 +247,13 @@ def test_log_xeb_uniform_P():
     assert log_xeb(P, samples) == pytest.approx(-math.log(32), rel=1e-13)
 
 
+def test_log_xeb_empty_samples():
+    P = _haar_P(3, 15)
+    empty = SampleSet(P.dims, np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="at least one sample"):
+        log_xeb(P, empty)
+
+
 def test_fidelity_inversion():
     est = fidelity_from_de_depolarizing(0.0, 2)
     assert est.F_hat == 1.0 and not est.out_of_range

@@ -117,6 +117,23 @@ def test_sample_frequencies_chi_squared():
     assert pvalue > 1e-3
 
 
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_sampler_skips_zeros_and_fits(seed):
+    # Dirichlet weights with random zeros plus a leading and trailing run
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(64))
+    zero = rng.random(64) < 0.3
+    zero[:2] = zero[-6:] = True
+    probs[zero] = 0.0
+    Q = OutputDistribution(SystemDims(6), probs / probs.sum())
+    T = 200_000
+    draws = sample_bitstrings(Q, T, seed=seed + 100).bitstrings
+    assert not np.any(zero[draws])
+    counts = np.bincount(draws, minlength=64)[~zero]
+    pvalue = stats.chisquare(counts, T * Q.probs[~zero]).pvalue
+    assert pvalue > 1e-3
+
+
 def test_sample_set_validation():
     with pytest.raises(ValueError, match="out of range"):
         SampleSet(SystemDims(2), np.array([0, 4]))
@@ -177,4 +194,9 @@ def test_read_probabilities_errors(tmp_path):
         read_probabilities(p)
     p.write_text("bitstring,probability\n00,abc\n")
     with pytest.raises(ValueError, match="bad row"):
+        read_probabilities(p)
+    # all four bitstrings plus a repeat whose value would otherwise win
+    p.write_text("bitstring,probability\n"
+                 "00,0.25\n01,0.125\n10,0.25\n11,0.25\n01,0.25\n")
+    with pytest.raises(ValueError, match=r"probs\.csv:6: duplicate"):
         read_probabilities(p)

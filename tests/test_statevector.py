@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from ergoxeb.ensembles import EnsembleSpec, sample_member
+from ergoxeb.ensembles import EnsembleSpec, sample_haar_unitary, sample_member
 from ergoxeb.statevector import (
     GateProgram,
     OutputDistribution,
@@ -132,6 +134,62 @@ def test_distribution_clamps_rounding_noise():
     assert d.probs[1] == 0.0
     with pytest.raises(ValueError, match="below"):
         OutputDistribution(SystemDims(1), np.array([1.0 + 5e-13, -5e-13]))
+
+
+def test_distribution_leaves_input_unchanged():
+    raw = np.array([0.5, 0.5 + 1e-11, -1e-16, 0.0])
+    before = raw.copy()
+    d = OutputDistribution(SystemDims(2), raw)
+    assert np.array_equal(raw, before) and raw[2] == -1e-16
+    assert d.probs[2] == 0.0
+    assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def _element_formula_unitary(n, targets, block):
+    """U[x, y] = block[m(x), m(y)] when x, y agree off the targets, else 0.
+
+    m(x) = sum_j bit(x, targets[j]) << j.  Built from index arithmetic
+    alone, without the simulator's kernel.
+    """
+    x = np.arange(1 << n)
+    m = np.zeros_like(x)
+    rest = x.copy()
+    for j, t in enumerate(targets):
+        m |= ((x >> t) & 1) << j
+        rest &= ~(1 << t)
+    agree = rest[:, None] == rest[None, :]
+    return np.where(agree, block[m[:, None], m[None, :]], 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_gate_kernel_matches_element_formula(data):
+    # any order of 1-3 targets, adjacent or not, reversed or not; several
+    # gates in a row exercise the kernel's buffer swaps
+    n = data.draw(st.integers(1, 6), label="n")
+    gates = []
+    for _ in range(data.draw(st.integers(1, 4), label="gates")):
+        k = data.draw(st.integers(1, min(3, n)), label="k")
+        targets = tuple(data.draw(st.permutations(range(n)))[:k])
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        gates.append((targets, sample_haar_unitary(1 << k, seed=seed)))
+    dims = SystemDims(n)
+    expected = np.eye(dims.N, dtype=np.complex128)
+    for targets, block in gates:
+        expected = _element_formula_unitary(n, targets, block) @ expected
+    prog = GateProgram(dims, gates=gates)
+    np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
+    np.testing.assert_allclose(output_distribution(prog).probs,
+                               np.abs(expected[:, 0]) ** 2, atol=1e-12)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(dims.N) + 1j * rng.standard_normal(dims.N)
+    state = PureState(dims, amps / np.linalg.norm(amps))
+    targets, block = gates[0]
+    np.testing.assert_allclose(
+        apply_block(state, targets, block).amplitudes,
+        _element_formula_unitary(n, targets, block) @ state.amplitudes,
+        atol=1e-12,
+    )
 
 
 def test_qubit_cap():
