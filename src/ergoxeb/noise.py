@@ -6,11 +6,12 @@ matrix.  The custom model carries a quasiprobability chi(x) that may have
 negative entries, but the induced Q must be a proper distribution.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import OutputDistribution, SystemDims
+from .statevector import NEGATIVE_TOL, OutputDistribution, SystemDims
 
 
 @dataclass(frozen=True)
@@ -152,84 +153,267 @@ def bitstring_to_index(s):
     return int(s, 2)
 
 
+# Rows per write chunk and bytes per read batch: each step makes one C-level
+# format or parse call over many rows while its temporaries stay a few MiB.
+_CHUNK_ROWS = 1 << 16
+_BATCH_BYTES = 1 << 20
+_HEADER = b"bitstring,probability"
+
+
+def _bit_chars(indices, n):
+    """ASCII '0'/'1' characters of each index, most significant bit first.
+
+    Returns a ``(len(indices), n)`` uint8 array.
+    """
+    big_endian = indices.astype(">u8").view(np.uint8)
+    bits = np.unpackbits(big_endian.reshape(-1, 8), axis=1)[:, 64 - n:]
+    return bits + np.uint8(ord("0"))
+
+
+def _bits_to_indices(chars):
+    """Integer indices of rows of ASCII '0'/'1' characters.
+
+    Returns None if any other character occurs, so that the caller can name
+    the offending line.
+    """
+    bits = chars - np.uint8(ord("0"))
+    if (bits > 1).any():
+        return None
+    n = chars.shape[1]
+    return bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _text(raw):
+    """Quoted form of raw file bytes for an error message."""
+    return repr(raw.decode("utf-8", "backslashreplace"))
+
+
+def _batches(fh, lineno):
+    """Yield (lines, first line number, nonblank stripped rows) per batch."""
+    while lines := fh.readlines(_BATCH_BYTES):
+        yield lines, lineno, [s for s in map(bytes.strip, lines) if s]
+        lineno += len(lines)
+
+
+def _dims_at(path, lines, lineno, n):
+    """SystemDims(n), with an error naming the first nonblank line."""
+    try:
+        return SystemDims(n)
+    except ValueError as exc:
+        lineno += next(i for i, line in enumerate(lines) if line.strip())
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def write_samples(samples, path):
     n = samples.dims.n
-    with open(path, "w") as fh:
-        for j in samples.bitstrings:
-            fh.write(index_to_bitstring(j, n) + "\n")
+    with open(path, "wb") as fh:
+        for start in range(0, samples.T, _CHUNK_ROWS):
+            chunk = samples.bitstrings[start:start + _CHUNK_ROWS]
+            rows = np.empty((chunk.size, n + 1), dtype=np.uint8)
+            rows[:, :n] = _bit_chars(chunk, n)
+            rows[:, n] = ord("\n")
+            fh.write(rows.tobytes())
+
+
+def _scan_samples(path, lines, lineno, n):
+    """Raise the error of the first malformed line in a batch."""
+    for lineno, line in enumerate(lines, start=lineno):
+        s = line.strip()
+        if not s:
+            continue
+        if s.translate(None, b"01"):
+            raise ValueError(f"{path}:{lineno}: invalid bitstring {_text(s)}")
+        if len(s) != n:
+            raise ValueError(
+                f"{path}:{lineno}: bitstring length {len(s)} != {n}"
+            )
+    raise AssertionError("batch failed its checks but every line parses")
 
 
 def read_samples(path, dims=None):
-    indices = []
-    n = dims.n if dims is not None else None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s:
+    """Sample file: one bitstring of '0'/'1' per line.
+
+    Blank lines and surrounding whitespace are ignored.  Without ``dims``
+    the first bitstring sets n.  Errors name the offending ``path:line``.
+    """
+    parts = [np.empty(0, dtype=np.int64)]
+    with open(path, "rb") as fh:
+        for lines, lineno, rows in _batches(fh, 1):
+            if not rows:
                 continue
-            if set(s) - {"0", "1"}:
-                raise ValueError(
-                    f"{path}:{lineno}: invalid bitstring {s!r}"
-                )
-            if n is None:
-                n = len(s)
-            elif len(s) != n:
-                raise ValueError(
-                    f"{path}:{lineno}: bitstring length {len(s)} != {n}"
-                )
-            indices.append(bitstring_to_index(s))
-    if n is None:
+            n = dims.n if dims is not None else len(rows[0])
+            # Stripped rows hold no newline, so with the size right and a
+            # newline ending every n + 1 bytes, each row is n long.
+            buf = np.frombuffer(b"\n".join(rows) + b"\n", dtype=np.uint8)
+            indices = None
+            if buf.size == len(rows) * (n + 1):
+                chars = buf.reshape(len(rows), n + 1)
+                if (chars[:, n] == ord("\n")).all():
+                    indices = _bits_to_indices(chars[:, :n])
+            if indices is None:
+                _scan_samples(path, lines, lineno, n)
+            if dims is None:
+                dims = _dims_at(path, lines, lineno, n)
+            parts.append(indices)
+    if dims is None:
         raise ValueError(f"{path}: no bitstrings found")
-    return SampleSet(SystemDims(n), np.array(indices, dtype=np.int64),
+    return SampleSet(dims, np.concatenate(parts),
                      provenance=f"ingested({path})")
 
 
 def write_probabilities(P, path):
     n = P.dims.n
-    with open(path, "w") as fh:
-        fh.write("bitstring,probability\n")
-        for j, p in enumerate(P.probs):
-            fh.write(f"{index_to_bitstring(j, n)},{p:.17g}\n")
+    suffix = np.frombuffer(b",%.17g\n", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER + b"\n")
+        for start in range(0, P.dims.N, _CHUNK_ROWS):
+            chunk = P.probs[start:start + _CHUNK_ROWS]
+            rows = np.empty((chunk.size, n + suffix.size), dtype=np.uint8)
+            rows[:, :n] = _bit_chars(np.arange(start, start + chunk.size), n)
+            rows[:, n:] = suffix
+            template = rows.tobytes().decode("ascii")
+            fh.write((template % tuple(chunk.tolist())).encode("ascii"))
+
+
+def _scan_probabilities(path, lines, lineno, n, seen):
+    """Raise the error of the first malformed line in a batch.
+
+    ``seen`` holds the indices of the rows before the batch, so that a
+    duplicate ahead of the malformed line is reported first.
+    """
+    for lineno, line in enumerate(lines, start=lineno):
+        s = line.strip()
+        if not s:
+            continue
+        try:
+            bits, val = s.split(b",")
+            p = float(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad row {_text(s)}") from exc
+        if not bits or bits.translate(None, b"01"):
+            raise ValueError(
+                f"{path}:{lineno}: invalid bitstring {_text(bits)}"
+            )
+        if len(bits) != n:
+            raise ValueError(
+                f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
+            )
+        j = int(bits, 2)
+        if j in seen:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate bitstring {_text(bits)}"
+            )
+        seen.add(j)
+        if not (math.isfinite(p) and p >= -NEGATIVE_TOL):
+            raise ValueError(
+                f"{path}:{lineno}: bad probability {_text(val)}"
+            )
+    raise AssertionError("batch failed its checks but every line parses")
+
+
+def _parse_probability_rows(rows, n):
+    """(indices, values) of nonblank rows ``bits,value``; None if malformed.
+
+    A row is well formed when its only comma sits at column n after n
+    '0'/'1' characters and its value is a finite float >= -NEGATIVE_TOL.
+    """
+    if n < 1:
+        return None
+    text = b"\n".join(rows)
+    buf = np.frombuffer(text, dtype=np.uint8)
+    starts = np.empty(len(rows), dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = np.flatnonzero(buf == ord("\n")) + 1
+    lengths = np.append(starts[1:] - 1, buf.size) - starts
+    if (lengths <= n).any():
+        return None
+    if (buf[starts + n] != ord(",")).any():
+        return None
+    if np.count_nonzero(buf == ord(",")) != len(rows):
+        return None
+    indices = _bits_to_indices(buf[starts[:, None] + np.arange(n)])
+    if indices is None:
+        return None
+    tokens = text.replace(b"\n", b",").split(b",")[1::2]
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    if not (np.isfinite(values).all() and values.min() >= -NEGATIVE_TOL):
+        return None
+    return indices, values
+
+
+def _row_lineno(path, row):
+    """Line number of the row-th (from 0) nonblank row of a probability file."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                if row == 0:
+                    return lineno
+                row -= 1
+
+
+def _check_repeats(path, index_parts, n):
+    """Raise naming the first repeated row; else (indices, sorting order).
+
+    The stable sort keeps file order among equal indices, so the earliest
+    later occurrence is the first duplicate line.
+    """
+    indices = np.concatenate(index_parts)
+    order = np.argsort(indices, kind="stable")
+    ordered = indices[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeats.size:
+        row = int(order[repeats + 1].min())
+        bits = index_to_bitstring(indices[row], n)
+        raise ValueError(
+            f"{path}:{_row_lineno(path, row)}: duplicate bitstring {bits!r}"
+        )
+    return indices, order
 
 
 def read_probabilities(path):
-    with open(path) as fh:
+    """Probability file: the header ``bitstring,probability``, then one
+    ``bits,value`` row for each of the N bitstrings, in any order.
+
+    Blank lines and surrounding whitespace are ignored.  The first
+    malformed row, NaN, infinite or negative value, or repeated bitstring
+    raises an error naming its ``path:line``.
+    """
+    index_parts = [np.empty(0, dtype=np.int64)]
+    value_parts = [np.empty(0)]
+    dims = None
+    with open(path, "rb") as fh:
         header = fh.readline().strip()
-        if header != "bitstring,probability":
+        if header != _HEADER:
             raise ValueError(
                 f"{path}: expected header 'bitstring,probability', "
-                f"got {header!r}"
+                f"got {_text(header)}"
             )
-        rows = {}
-        n = None
-        for lineno, line in enumerate(fh, start=2):
-            s = line.strip()
-            if not s:
+        for lines, lineno, rows in _batches(fh, 2):
+            if not rows:
                 continue
-            try:
-                bits, val = s.split(",")
-                p = float(val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {s!r}") from exc
-            if n is None:
-                n = len(bits)
-            elif len(bits) != n:
-                raise ValueError(
-                    f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
-                )
-            j = bitstring_to_index(bits)
-            if j in rows:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate bitstring {bits!r}"
-                )
-            rows[j] = p
-    if n is None:
+            n = dims.n if dims is not None else rows[0].find(b",")
+            parsed = _parse_probability_rows(rows, n)
+            if parsed is None:
+                earlier, _ = _check_repeats(path, index_parts, n)
+                _scan_probabilities(path, lines, lineno, n,
+                                    set(earlier.tolist()))
+            if dims is None:
+                dims = _dims_at(path, lines, lineno, n)
+            index_parts.append(parsed[0])
+            value_parts.append(parsed[1])
+    if dims is None:
         raise ValueError(f"{path}: no probability rows found")
-    dims = SystemDims(n)
-    if len(rows) != dims.N:
+    indices, order = _check_repeats(path, index_parts, dims.n)
+    if indices.size != dims.N:
         raise ValueError(
             f"{path}: expected {dims.N} rows covering all bitstrings, "
-            f"got {len(rows)}"
+            f"got {indices.size}"
         )
-    probs = np.array([rows[j] for j in range(dims.N)])
-    return OutputDistribution(dims, probs)
+    try:
+        return OutputDistribution(dims, np.concatenate(value_parts)[order])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

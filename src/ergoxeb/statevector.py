@@ -13,6 +13,7 @@ import numpy as np
 DEFAULT_QUBIT_CAP = 24
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-10
+NEGATIVE_TOL = 1e-15  # rounding noise tolerated below zero in a probability
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,13 @@ class OutputDistribution:
                 f"probability vector has shape {probs.shape}, "
                 f"expected ({self.dims.N},)"
             )
+        # min() is NaN when any entry is, which fails the comparison; +inf
+        # fails the sum check below
         lowest = float(probs.min())
-        if lowest < -1e-15:
-            raise ValueError("probability entries below -1e-15")
+        if not lowest >= -NEGATIVE_TOL:
+            raise ValueError(
+                f"probability entries below -{NEGATIVE_TOL:g} or NaN"
+            )
         # Clamp tiny negative rounding noise, renormalize if needed; both
         # make new arrays, so the caller's array is never modified.
         if lowest < 0.0:
@@ -264,4 +269,7 @@ def load_programs(path):
         docs = json.load(fh)
     if not isinstance(docs, list):
         raise ValueError(f"{path}: expected a JSON list of gate programs")
-    return [program_from_dict(d) for d in docs]
+    try:
+        return [program_from_dict(d) for d in docs]
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed gate program: {exc!r}") from exc

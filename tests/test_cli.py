@@ -5,7 +5,14 @@ import pytest
 
 from ergoxeb.cli import main
 from ergoxeb.ensembles import haar_state_probs
-from ergoxeb.noise import sample_bitstrings, write_probabilities, write_samples
+from ergoxeb.estimators import linear_xeb
+from ergoxeb.noise import (
+    read_probabilities,
+    read_samples,
+    sample_bitstrings,
+    write_probabilities,
+    write_samples,
+)
 from ergoxeb.statevector import OutputDistribution, SystemDims
 
 
@@ -107,6 +114,10 @@ def test_xeb_csv_output(tmp_path, capsys):
     fields = dict(line.split(",", 1) for line in out.splitlines())
     assert fields["n"] == "6"
     assert fields["T"] == "5000"
+    lin = linear_xeb(read_probabilities(probs_path),
+                     read_samples(samples_path))
+    assert fields["f_xeb"] == f"{lin.F_hat:.12g}"
+    assert fields["f_xeb_se"] == f"{lin.std_error:.12g}"
     # noiseless samples from the ideal distribution: F_XEB near 1
     assert abs(float(fields["f_xeb"]) - 1.0) < 0.3
     assert "log_xeb" in fields
@@ -150,3 +161,56 @@ def test_xeb_missing_file_exit_1(tmp_path, capsys):
     code = main(["xeb", "--probs", str(tmp_path / "nope.csv"),
                  "--samples", str(tmp_path / "nope.txt")])
     assert code == 1
+
+
+_PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["scan", "--qubits", "2", "--fidelity", "0.5"], {}),
+    (["scan", "--qubits", "2", "--noise", "completely-noisy",
+      "--fidelity", "0.5"], {}),
+    (["scan", "--qubits", "2", "--noise", "depolarizing"], {}),
+    (["scan", "--qubits", "2", "--noise", "depolarizing",
+      "--fidelity", "1.5"], {}),
+    (["scan", "--qubits", "a"], {}),
+    (["scan", "--qubits", "30"], {}),
+    (["scan", "--qubits", "2", "--samples", "-5"], {}),
+    (["scan", "--qubits", "2", "--scheme", "monomial0"], {}),
+    (["scan", "--qubits", "1", "--ensemble", "fixed",
+      "--fixed-file", "g.json"], {"g.json": "[1, 2]"}),
+    (["scan", "--qubits", "1", "--ensemble", "fixed",
+      "--fixed-file", "g.json"], {"g.json": "not json"}),
+    (["oracle", "--plogp-cov", "0"], {}),
+    (["oracle", "--moment", "a", "1", "4"], {}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK.replace("01,0.25", "01,nan"), "s.txt": "00\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": "bitstring,probability\n0b,1\n", "s.txt": "00\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": "prob\n", "s.txt": "00\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK + "01,0.25\n", "s.txt": "00\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": "bitstring,probability\n00,0.5\n01,0.5\n", "s.txt": "00\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK, "s.txt": b"00\n\xff\xfe\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK, "s.txt": "00\n000\n"}),
+    (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK, "s.txt": ""}),
+    (["xeb", "--probs", "p.csv", "--samples", "missing.txt"],
+     {"p.csv": _PROBS_OK}),
+])
+def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                          argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("ergoxeb: error: ")

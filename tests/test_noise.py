@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ergoxeb import noise
 from ergoxeb.noise import (
     NoiseModel,
     SampleSet,
@@ -173,6 +176,12 @@ def test_read_samples_errors(tmp_path):
     p.write_text("0101\n")
     with pytest.raises(ValueError, match="length"):
         read_samples(p, dims=SystemDims(3))
+    p.write_bytes(b"010\n0\xff0\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: invalid bitstring"):
+        read_samples(p)
+    p.write_text("\n" + "0" * 30 + "\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: .*exceeds cap"):
+        read_samples(p)
 
 
 def test_probabilities_round_trip(tmp_path):
@@ -195,8 +204,167 @@ def test_read_probabilities_errors(tmp_path):
     p.write_text("bitstring,probability\n00,abc\n")
     with pytest.raises(ValueError, match="bad row"):
         read_probabilities(p)
+    for row in ("0x,0.25", "0b,0.25", ",0.25", "0\xe9,0.25"):
+        p.write_text(f"bitstring,probability\n00,0.25\n{row}\n")
+        with pytest.raises(ValueError, match=r"probs\.csv:3: invalid bitstring"):
+            read_probabilities(p)
+    for value in ("nan", "inf", "-inf", "-0.25"):
+        p.write_text("bitstring,probability\n"
+                     f"00,0.25\n01,0.25\n10,{value}\n11,0.25\n")
+        with pytest.raises(ValueError,
+                           match=r"probs\.csv:4: bad probability"):
+            read_probabilities(p)
+    p.write_text("bitstring,probability\n0,0.25\n1,0.25\n")
+    with pytest.raises(ValueError, match=r"^\S*probs\.csv: .*sum to"):
+        read_probabilities(p)
     # all four bitstrings plus a repeat whose value would otherwise win
     p.write_text("bitstring,probability\n"
                  "00,0.25\n01,0.125\n10,0.25\n11,0.25\n01,0.25\n")
     with pytest.raises(ValueError, match=r"probs\.csv:6: duplicate"):
         read_probabilities(p)
+    # a repeat ahead of a malformed row is the first error
+    p.write_text("bitstring,probability\n00,0.25\n00,0.25\n0x,0.25\n")
+    with pytest.raises(ValueError, match=r"probs\.csv:3: duplicate"):
+        read_probabilities(p)
+
+
+# -- file formats: bulk readers and writers -----------------------------------
+
+def _reference_probabilities(P):
+    """The probability file, formatted one row at a time."""
+    n = P.dims.n
+    rows = [f"{index_to_bitstring(j, n)},{p:.17g}\n"
+            for j, p in enumerate(P.probs)]
+    return ("bitstring,probability\n" + "".join(rows)).encode()
+
+
+def _reference_samples(samples):
+    n = samples.dims.n
+    return "".join(index_to_bitstring(j, n) + "\n"
+                   for j in samples.bitstrings).encode()
+
+
+_TINY = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+
+
+@st.composite
+def _distributions(draw):
+    n = draw(st.integers(1, 8))
+    N = 1 << n
+    if draw(st.booleans()):
+        # one certain outcome: zeros and subnormals leave the sum at 1.0
+        probs = np.array(draw(st.lists(_TINY, min_size=N, max_size=N)))
+        probs[draw(st.integers(0, N - 1))] = 1.0
+    else:
+        weights = draw(st.lists(st.one_of(_TINY, st.floats(0.0, 1.0)),
+                                min_size=N, max_size=N))
+        probs = np.array(weights)
+        assume(probs.sum() > 0.0)
+        probs /= probs.sum()
+    return OutputDistribution(SystemDims(n), probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_distributions())
+def test_probabilities_round_trip_and_format(tmp_path_factory, P):
+    path = tmp_path_factory.mktemp("probs") / "p.csv"
+    write_probabilities(P, path)
+    assert path.read_bytes() == _reference_probabilities(P)
+    back = read_probabilities(path)
+    assert back.dims == P.dims
+    assert np.array_equal(back.probs, P.probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_samples_round_trip_and_format(tmp_path_factory, n, data):
+    dims = SystemDims(n)
+    indices = data.draw(st.lists(st.integers(0, dims.N - 1), max_size=40))
+    samples = SampleSet(dims, np.array(indices, dtype=np.int64))
+    path = tmp_path_factory.mktemp("samples") / "s.txt"
+    write_samples(samples, path)
+    assert path.read_bytes() == _reference_samples(samples)
+    back = read_samples(path, dims=dims)
+    assert np.array_equal(back.bitstrings, samples.bitstrings)
+
+
+def test_writers_match_reference_across_chunks(tmp_path):
+    # more rows than one write chunk holds
+    P = _random_P(17, 31)
+    path = tmp_path / "p.csv"
+    write_probabilities(P, path)
+    assert path.read_bytes() == _reference_probabilities(P)
+    draws = sample_bitstrings(P, noise._CHUNK_ROWS + 7, seed=32)
+    path = tmp_path / "s.txt"
+    write_samples(draws, path)
+    assert path.read_bytes() == _reference_samples(draws)
+
+
+def _rows(P):
+    return _reference_probabilities(P).decode().splitlines()[1:]
+
+
+def test_probability_errors_after_first_batch(tmp_path):
+    # 16 qubits make ~1.6 MB of rows, so the last rows fall in a later batch
+    P = _random_P(16, 33)
+    rows = _rows(P)
+    head = "bitstring,probability\n\n\n"  # blank lines count as lines
+    path = tmp_path / "p.csv"
+    path.write_text(head + "\n".join(rows + [rows[3]]) + "\n")
+    with pytest.raises(ValueError, match=rf"p\.csv:{3 + len(rows) + 1}: "
+                                         rf"duplicate bitstring '{rows[3][:16]}'"):
+        read_probabilities(path)
+    bad = list(rows)
+    bad[60_000] = bad[60_000].split(",")[0] + ",0.1.2"
+    path.write_text(head + "\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"p\.csv:{3 + 60_000 + 1}: bad row"):
+        read_probabilities(path)
+    # a repeat in the first batch comes before a bad row in a later one
+    bad[10] = rows[3]
+    path.write_text(head + "\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"p\.csv:{3 + 10 + 1}: duplicate"):
+        read_probabilities(path)
+
+
+def test_sample_errors_after_first_batch(tmp_path):
+    lines = ["01101001"] * 200_000  # 1.8 MB
+    lines[150_000] = "0110100"
+    path = tmp_path / "s.txt"
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"s\.txt:150002: bitstring length 7"):
+        read_samples(path)
+
+
+def test_readers_accept_crlf_whitespace_and_blank_lines(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"\r\n  01 \r\n\t10\n\n \n11\r\n")
+    back = read_samples(path)
+    assert back.dims.n == 2 and back.bitstrings.tolist() == [1, 2, 3]
+    path = tmp_path / "p.csv"
+    path.write_bytes(b" bitstring,probability \r\n\r\n 1,0.25\t\r\n"
+                     b"\n   \n0,0.75  \r\n\r\n")
+    back = read_probabilities(path)
+    assert back.probs.tolist() == [0.75, 0.25]
+
+
+_JUNK_LINES = st.lists(st.one_of(
+    st.sampled_from(["", "0", "01", "10", "0,0.5", "1,0.5", "01,0.25",
+                     "0,nan", "1,1e999", ",", "0,", "0,0.5,1",
+                     "bitstring,probability", " ", "\r"]),
+    st.text(max_size=12),
+), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.one_of(st.binary(max_size=80),
+                         _JUNK_LINES.map(lambda l: "\n".join(l).encode()),
+                         _JUNK_LINES.map(lambda l: "\n".join(
+                             ["bitstring,probability"] + l).encode())))
+def test_readers_reject_junk_with_path(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("junk") / "junk.txt"
+    path.write_bytes(content)
+    for read in (read_samples, read_probabilities):
+        try:
+            read(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)

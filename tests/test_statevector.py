@@ -136,6 +136,12 @@ def test_distribution_clamps_rounding_noise():
         OutputDistribution(SystemDims(1), np.array([1.0 + 5e-13, -5e-13]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        OutputDistribution(SystemDims(1), np.array([1.0, bad]))
+
+
 def test_distribution_leaves_input_unchanged():
     raw = np.array([0.5, 0.5 + 1e-11, -1e-16, 0.0])
     before = raw.copy()
