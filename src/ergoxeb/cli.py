@@ -6,6 +6,7 @@ violated under --strict.
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, analytic
@@ -32,10 +33,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_qubits(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise ValueError(
+            f"--qubits: expected N or LO..HI, got {text!r}"
+        ) from None
+    return tuple(range(lo, hi + 1))
+
+
+def _finite(flag, value):
+    """``value`` as a float; a non-number, NaN or inf is an error naming
+    ``flag``."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{flag}: expected a finite number, got {value!r}")
+    return number
 
 
 def _build_parser():
@@ -133,7 +151,7 @@ def _cmd_scan(args):
         n_range=_parse_qubits(args.qubits),
         instances=args.instances,
         scheme=parse_scheme(args.scheme),
-        alpha=args.alpha,
+        alpha=_finite("--alpha", args.alpha),
         T=args.samples,
         noise=_make_noise(args),
         base_seed=args.seed,
@@ -153,10 +171,11 @@ def _cmd_scan(args):
 
 
 def _cmd_xeb(args):
+    alpha = _finite("--alpha", args.alpha)
     P = read_probabilities(args.probs)
     samples = read_samples(args.samples, dims=P.dims)
     mono = deviation_of_ergodicity(
-        P, samples, SchemeFunction.monomial(2), args.alpha
+        P, samples, SchemeFunction.monomial(2), alpha
     )
     # linear XEB is the monomial-2 estimate minus one (see linear_xeb)
     report = {
@@ -170,7 +189,7 @@ def _cmd_xeb(args):
     try:
         report["log_xeb"] = log_xeb(P, samples)
         plogp = deviation_of_ergodicity(
-            P, samples, SchemeFunction.plogp(), args.alpha
+            P, samples, SchemeFunction.plogp(), alpha
         )
         report["de_plogp"] = plogp.deviation
         report["de_plogp_se"] = plogp.std_error
@@ -188,10 +207,14 @@ def _cmd_xeb(args):
 def _cmd_oracle(args):
     if args.moment:
         q1, q2, n = args.moment
-        value = analytic.haar_joint_moment(float(q1), float(q2), int(n))
+        value = analytic.haar_joint_moment(
+            _finite("--moment", q1), _finite("--moment", q2), int(n)
+        )
     elif args.covariance:
         q1, q2, n = args.covariance
-        value = analytic.haar_covariance(float(q1), float(q2), int(n))
+        value = analytic.haar_covariance(
+            _finite("--covariance", q1), _finite("--covariance", q2), int(n)
+        )
     elif args.plogp_cov is not None:
         value = analytic.plogp_covariance(args.plogp_cov)
     else:

@@ -108,7 +108,13 @@ def _brickwork_program(dims, depth, rng):
 
 
 def sample_member(spec, index):
-    """Deterministically sample the index-th member of an ensemble."""
+    """Deterministically sample the index-th member of an ensemble.
+
+    For the Haar kind this is a dense QR-corrected unitary, and
+    ``output_distribution(sample_member(spec, i))`` is a different Haar
+    instance from ``member_probs(spec, i)``, which draws from the same seed
+    but consumes it differently.  The scan drivers use ``member_probs``.
+    """
     if spec.kind == "pauli":
         return _pauli_program(spec.dims, index)
     if spec.kind == "fixed":
@@ -129,8 +135,12 @@ def sample_member(spec, index):
 def member_probs(spec, index):
     """Ideal output distribution of one ensemble member.
 
-    For the Haar kind this skips the dense QR: only the first unitary column
-    matters, and it is distributionally a normalized Ginibre column.
+    This is what the scan drivers (``harness.run_ergodicity_scan``) use.
+    For the Haar kind it skips the dense QR: only the first unitary column
+    matters, and it is distributionally a normalized Ginibre column.  The
+    instance is therefore not the one ``sample_member(spec, index)`` gives
+    for the same seed and index: both are Haar-distributed, but they differ.
+    Other kinds return ``output_distribution(sample_member(spec, index))``.
     """
     if spec.kind == "haar":
         rng = _rng(mix64(spec.base_seed, index))

@@ -160,30 +160,144 @@ def apply_block(state, targets, block):
     return PureState(dims, _apply_gates(state.amplitudes, dims.n, [gate]))
 
 
+FUSE_WIDTH = 5  # widest qubit window merged into one dense block
+_WIDEN_BELOW = 3  # a window starting below this qubit is widened to qubit 0
+_ITEM_MACS = 1 << 17  # complex multiply-adds per matmul batch item
+
+
+def _kron_eye(high, matrix, low):
+    """np.kron(np.eye(high), np.kron(matrix, np.eye(low))), in one product.
+
+    np.kron's Python overhead dominates at these block sizes.
+    """
+    d = matrix.shape[0]
+    out = (np.eye(high)[:, None, None, :, None, None]
+           * matrix[None, :, None, None, :, None]
+           * np.eye(low)[None, None, :, None, None, :])
+    return out.reshape(high * d * low, high * d * low)
+
+
+def _window_block(targets, block):
+    """``block`` as a dense matrix on the contiguous qubits it spans.
+
+    Returns (start, stop, matrix): bit i of the matrix's row/column index is
+    qubit start + i, and the matrix is the identity on the untargeted qubits
+    of the window [start, stop).
+    """
+    start, stop = min(targets), max(targets) + 1
+    width = stop - start
+    full = _kron_eye(1, block, 1 << (width - len(targets)))
+    # Axis a of the (2,)*width row tensor of ``full`` is qubit src[a]: the
+    # targets from the block's top bit down, then the untargeted qubits.
+    descending = range(stop - 1, start - 1, -1)
+    src = list(reversed(targets)) + [q for q in descending if q not in targets]
+    perm = [src.index(q) for q in descending]
+    full = full.reshape((2,) * (2 * width))
+    full = full.transpose(perm + [width + a for a in perm])
+    return start, stop, full.reshape(1 << width, 1 << width)
+
+
+def _fused_blocks(gates):
+    """Yield ``gates`` in order as ("window", start, matrix) steps.
+
+    Consecutive gates whose qubit windows fit together into FUSE_WIDTH
+    contiguous qubits are multiplied into one dense block on the window
+    starting at qubit ``start``.  A gate spanning more qubits, or a global
+    phase with no targets, is yielded unchanged as ("einsum", targets,
+    block).  This is a generator so that only one pending block is alive
+    at a time.
+    """
+    pending = None
+    for targets, block in gates:
+        if not targets or max(targets) - min(targets) >= FUSE_WIDTH:
+            if pending is not None:
+                yield _flush(*pending)
+                pending = None
+            yield "einsum", targets, block
+            continue
+        start, stop, matrix = _window_block(targets, block)
+        if pending is not None:
+            p_start, p_stop, p_matrix = pending
+            lo, hi = min(start, p_start), max(stop, p_stop)
+            if hi - lo <= FUSE_WIDTH:
+                new = _kron_eye(1 << (hi - stop), matrix, 1 << (start - lo))
+                old = _kron_eye(1 << (hi - p_stop), p_matrix,
+                                1 << (p_start - lo))
+                start, stop, matrix = lo, hi, new @ old
+            else:
+                yield _flush(*pending)
+        pending = (start, stop, matrix)
+    if pending is not None:
+        yield _flush(*pending)
+
+
+def _flush(start, stop, matrix):
+    # Below qubit _WIDEN_BELOW the contraction would run as thousands of
+    # tiny per-item matmuls; a wider block on qubits [0, stop) is cheaper.
+    if 0 < start < _WIDEN_BELOW:
+        matrix = _kron_eye(1, matrix, 1 << start)
+        start = 0
+    return "window", start, matrix
+
+
+def _apply_window(src, dst, start, batch, matrix):
+    """Write ``matrix`` applied to qubits [start, start + w) of src to dst.
+
+    ``src`` and ``dst`` are flat C-ordered buffers of N states times a
+    trailing batch of ``batch`` columns; ``matrix`` is 2**w square.
+    """
+    d = matrix.shape[0]
+    lo = (1 << start) * batch
+    per_item = max(1, _ITEM_MACS // (d * d))
+    # Batch items of at most ~_ITEM_MACS multiply-adds keep BLAS's pack
+    # buffers small: unsplit, a brickwork pass at n=16 keeps ~1.5 MiB more
+    # resident.
+    if lo == 1:
+        rows = min(src.size // d, per_item)
+        np.matmul(src.reshape(-1, rows, d), matrix.T,
+                  out=dst.reshape(-1, rows, d))
+        return
+    c = min(lo, per_item)
+    shape, order = (-1, d, lo // c, c), (0, 2, 1, 3)
+    np.matmul(matrix, src.reshape(shape).transpose(order),
+              out=dst.reshape(shape).transpose(order))
+
+
 def _apply_gates(amps, n, gates):
     """Apply ``gates`` in order to ``amps`` and return the resulting array.
 
     ``amps`` has shape (N,) or (N, B); a trailing axis is a batch of B
-    independent states.  The amplitudes are viewed as a (2,)*n tensor whose
-    axis n-1-q is qubit q, and each block is contracted into a second
-    buffer with ``np.einsum(..., out=)``.  The two buffers swap roles after
-    every gate, so ``amps`` itself is overwritten once there are two gates.
+    independent states.  Consecutive gates are fused into dense blocks on
+    contiguous qubit windows (``_fused_blocks``), and each block is applied
+    with one ``np.matmul(..., out=)`` on a (hi, 2**w, lo) view, lo being
+    2**start times B.  Results go to a second buffer; the two buffers swap
+    roles after every step, so ``amps`` itself is overwritten once there
+    are two steps.
     """
     batch = amps.shape[1:]
-    cur = amps.reshape((2,) * n + batch)
+    columns = amps.size >> n
+    cur = amps.reshape(-1)
     nxt = np.empty_like(cur)
     labels = list(range(n + len(batch)))
-    for targets, block in gates:
-        k = len(targets)
-        # Row/column axis a of the reshaped block is bit k-1-a of its index,
-        # i.e. qubit targets[k-1-a].
-        axes = [n - 1 - t for t in reversed(targets)]
-        new = list(range(n + 1, n + 1 + k))
-        out_labels = labels.copy()
-        for a, label in zip(axes, new):
-            out_labels[a] = label
-        np.einsum(block.reshape((2,) * (2 * k)), new + axes, cur, labels,
-                  out_labels, out=nxt)
+    for kind, where, block in _fused_blocks(gates):
+        if kind == "window":
+            _apply_window(cur, nxt, where, columns, block)
+        else:
+            # A gate spanning more than FUSE_WIDTH qubits, such as (0, 23),
+            # is contracted with einsum on the (2,)*n view, whose axis
+            # n-1-q is qubit q: the only route that applies it without a
+            # dense block of dimension 2**span.
+            targets, k = where, len(where)
+            # Row/column axis a of the reshaped block is bit k-1-a of its
+            # index, i.e. qubit targets[k-1-a].
+            axes = [n - 1 - t for t in reversed(targets)]
+            new = list(range(n + 1, n + 1 + k))
+            out_labels = labels.copy()
+            for a, label in zip(axes, new):
+                out_labels[a] = label
+            np.einsum(block.reshape((2,) * (2 * k)), new + axes,
+                      cur.reshape((2,) * n + batch), labels, out_labels,
+                      out=nxt.reshape((2,) * n + batch))
         cur, nxt = nxt, cur
     return cur.reshape(amps.shape)
 

@@ -5,6 +5,7 @@ Every criterion asserts its stated tolerance.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_criterion_10_reproducibility(capsys, tmp_path):
     paths_a = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "a")
     paths_b = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "b")
     ok = all(
-        open(pa, "rb").read() == open(pb, "rb").read()
+        Path(pa).read_bytes() == Path(pb).read_bytes()
         for pa, pb in zip(paths_a, paths_b)
     )
     _verdict(

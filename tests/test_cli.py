@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +39,10 @@ def test_scan_writes_expected_rows(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     csv_path = [l.split()[-1] for l in out.splitlines() if l.endswith(".csv")]
-    lines = open(csv_path[0]).read().splitlines()
+    lines = Path(csv_path[0]).read_text().splitlines()
     assert len(lines) == 1 + 3 * 4  # header + (qubit counts x instances)
     summary = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
-    doc = json.load(open(summary[0]))
+    doc = json.loads(summary[0].read_text())
     assert doc["config"]["n_range"] == [6, 7, 8]
 
 
@@ -174,6 +175,10 @@ _PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
     (["scan", "--qubits", "2", "--noise", "depolarizing",
       "--fidelity", "1.5"], {}),
     (["scan", "--qubits", "a"], {}),
+    (["scan", "--qubits", "x"], {}),
+    (["scan", "--qubits", "5.."], {}),
+    (["scan", "--qubits", "2", "--alpha", "nan"], {}),
+    (["scan", "--qubits", "2", "--alpha", "inf"], {}),
     (["scan", "--qubits", "30"], {}),
     (["scan", "--qubits", "2", "--samples", "-5"], {}),
     (["scan", "--qubits", "2", "--scheme", "monomial0"], {}),
@@ -183,6 +188,12 @@ _PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
       "--fixed-file", "g.json"], {"g.json": "not json"}),
     (["oracle", "--plogp-cov", "0"], {}),
     (["oracle", "--moment", "a", "1", "4"], {}),
+    (["oracle", "--moment", "nan", "1", "4"], {}),
+    (["oracle", "--moment", "1", "inf", "4"], {}),
+    (["oracle", "--covariance", "inf", "1", "4"], {}),
+    (["oracle", "--covariance", "1", "nan", "4"], {}),
+    (["xeb", "--alpha", "nan", "--probs", "p.csv", "--samples", "s.txt"],
+     {"p.csv": _PROBS_OK, "s.txt": "00\n"}),
     (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
      {"p.csv": _PROBS_OK.replace("01,0.25", "01,nan"), "s.txt": "00\n"}),
     (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
@@ -214,3 +225,18 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("ergoxeb: error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--qubits", "5.."],
+     "--qubits: expected N or LO..HI, got '5..'"),
+    (["scan", "--qubits", "x"], "--qubits: expected N or LO..HI, got 'x'"),
+    (["scan", "--qubits", "2", "--alpha", "nan"], "--alpha: "),
+    (["xeb", "--alpha", "inf", "--probs", "p.csv", "--samples", "s.txt"],
+     "--alpha: "),
+    (["oracle", "--moment", "nan", "1", "4"], "--moment: "),
+    (["oracle", "--covariance", "1", "inf", "4"], "--covariance: "),
+])
+def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    assert capsys.readouterr().err.startswith(f"ergoxeb: error: {message}")

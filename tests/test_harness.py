@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_scan_deterministic_outputs(tmp_path):
     paths_a = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "a")
     paths_b = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "b")
     for pa, pb in zip(paths_a, paths_b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_config_hash_sensitivity():
@@ -151,9 +152,9 @@ def test_write_scan_result_files(tmp_path):
     csv_path, json_path = write_scan_result(
         run_ergodicity_scan(cfg), tmp_path
     )
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("scheme,")
     assert len(lines) == 3  # header + 2 instances
-    doc = json.load(open(json_path))
+    doc = json.loads(Path(json_path).read_text())
     assert doc["config"]["n_range"] == [4]
     assert len(doc["summary"]) == 1

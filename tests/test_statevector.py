@@ -12,6 +12,7 @@ from ergoxeb.statevector import (
     OutputDistribution,
     PureState,
     SystemDims,
+    _fused_blocks,
     apply_block,
     output_distribution,
     program_from_dict,
@@ -201,3 +202,49 @@ def test_gate_kernel_matches_element_formula(data):
 def test_qubit_cap():
     with pytest.raises(ValueError, match="cap"):
         SystemDims(25)
+
+
+def _element_formula_product(n, gates):
+    expected = np.eye(1 << n, dtype=np.complex128)
+    for targets, block in gates:
+        expected = _element_formula_unitary(n, targets, block) @ expected
+    return expected
+
+
+def test_brickwork_fused_windows_match_element_formula():
+    # n=8 brickwork: layers fuse into windows of up to FUSE_WIDTH qubits,
+    # and windows starting at qubits 1-2 are widened down to qubit 0
+    spec = EnsembleSpec("brickwork", SystemDims(8), depth=40, base_seed=17)
+    prog = sample_member(spec, 2)
+    expected = _element_formula_product(8, prog.gates)
+    np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
+    np.testing.assert_allclose(output_distribution(prog).probs,
+                               np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def test_wide_and_unordered_gates_match_element_formula():
+    # (0, 7) spans 8 qubits, more than FUSE_WIDTH, and takes the einsum
+    # route; (3, 1, 2) is fused with its bits reordered to ascending qubits
+    n = 8
+    gates = [((5,), H), ((0, 7), sample_haar_unitary(4, seed=1)),
+             ((3, 1, 2), sample_haar_unitary(8, seed=2)), ((2,), X),
+             ((6, 4), sample_haar_unitary(4, seed=3)), ((7,), H),
+             ((0, 7), sample_haar_unitary(4, seed=4)), ((1,), H)]
+    prog = GateProgram(SystemDims(n), gates=gates)
+    kinds = [kind for kind, _, _ in _fused_blocks(prog.gates)]
+    assert kinds.count("einsum") == 2 and "window" in kinds
+    expected = _element_formula_product(n, gates)
+    np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
+    np.testing.assert_allclose(output_distribution(prog).probs,
+                               np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def test_brickwork_collision_probability_porter_thomas():
+    # For a Haar-random state N * sum(P^2) has mean 2N/(N+1) and standard
+    # deviation ~2/sqrt(N); a depth-5n brickwork member sits within 5 of it
+    n = 12
+    N = 1 << n
+    spec = EnsembleSpec("brickwork", SystemDims(n), depth=60, base_seed=31)
+    probs = output_distribution(sample_member(spec, 0)).probs
+    collision = N * float(np.sum(probs**2))
+    assert abs(collision - 2 * N / (N + 1)) <= 5 * 2 / np.sqrt(N)
