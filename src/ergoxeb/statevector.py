@@ -162,7 +162,7 @@ def apply_block(state, targets, block):
 
 FUSE_WIDTH = 5  # widest qubit window merged into one dense block
 _WIDEN_BELOW = 3  # a window starting below this qubit is widened to qubit 0
-_ITEM_MACS = 1 << 17  # complex multiply-adds per matmul batch item
+_ITEM_MACS = 1 << 15  # complex multiply-adds per matmul batch item
 
 
 def _kron_eye(high, matrix, low):
@@ -249,9 +249,13 @@ def _apply_window(src, dst, start, batch, matrix):
     d = matrix.shape[0]
     lo = (1 << start) * batch
     per_item = max(1, _ITEM_MACS // (d * d))
-    # Batch items of at most ~_ITEM_MACS multiply-adds keep BLAS's pack
-    # buffers small: unsplit, a brickwork pass at n=16 keeps ~1.5 MiB more
-    # resident.
+    # Batch items of at most _ITEM_MACS multiply-adds run on the calling
+    # thread: OpenBLAS hands a complex product to its worker threads once
+    # M*N*K reaches 2**16 (the (32, 32) block products in _fused_blocks
+    # stay below that).  Threaded, these small products gain ~10% on an
+    # idle 2-CPU machine, but a worker then spins after every call, and a
+    # brickwork pass at n=16 ran ~2.6x slower while one other process kept
+    # a CPU busy.  Small items also keep BLAS's pack buffers small.
     if lo == 1:
         rows = min(src.size // d, per_item)
         np.matmul(src.reshape(-1, rows, d), matrix.T,
@@ -311,10 +315,13 @@ def output_distribution(program):
         amps = np.zeros(dims.N, dtype=np.complex128)
         amps[0] = 1.0
     amps = _apply_gates(amps, dims.n, program.gates)
-    norm = float(np.vdot(amps, amps).real)
+    probs = np.abs(amps) ** 2
+    # Summed here rather than with np.vdot: at 2**16 amplitudes and more
+    # OpenBLAS runs zdotc on its worker threads (see _ITEM_MACS).
+    norm = float(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm drifted to {norm!r} during simulation")
-    return OutputDistribution(dims, np.abs(amps) ** 2)
+    return OutputDistribution(dims, probs)
 
 
 def program_unitary(program):

@@ -248,3 +248,29 @@ def test_brickwork_collision_probability_porter_thomas():
     probs = output_distribution(sample_member(spec, 0)).probs
     collision = N * float(np.sum(probs**2))
     assert abs(collision - 2 * N / (N + 1)) <= 5 * 2 / np.sqrt(N)
+
+
+def test_window_products_stay_below_blas_threading(monkeypatch):
+    # OpenBLAS runs a complex product on its worker threads once M*N*K
+    # reaches 2**16; every matmul item of the gate kernel must stay below,
+    # for a single state (lo == 1 and lo > 1 windows) and for a batch
+    from ergoxeb import statevector
+
+    sizes = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(statevector, "np", RecordingNumpy())
+    spec = EnsembleSpec("brickwork", SystemDims(12), depth=24, base_seed=5)
+    output_distribution(sample_member(spec, 0))
+    single = len(sizes)
+    spec = EnsembleSpec("brickwork", SystemDims(10), depth=10, base_seed=5)
+    program_unitary(sample_member(spec, 0))
+    assert 0 < single < len(sizes)
+    assert max(sizes) < 1 << 16
