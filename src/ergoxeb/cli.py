@@ -27,7 +27,7 @@ ENSEMBLE_KINDS = ("haar", "brickwork", "pauli", "fixed")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, as for every other error; the usage is in --help
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
 
@@ -56,6 +56,18 @@ def _finite(flag, value):
     return number
 
 
+def _dimension(flag, value):
+    """``value`` as an integer Hilbert-space dimension N >= 2; anything
+    else is an error naming ``flag``."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 2:
+        raise ValueError(f"{flag}: expected an integer N >= 2, got {value!r}")
+    return number
+
+
 def _build_parser():
     parser = _Parser(
         prog="ergoxeb",
@@ -70,8 +82,6 @@ def _build_parser():
                         help="base RNG seed (default 0)")
     parser.add_argument("--out-dir", default=".",
                         help="directory for result files")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="printed-report format for the xeb subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser(
@@ -116,6 +126,8 @@ def _build_parser():
     xeb.add_argument("--samples", required=True,
                      help="text file, one measured bitstring per line")
     xeb.add_argument("--alpha", type=float, default=10.0)
+    xeb.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="printed-report format")
 
     oracle = sub.add_parser(
         "oracle",
@@ -208,19 +220,21 @@ def _cmd_oracle(args):
     if args.moment:
         q1, q2, n = args.moment
         value = analytic.haar_joint_moment(
-            _finite("--moment", q1), _finite("--moment", q2), int(n)
+            _finite("--moment", q1), _finite("--moment", q2),
+            _dimension("--moment", n),
         )
     elif args.covariance:
         q1, q2, n = args.covariance
         value = analytic.haar_covariance(
-            _finite("--covariance", q1), _finite("--covariance", q2), int(n)
+            _finite("--covariance", q1), _finite("--covariance", q2),
+            _dimension("--covariance", n),
         )
     elif args.plogp_cov is not None:
         value = analytic.plogp_covariance(args.plogp_cov)
     else:
         scheme_name, n = args.haar_mean
         scheme = parse_scheme(scheme_name)
-        value = scheme.haar_mean(int(n), mode="exact")
+        value = scheme.haar_mean(_dimension("--haar-mean", n), mode="exact")
     print(format(value, ".17g"))
     return 0
 
@@ -234,7 +248,7 @@ def main(argv=None):
         if args.command == "xeb":
             return _cmd_xeb(args)
         return _cmd_oracle(args)
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, OverflowError) as exc:
         print(f"ergoxeb: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,7 @@ derived with a splitmix64-style mixer so members can be drawn in any order
 and in parallel.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,8 +57,10 @@ class EnsembleSpec:
         if self.kind == "fixed" and not self.source_path:
             raise ValueError("fixed ensemble needs a source_path")
 
-    def default_depth(self):
-        return 5 * self.dims.n
+    @functools.cached_property
+    def _programs(self):
+        """The fixed ensemble's gate programs, parsed once per spec."""
+        return load_programs(self.source_path)
 
 
 def sample_haar_unitary(N, seed=None, rng=None):
@@ -118,7 +121,7 @@ def sample_member(spec, index):
     if spec.kind == "pauli":
         return _pauli_program(spec.dims, index)
     if spec.kind == "fixed":
-        programs = load_programs(spec.source_path)
+        programs = spec._programs
         if not 0 <= index < len(programs):
             raise IndexError(
                 f"index {index} out of range for fixed ensemble of "
@@ -266,7 +269,7 @@ def design_moment_discrepancy(spec, cfg, seed=0, haar_reference="mc"):
                 _brickwork_program(dims, spec.depth, r)
             )
         else:
-            programs = load_programs(spec.source_path)
+            programs = spec._programs
             source = lambda r: program_unitary(
                 programs[r.integers(len(programs))]
             )

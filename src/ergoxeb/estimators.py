@@ -319,15 +319,18 @@ class ViolationRate:
         return math.sqrt(p * (1.0 - p) / self.instances)
 
 
-def chebyshev_violation_rate(reports):
-    """Fraction of exact-correlation reports whose verdict is 'violated'."""
-    if len(reports) < 100:
+def chebyshev_violation_rate(verdicts):
+    """Fraction of exact-correlation verdicts that are 'violated'.
+
+    ``verdicts`` holds one ``ErgodicityReport.verdict`` string per instance.
+    """
+    if len(verdicts) < 100:
         raise ValueError(
-            f"need at least 100 independent instances, got {len(reports)}"
+            f"need at least 100 independent instances, got {len(verdicts)}"
         )
-    violations = sum(1 for r in reports if r.verdict == "violated")
+    violations = sum(v == "violated" for v in verdicts)
     return ViolationRate(
-        rate=violations / len(reports),
+        rate=violations / len(verdicts),
         violations=violations,
-        instances=len(reports),
+        instances=len(verdicts),
     )

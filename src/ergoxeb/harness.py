@@ -91,62 +91,67 @@ def _instance_fidelity(scheme, report):
     return None
 
 
+def _noisy_samples(P, noise, T, seed):
+    """Noise and sampling stages: Q = ``noise`` applied to P, and T
+    bitstrings drawn from Q, or None when T = 0 (exact correlation)."""
+    Q = experimental_distribution(P, noise)
+    if T == 0:
+        return Q, None
+    return Q, sample_bitstrings(Q, T, seed=seed)
+
+
+def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, **keys):
+    """Ergodicity report as a result row: ``report.to_dict()``, then
+    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None."""
+    if samples is None:
+        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode)
+    else:
+        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode)
+    row = report.to_dict() | keys
+    row["f_hat"] = _instance_fidelity(scheme, report)
+    return row
+
+
 def run_ergodicity_scan(cfg):
     """One ergodicity report per (qubit count, circuit instance)."""
     rows = []
     summary = []
     for n in cfg.n_range:
         dims = SystemDims(n)
-        depth = cfg.depth or 5 * n
         spec = EnsembleSpec(
             kind=cfg.ensemble,
             dims=dims,
-            depth=depth if cfg.ensemble == "brickwork" else 0,
+            depth=(cfg.depth or 5 * n) if cfg.ensemble == "brickwork" else 0,
             base_seed=mix64(cfg.base_seed, n),
             source_path=cfg.source_path,
         )
-        deviations = []
-        violations = 0
+        n_rows = []
         for inst in range(cfg.instances):
             P = OutputDistribution(dims, member_probs(spec, inst))
-            Q = experimental_distribution(P, cfg.noise)
-            if cfg.T == 0:
-                report = deviation_of_ergodicity_exact(
-                    P, Q, cfg.scheme, cfg.alpha, cfg.mean_mode
-                )
-            else:
-                samples = sample_bitstrings(
-                    Q, cfg.T, seed=mix64(spec.base_seed, 10_000 + inst)
-                )
-                report = deviation_of_ergodicity(
-                    P, samples, cfg.scheme, cfg.alpha, cfg.mean_mode
-                )
-            f_hat = _instance_fidelity(cfg.scheme, report)
-            deviations.append(report.deviation)
-            violations += report.verdict == "violated"
-            row = report.to_dict()
-            row["instance"] = inst
-            row["f_hat"] = f_hat
-            rows.append(row)
+            Q, samples = _noisy_samples(
+                P, cfg.noise, cfg.T, mix64(spec.base_seed, 10_000 + inst)
+            )
+            n_rows.append(_estimate_row(P, Q, samples, cfg.scheme, cfg.alpha,
+                                        cfg.mean_mode, instance=inst))
         sigma = cfg.scheme.sigma(dims.N, cfg.mean_mode)
+        violations = sum(r["verdict"] == "violated" for r in n_rows)
         summary.append({
             "n": n,
             "instances": cfg.instances,
-            "median_deviation": statistics.median(deviations),
+            "median_deviation": statistics.median(
+                r["deviation"] for r in n_rows
+            ),
             "violation_rate": violations / cfg.instances,
             "sigma_over_sqrt_n": sigma / math.sqrt(dims.N),
             "threshold": cfg.alpha * sigma / math.sqrt(dims.N),
         })
+        rows.extend(n_rows)
     return ScanResult(config=cfg.to_dict(), rows=rows, summary=summary)
 
 
 def scan_violation_rate(result):
     """Chebyshev violation statistics over all rows of an exact scan."""
-    class _R:  # row dicts quack like reports for the rate counter
-        def __init__(self, verdict):
-            self.verdict = verdict
-
-    return chebyshev_violation_rate([_R(r["verdict"]) for r in result.rows])
+    return chebyshev_violation_rate([r["verdict"] for r in result.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +165,12 @@ def _batched(values, reducer):
     mean = float(stats.mean())
     se = float(stats.std(ddof=1) / math.sqrt(len(stats)))
     return mean, se
+
+
+def _batch_covariance(batch):
+    """Sample covariance of the two columns of one (rows, 2) batch."""
+    return float(np.mean(batch[:, 0] * batch[:, 1])
+                 - np.mean(batch[:, 0]) * np.mean(batch[:, 1]))
 
 
 def run_moment_scaling(n_range, mc_samples=100_000, base_seed=0):
@@ -177,11 +188,7 @@ def run_moment_scaling(n_range, mc_samples=100_000, base_seed=0):
             np.stack([u, v], axis=1),
             lambda b: float(np.mean(b[:, 0] * b[:, 1])),
         )
-        cov_mc, cov_se = _batched(
-            np.stack([u, v], axis=1),
-            lambda b: float(np.mean(b[:, 0] * b[:, 1])
-                            - np.mean(b[:, 0]) * np.mean(b[:, 1])),
-        )
+        cov_mc, cov_se = _batched(np.stack([u, v], axis=1), _batch_covariance)
         rows.append({
             "n": n,
             "N": N,
@@ -219,11 +226,7 @@ def run_covariance_verification(N, queries, mc_samples=1_000_000,
             q1, q2 = query
             a, b = u**q1, v**q2
             expected = analytic.haar_covariance(q1, q2, N)
-        cov_mc, cov_se = _batched(
-            np.stack([a, b], axis=1),
-            lambda x: float(np.mean(x[:, 0] * x[:, 1])
-                            - np.mean(x[:, 0]) * np.mean(x[:, 1])),
-        )
+        cov_mc, cov_se = _batched(np.stack([a, b], axis=1), _batch_covariance)
         rows.append({
             "N": N,
             "q1": q1,
@@ -236,13 +239,18 @@ def run_covariance_verification(N, queries, mc_samples=1_000_000,
     return rows
 
 
+_NORMALIZED_DE_KEYS = ("n", "degree", "T", "deviation", "std_error",
+                       "f_hat", "verdict")
+
+
 def run_normalized_de(n_range, degrees, noise=None, T=50_000, base_seed=0,
                       alpha=10.0, ingest=None):
     """Normalized deviation of ergodicity per (n, degree).
 
     Simulated mode draws Haar instances and samples T bitstrings from the
-    noisy distribution.  Ingest mode takes ``ingest`` as a list of
-    (probability_csv, sample_file) pairs, one per entry of ``n_range``.
+    noisy distribution (T = 0 gives the exact correlation).  Ingest mode
+    takes ``ingest`` as a list of (probability_csv, sample_file) pairs, one
+    per entry of ``n_range``.
     """
     for i in degrees:
         if i < 2:
@@ -256,27 +264,19 @@ def run_normalized_de(n_range, degrees, noise=None, T=50_000, base_seed=0,
                 raise ValueError(
                     f"{probs_path}: file has n={P.dims.n}, expected {n}"
                 )
-            samples = read_samples(samples_path, dims=P.dims)
+            Q, samples = None, read_samples(samples_path, dims=P.dims)
         else:
-            dims = SystemDims(n)
-            rng = np.random.Generator(
-                np.random.PCG64(mix64(base_seed, n))
+            spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
+            P = OutputDistribution(spec.dims, member_probs(spec, n))
+            Q, samples = _noisy_samples(
+                P, noise or NoiseModel.noiseless(), T,
+                mix64(base_seed, 777 + n),
             )
-            P = OutputDistribution(dims, haar_state_probs(dims.N, rng))
-            Q = experimental_distribution(P, noise or NoiseModel.noiseless())
-            samples = sample_bitstrings(Q, T, seed=mix64(base_seed, 777 + n))
         for i in degrees:
             scheme = SchemeFunction.normalized_monomial(i)
-            report = deviation_of_ergodicity(P, samples, scheme, alpha)
-            rows.append({
-                "n": n,
-                "degree": i,
-                "T": samples.T,
-                "deviation": report.deviation,
-                "std_error": report.std_error,
-                "f_hat": 1.0 - report.deviation,
-                "verdict": report.verdict,
-            })
+            row = _estimate_row(P, Q, samples, scheme, alpha, "exact",
+                                degree=i)
+            rows.append({key: row[key] for key in _NORMALIZED_DE_KEYS})
     return rows
 
 
@@ -288,38 +288,36 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
     correlation estimates are pooled before inverting DE = (1-F)(i-1)!(i-1):
     a single instance's self-correlation fluctuates by O(sigma_f/sqrt(N)),
     which pooling averages away.  Reported SE comes from the scatter of
-    per-instance means (it covers both sampling and ensemble noise).
+    per-instance means (it covers both sampling and ensemble noise).  Each
+    instance is drawn once and serves every fidelity, with the same sample
+    seed.
     """
     per = max(1, T // instances)
-    rows = []
-    for F in fidelities:
-        noise = NoiseModel.depolarizing(F)
-        inst_means = {i: [] for i in degrees}
-        for inst in range(instances):
-            dims = SystemDims(n)
-            rng = np.random.Generator(
-                np.random.PCG64(mix64(base_seed, 31_000 + inst))
-            )
-            P = OutputDistribution(dims, haar_state_probs(dims.N, rng))
-            Q = experimental_distribution(P, noise)
-            samples = sample_bitstrings(
-                Q, per, seed=mix64(base_seed, 62_000 + inst)
-            )
+    spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
+    noises = [NoiseModel.depolarizing(F) for F in fidelities]
+    schemes = [SchemeFunction.monomial(i) for i in degrees]
+    # instance means of g(P(x)) per (fidelity, degree), instances last
+    inst_means = np.empty((len(noises), len(schemes), instances))
+    for inst in range(instances):
+        P = OutputDistribution(spec.dims, member_probs(spec, 31_000 + inst))
+        seed = mix64(base_seed, 62_000 + inst)
+        for a, noise in enumerate(noises):
+            _, samples = _noisy_samples(P, noise, per, seed)
             pvals = P.probs[samples.bitstrings]
-            for i in degrees:
-                g = float(dims.N) ** (i - 1) * pvals ** (i - 1)
-                inst_means[i].append(float(np.mean(g)))
-        for i in degrees:
-            scheme = SchemeFunction.monomial(i)
-            means = np.array(inst_means[i])
+            for b, scheme in enumerate(schemes):
+                inst_means[a, b, inst] = np.mean(scheme.g(pvals, spec.dims.N))
+    rows = []
+    for a, F in enumerate(fidelities):
+        for b, scheme in enumerate(schemes):
+            means = inst_means[a, b]
             pooled = float(means.mean())
             se = float(means.std(ddof=1) / math.sqrt(len(means)))
-            mean_ref = scheme.haar_mean(1 << n, "exact")
+            mean_ref = scheme.haar_mean(spec.dims.N, "exact")
             deviation = abs(mean_ref - pooled)
-            est = fidelity_from_de_depolarizing(deviation, i, se)
+            est = fidelity_from_de_depolarizing(deviation, scheme.degree, se)
             rows.append({
                 "fidelity": F,
-                "degree": i,
+                "degree": scheme.degree,
                 "n": n,
                 "T": per * instances,
                 "instances": instances,

@@ -126,7 +126,7 @@ def test_xeb_csv_output(tmp_path, capsys):
 
 def test_xeb_json_output(tmp_path, capsys):
     probs_path, samples_path = _write_pair(tmp_path, seed=23)
-    code = main(["--format", "json", "xeb", "--probs", str(probs_path),
+    code = main(["xeb", "--format", "json", "--probs", str(probs_path),
                  "--samples", str(samples_path)])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
@@ -192,6 +192,11 @@ _PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
     (["oracle", "--moment", "1", "inf", "4"], {}),
     (["oracle", "--covariance", "inf", "1", "4"], {}),
     (["oracle", "--covariance", "1", "nan", "4"], {}),
+    (["oracle", "--moment", "1", "1", "x"], {}),
+    (["oracle", "--covariance", "1", "1", "1"], {}),
+    (["oracle", "--haar-mean", "neglog", "x"], {}),
+    (["oracle", "--haar-mean", "monomial2", "0"], {}),
+    (["oracle", "--moment", "1", "1", "1" + "0" * 400], {}),
     (["xeb", "--alpha", "nan", "--probs", "p.csv", "--samples", "s.txt"],
      {"p.csv": _PROBS_OK, "s.txt": "00\n"}),
     (["xeb", "--probs", "p.csv", "--samples", "s.txt"],
@@ -236,7 +241,31 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--alpha: "),
     (["oracle", "--moment", "nan", "1", "4"], "--moment: "),
     (["oracle", "--covariance", "1", "inf", "4"], "--covariance: "),
+    (["oracle", "--moment", "1", "1", "x"],
+     "--moment: expected an integer N >= 2, got 'x'"),
+    (["oracle", "--covariance", "1", "1", "1"],
+     "--covariance: expected an integer N >= 2, got '1'"),
+    (["oracle", "--haar-mean", "monomial2", "0"],
+     "--haar-mean: expected an integer N >= 2, got '0'"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert main(["--out-dir", str(tmp_path)] + argv) == 1
     assert capsys.readouterr().err.startswith(f"ergoxeb: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frob"],
+    ["--bogus", "oracle", "--plogp-cov", "4"],
+    ["scan"],
+    ["scan", "--qubits", "2", "--noise", "loud"],
+    ["scan", "--qubits", "2", "--instances", "x"],
+    ["--format", "json", "xeb", "--probs", "p.csv", "--samples", "s.txt"],
+])
+def test_argparse_errors_exit_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("ergoxeb") and ": error: " in err

@@ -273,12 +273,7 @@ def test_violation_rate_needs_100():
 
 
 def test_violation_rate_counts():
-    class R:
-        def __init__(self, verdict):
-            self.verdict = verdict
-
-    reports = [R("within")] * 95 + [R("violated")] * 5
-    rate = chebyshev_violation_rate(reports)
+    rate = chebyshev_violation_rate(["within"] * 95 + ["violated"] * 5)
     assert rate.rate == pytest.approx(0.05)
     assert rate.violations == 5
     assert rate.binomial_se() == pytest.approx(

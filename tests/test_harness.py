@@ -22,8 +22,8 @@ from ergoxeb.noise import (
     write_probabilities,
     write_samples,
 )
-from ergoxeb.statevector import OutputDistribution, SystemDims
-from ergoxeb.ensembles import haar_state_probs
+from ergoxeb.statevector import OutputDistribution, SystemDims, save_programs
+from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
 
 
 def test_scan_row_counts_and_fields():
@@ -145,6 +145,26 @@ def test_depolarizing_recovery_small():
         [0.5], [2], n=8, T=20_000, instances=200, base_seed=12
     )
     assert abs(rows[0]["f_hat"] - 0.5) < 0.05
+
+
+def test_fixed_scan_parses_file_once(tmp_path, monkeypatch):
+    from ergoxeb import ensembles
+
+    spec = EnsembleSpec("brickwork", SystemDims(3), depth=4, base_seed=14)
+    path = tmp_path / "fixed.json"
+    save_programs([sample_member(spec, i) for i in range(6)], path)
+    original = ensembles.load_programs
+    loads = []
+
+    def load_programs(source):
+        loads.append(source)
+        return original(source)
+
+    monkeypatch.setattr(ensembles, "load_programs", load_programs)
+    cfg = ScanConfig(ensemble="fixed", n_range=(3,), instances=6,
+                     source_path=str(path))
+    assert len(run_ergodicity_scan(cfg).rows) == 6
+    assert loads == [str(path)]
 
 
 def test_write_scan_result_files(tmp_path):

@@ -274,3 +274,25 @@ def test_window_products_stay_below_blas_threading(monkeypatch):
     program_unitary(sample_member(spec, 0))
     assert 0 < single < len(sizes)
     assert max(sizes) < 1 << 16
+
+
+def test_norm_check_makes_no_vdot_call(monkeypatch):
+    # OpenBLAS threads zdotc from 2**16 amplitudes on; building the state
+    # that apply_block returns must not call it
+    from ergoxeb import statevector
+
+    calls = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def vdot(self, a, b):
+            calls.append(a.size)
+            return np.vdot(a, b)
+
+    state = PureState.zero(SystemDims(16))
+    monkeypatch.setattr(statevector, "np", RecordingNumpy())
+    out = apply_block(state, (3,), H)
+    assert calls == []
+    assert abs(out.amplitudes[0]) ** 2 == pytest.approx(0.5)
