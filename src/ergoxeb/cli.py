@@ -56,15 +56,17 @@ def _finite(flag, value):
     return number
 
 
-def _dimension(flag, value):
-    """``value`` as an integer Hilbert-space dimension N >= 2; anything
-    else is an error naming ``flag``."""
+def _dimension(flag, value, least=2):
+    """``value`` as an integer Hilbert-space dimension N >= ``least``;
+    anything else is an error naming ``flag``."""
     try:
         number = int(value)
     except ValueError:
         number = 0
-    if number < 2:
-        raise ValueError(f"{flag}: expected an integer N >= 2, got {value!r}")
+    if number < least:
+        raise ValueError(
+            f"{flag}: expected an integer N >= {least}, got {value!r}"
+        )
     return number
 
 
@@ -138,7 +140,7 @@ def _build_parser():
                        help="joint moment E[P(x)^q1 P(y)^q2]")
     group.add_argument("--covariance", nargs=3, metavar=("Q1", "Q2", "N"),
                        help="Cov(P(x)^q1, P(y)^q2)")
-    group.add_argument("--plogp-cov", type=int, metavar="N",
+    group.add_argument("--plogp-cov", metavar="N",
                        help="Cov(p ln p) closed form")
     group.add_argument("--haar-mean", nargs=2, metavar=("SCHEME", "N"),
                        help="exact ensemble mean of a scheme function")
@@ -230,7 +232,9 @@ def _cmd_oracle(args):
             _dimension("--covariance", n),
         )
     elif args.plogp_cov is not None:
-        value = analytic.plogp_covariance(args.plogp_cov)
+        value = analytic.plogp_covariance(
+            _dimension("--plogp-cov", args.plogp_cov, least=4)
+        )
     else:
         scheme_name, n = args.haar_mean
         scheme = parse_scheme(scheme_name)

@@ -54,11 +54,10 @@ class NoiseModel:
 
 @dataclass
 class SampleSet:
-    """T measured bitstrings (as integer indices) with provenance."""
+    """T measured bitstrings (as integer indices)."""
 
     dims: SystemDims
     bitstrings: np.ndarray
-    provenance: str = "unknown"
 
     def __post_init__(self):
         self.bitstrings = np.asarray(self.bitstrings, dtype=np.int64)
@@ -115,7 +114,7 @@ def sample_bitstrings(Q, T, seed):
         cdf = np.cumsum(Q.probs)
         draws = np.searchsorted(cdf, rng.random(T) * cdf[-1], side="right")
         np.minimum(draws, np.flatnonzero(Q.probs)[-1], out=draws)
-    return SampleSet(Q.dims, draws, provenance=f"simulated(seed={seed})")
+    return SampleSet(Q.dims, draws)
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,7 @@ def read_samples(path, dims=None):
             parts.append(indices)
     if dims is None:
         raise ValueError(f"{path}: no bitstrings found")
-    return SampleSet(dims, np.concatenate(parts),
-                     provenance=f"ingested({path})")
+    return SampleSet(dims, np.concatenate(parts))
 
 
 def write_probabilities(P, path):

@@ -153,12 +153,8 @@ class GateProgram:
 def apply_block(state, targets, block):
     """Apply a dense unitary block to the target qubits of ``state``."""
     dims = state.dims
-    targets = tuple(int(t) for t in targets)
-    for t in targets:
-        if not 0 <= t < dims.n:
-            raise ValueError(f"target qubit {t} out of range for n={dims.n}")
-    gate = (targets, np.asarray(block, np.complex128))
-    return PureState(dims, _apply_gates(state.amplitudes, dims.n, [gate]))
+    gates = GateProgram(dims, gates=[(targets, block)]).gates
+    return PureState(dims, _apply_gates(state.amplitudes, dims.n, gates))
 
 
 FUSE_WIDTH = 5  # widest qubit window merged into one dense block
@@ -166,79 +162,66 @@ _WIDEN_BELOW = 3  # a window starting below this qubit is widened to qubit 0
 _ITEM_MACS = 1 << 15  # complex multiply-adds per matmul batch item
 
 
-def _kron_eye(high, matrix, low):
-    """np.kron(np.eye(high), np.kron(matrix, np.eye(low))), in one product.
+def _contract(src, n, targets, block, out=None):
+    """Return ``block`` applied to qubits ``targets`` of ``src``, by einsum.
 
-    np.kron's Python overhead dominates at these block sizes.
+    ``src`` is a (2,)*n + batch tensor whose axis n-1-q is qubit q; the
+    result, written to ``out`` when given, has the same shape.
     """
-    d = matrix.shape[0]
-    out = (np.eye(high)[:, None, None, :, None, None]
-           * matrix[None, :, None, None, :, None]
-           * np.eye(low)[None, None, :, None, None, :])
-    return out.reshape(high * d * low, high * d * low)
-
-
-def _window_block(targets, block):
-    """``block`` as a dense matrix on the contiguous qubits it spans.
-
-    Returns (start, stop, matrix): bit i of the matrix's row/column index is
-    qubit start + i, and the matrix is the identity on the untargeted qubits
-    of the window [start, stop).
-    """
-    start, stop = min(targets), max(targets) + 1
-    width = stop - start
-    full = _kron_eye(1, block, 1 << (width - len(targets)))
-    # Axis a of the (2,)*width row tensor of ``full`` is qubit src[a]: the
-    # targets from the block's top bit down, then the untargeted qubits.
-    descending = range(stop - 1, start - 1, -1)
-    src = list(reversed(targets)) + [q for q in descending if q not in targets]
-    perm = [src.index(q) for q in descending]
-    full = full.reshape((2,) * (2 * width))
-    full = full.transpose(perm + [width + a for a in perm])
-    return start, stop, full.reshape(1 << width, 1 << width)
+    k = len(targets)
+    labels = list(range(src.ndim))
+    # Row/column axis a of the reshaped block is bit k-1-a of its index,
+    # i.e. qubit targets[k-1-a].
+    axes = [n - 1 - t for t in reversed(targets)]
+    new = list(range(src.ndim, src.ndim + k))
+    out_labels = labels.copy()
+    for a, label in zip(axes, new):
+        out_labels[a] = label
+    return np.einsum(block.reshape((2,) * (2 * k)), new + axes, src, labels,
+                     out_labels, out=out)
 
 
 def _fused_blocks(gates):
-    """Yield ``gates`` in order as ("window", start, matrix) steps.
+    """Group ``gates`` in order into runs, yielded as (start, stop, run).
 
-    Consecutive gates whose qubit windows fit together into FUSE_WIDTH
-    contiguous qubits are multiplied into one dense block on the window
-    starting at qubit ``start``.  A gate spanning more qubits, or a global
-    phase with no targets, is yielded unchanged as ("einsum", targets,
-    block).  This is a generator so that only one pending block is alive
-    at a time.
+    Consecutive gates whose targets fit together into FUSE_WIDTH contiguous
+    qubits form one run on the qubit window [start, stop).  A gate spanning
+    more qubits, or a global phase with no targets, is a run of its own
+    with start and stop None.
     """
-    pending = None
-    for targets, block in gates:
+    run = []
+    for gate in gates:
+        targets = gate[0]
         if not targets or max(targets) - min(targets) >= FUSE_WIDTH:
-            if pending is not None:
-                yield _flush(*pending)
-                pending = None
-            yield "einsum", targets, block
+            if run:
+                yield lo, hi, run
+                run = []
+            yield None, None, [gate]
             continue
-        start, stop, matrix = _window_block(targets, block)
-        if pending is not None:
-            p_start, p_stop, p_matrix = pending
-            lo, hi = min(start, p_start), max(stop, p_stop)
-            if hi - lo <= FUSE_WIDTH:
-                new = _kron_eye(1 << (hi - stop), matrix, 1 << (start - lo))
-                old = _kron_eye(1 << (hi - p_stop), p_matrix,
-                                1 << (p_start - lo))
-                start, stop, matrix = lo, hi, new @ old
-            else:
-                yield _flush(*pending)
-        pending = (start, stop, matrix)
-    if pending is not None:
-        yield _flush(*pending)
+        g_lo, g_hi = min(targets), max(targets) + 1
+        if run and max(hi, g_hi) - min(lo, g_lo) <= FUSE_WIDTH:
+            lo, hi = min(lo, g_lo), max(hi, g_hi)
+            run.append(gate)
+            continue
+        if run:
+            yield lo, hi, run
+        lo, hi, run = g_lo, g_hi, [gate]
+    if run:
+        yield lo, hi, run
 
 
-def _flush(start, stop, matrix):
-    # Below qubit _WIDEN_BELOW the contraction would run as thousands of
-    # tiny per-item matmuls; a wider block on qubits [0, stop) is cheaper.
-    if 0 < start < _WIDEN_BELOW:
-        matrix = _kron_eye(1, matrix, 1 << start)
-        start = 0
-    return "window", start, matrix
+def _window_matrix(start, stop, run):
+    """Dense unitary of ``run`` on the qubit window [start, stop).
+
+    Bit i of its row/column index is qubit start + i.  The run is applied
+    to the identity on the window, whose columns are the batch axis.
+    """
+    width = stop - start
+    d = 1 << width
+    matrix = np.eye(d, dtype=np.complex128).reshape((2,) * width + (d,))
+    for targets, block in run:
+        matrix = _contract(matrix, width, [t - start for t in targets], block)
+    return matrix.reshape(d, d)
 
 
 def _apply_window(src, dst, start, batch, matrix):
@@ -252,9 +235,9 @@ def _apply_window(src, dst, start, batch, matrix):
     per_item = max(1, _ITEM_MACS // (d * d))
     # Batch items of at most _ITEM_MACS multiply-adds run on the calling
     # thread: OpenBLAS hands a complex product to its worker threads once
-    # M*N*K reaches 2**16 (the (32, 32) block products in _fused_blocks
-    # stay below that).  Threaded, these small products gain ~10% on an
-    # idle 2-CPU machine, but a worker then spins after every call, and a
+    # M*N*K reaches 2**16 (window blocks are built by einsum, which calls
+    # no BLAS).  Threaded, these small products gain ~10% on an idle
+    # 2-CPU machine, but a worker then spins after every call, and a
     # brickwork pass at n=16 ran ~2.6x slower while one other process kept
     # a CPU busy.  Small items also keep BLAS's pack buffers small.
     if lo == 1:
@@ -272,37 +255,31 @@ def _apply_gates(amps, n, gates):
     """Apply ``gates`` in order to ``amps`` and return the resulting array.
 
     ``amps`` has shape (N,) or (N, B); a trailing axis is a batch of B
-    independent states.  Consecutive gates are fused into dense blocks on
-    contiguous qubit windows (``_fused_blocks``), and each block is applied
-    with one ``np.matmul(..., out=)`` on a (hi, 2**w, lo) view, lo being
-    2**start times B.  Results go to a second buffer; the two buffers swap
-    roles after every step, so ``amps`` itself is overwritten once there
-    are two steps.
+    independent states.  Each run of ``_fused_blocks`` becomes one dense
+    block on its qubit window, applied with one ``np.matmul(..., out=)`` on
+    a (hi, 2**w, lo) view, lo being 2**start times B.  Results go to a
+    second buffer; the two buffers swap roles after every step, so ``amps``
+    itself is overwritten once there are two steps.
     """
-    batch = amps.shape[1:]
+    tensor = (2,) * n + amps.shape[1:]
     columns = amps.size >> n
     cur = amps.reshape(-1)
     nxt = np.empty_like(cur)
-    labels = list(range(n + len(batch)))
-    for kind, where, block in _fused_blocks(gates):
-        if kind == "window":
-            _apply_window(cur, nxt, where, columns, block)
-        else:
+    for start, stop, run in _fused_blocks(gates):
+        if start is None:
             # A gate spanning more than FUSE_WIDTH qubits, such as (0, 23),
-            # is contracted with einsum on the (2,)*n view, whose axis
-            # n-1-q is qubit q: the only route that applies it without a
-            # dense block of dimension 2**span.
-            targets, k = where, len(where)
-            # Row/column axis a of the reshaped block is bit k-1-a of its
-            # index, i.e. qubit targets[k-1-a].
-            axes = [n - 1 - t for t in reversed(targets)]
-            new = list(range(n + 1, n + 1 + k))
-            out_labels = labels.copy()
-            for a, label in zip(axes, new):
-                out_labels[a] = label
-            np.einsum(block.reshape((2,) * (2 * k)), new + axes,
-                      cur.reshape((2,) * n + batch), labels, out_labels,
-                      out=nxt.reshape((2,) * n + batch))
+            # is contracted on the (2,)*n view: the only route that applies
+            # it without a dense block of dimension 2**span.
+            _contract(cur.reshape(tensor), n, *run[0],
+                      out=nxt.reshape(tensor))
+        else:
+            # Below qubit _WIDEN_BELOW the contraction would run as
+            # thousands of tiny per-item matmuls; a wider block on qubits
+            # [0, stop) is cheaper.
+            if start < _WIDEN_BELOW:
+                start = 0
+            _apply_window(cur, nxt, start, columns,
+                          _window_matrix(start, stop, run))
         cur, nxt = nxt, cur
     return cur.reshape(amps.shape)
 

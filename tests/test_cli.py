@@ -247,6 +247,16 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--covariance: expected an integer N >= 2, got '1'"),
     (["oracle", "--haar-mean", "monomial2", "0"],
      "--haar-mean: expected an integer N >= 2, got '0'"),
+    (["oracle", "--plogp-cov", "1"],
+     "--plogp-cov: expected an integer N >= 4, got '1'"),
+    (["oracle", "--plogp-cov", "3"],
+     "--plogp-cov: expected an integer N >= 4, got '3'"),
+    (["oracle", "--plogp-cov", "-8"],
+     "--plogp-cov: expected an integer N >= 4, got '-8'"),
+    (["oracle", "--plogp-cov", "4.5"],
+     "--plogp-cov: expected an integer N >= 4, got '4.5'"),
+    (["oracle", "--plogp-cov", "x"],
+     "--plogp-cov: expected an integer N >= 4, got 'x'"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert main(["--out-dir", str(tmp_path)] + argv) == 1

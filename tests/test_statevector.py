@@ -78,6 +78,11 @@ def test_duplicate_targets_rejected():
         GateProgram(SystemDims(2), gates=[((0, 0), block)])
 
 
+def test_apply_block_repeated_targets_rejected():
+    with pytest.raises(ValueError, match="duplicate target qubits"):
+        apply_block(PureState.zero(SystemDims(3)), (1, 1), np.eye(4))
+
+
 def test_norm_preserved_random_circuit():
     spec = EnsembleSpec("brickwork", SystemDims(4), depth=10, base_seed=5)
     probs = output_distribution(sample_member(spec, 0)).probs
@@ -172,12 +177,18 @@ def _element_formula_unitary(n, targets, block):
 @given(st.data())
 def test_gate_kernel_matches_element_formula(data):
     # any order of 1-3 targets, adjacent or not, reversed or not; several
-    # gates in a row exercise the kernel's buffer swaps
-    n = data.draw(st.integers(1, 6), label="n")
+    # gates in a row exercise the kernel's buffer swaps.  Windows starting
+    # at qubits 1-2 are widened to qubit 0; from n=6 on, runs split where
+    # their window would exceed FUSE_WIDTH qubits, and gates spanning more
+    # than FUSE_WIDTH qubits are contracted between fused runs.
+    n = data.draw(st.integers(1, 8), label="n")
     gates = []
-    for _ in range(data.draw(st.integers(1, 4), label="gates")):
+    for _ in range(data.draw(st.integers(1, 8), label="gates")):
         k = data.draw(st.integers(1, min(3, n)), label="k")
-        targets = tuple(data.draw(st.permutations(range(n)))[:k])
+        span = data.draw(st.integers(k, n), label="span")
+        low = data.draw(st.integers(0, n - span), label="low")
+        window = range(low, low + span)
+        targets = tuple(data.draw(st.permutations(window))[:k])
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         gates.append((targets, sample_haar_unitary(1 << k, seed=seed)))
     dims = SystemDims(n)
@@ -223,16 +234,18 @@ def test_brickwork_fused_windows_match_element_formula():
 
 
 def test_wide_and_unordered_gates_match_element_formula():
-    # (0, 7) spans 8 qubits, more than FUSE_WIDTH, and takes the einsum
-    # route; (3, 1, 2) is fused with its bits reordered to ascending qubits
+    # (0, 7) spans 8 qubits, more than FUSE_WIDTH, and is contracted on
+    # the whole state; (3, 1, 2) fuses with (2,) on qubits [1, 4), and
+    # (6, 4) would stretch that run to 6 qubits, so it starts a new one
     n = 8
     gates = [((5,), H), ((0, 7), sample_haar_unitary(4, seed=1)),
              ((3, 1, 2), sample_haar_unitary(8, seed=2)), ((2,), X),
              ((6, 4), sample_haar_unitary(4, seed=3)), ((7,), H),
              ((0, 7), sample_haar_unitary(4, seed=4)), ((1,), H)]
     prog = GateProgram(SystemDims(n), gates=gates)
-    kinds = [kind for kind, _, _ in _fused_blocks(prog.gates)]
-    assert kinds.count("einsum") == 2 and "window" in kinds
+    windows = [(start, stop) for start, stop, _ in _fused_blocks(prog.gates)]
+    assert windows == [(5, 6), (None, None), (1, 4), (4, 8), (None, None),
+                       (1, 2)]
     expected = _element_formula_product(n, gates)
     np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
     np.testing.assert_allclose(output_distribution(prog).probs,
