@@ -20,9 +20,12 @@ from .estimators import (
 )
 from .harness import ScanConfig, run_ergodicity_scan, write_scan_result
 from .noise import NoiseModel, read_probabilities, read_samples
+from .statevector import DEFAULT_QUBIT_CAP
 
 NOISE_KINDS = ("noiseless", "depolarizing", "completely-noisy")
 ENSEMBLE_KINDS = ("haar", "brickwork", "pauli", "fixed")
+# the analytic values keep ~1e-7 relative accuracy up to this N
+MAX_DIMENSION = 1 << DEFAULT_QUBIT_CAP
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,8 +60,8 @@ def _finite(flag, value):
 
 
 def _dimension(flag, value, least=2):
-    """``value`` as an integer Hilbert-space dimension N >= ``least``;
-    anything else is an error naming ``flag``."""
+    """``value`` as an integer Hilbert-space dimension N in
+    [``least``, MAX_DIMENSION]; anything else is an error naming ``flag``."""
     try:
         number = int(value)
     except ValueError:
@@ -66,6 +69,11 @@ def _dimension(flag, value, least=2):
     if number < least:
         raise ValueError(
             f"{flag}: expected an integer N >= {least}, got {value!r}"
+        )
+    if number > MAX_DIMENSION:
+        raise ValueError(
+            f"{flag}: expected an integer N <= {MAX_DIMENSION} "
+            f"(2^{DEFAULT_QUBIT_CAP}), got {value!r}"
         )
     return number
 
@@ -110,7 +118,7 @@ def _build_parser():
     scan.add_argument("--samples", type=int, default=0,
                       help="bitstring samples per instance "
                            "(0 = exact correlation)")
-    scan.add_argument("--depth", type=int, default=0,
+    scan.add_argument("--depth", type=int, default=None,
                       help="brickwork layer count (default 5n)")
     scan.add_argument("--fixed-file", default=None,
                       help="gate-program JSON for the fixed ensemble")
@@ -160,16 +168,23 @@ def _make_noise(args):
 
 
 def _cmd_scan(args):
+    alpha = _finite("--alpha", args.alpha)
+    if alpha <= 0.0:
+        raise ValueError(f"--alpha: expected a number > 0, got {args.alpha!r}")
+    if args.depth is not None and args.ensemble != "brickwork":
+        raise ValueError("--depth applies only to --ensemble brickwork")
+    if args.fixed_file is not None and args.ensemble != "fixed":
+        raise ValueError("--fixed-file applies only to --ensemble fixed")
     cfg = ScanConfig(
         ensemble=args.ensemble,
         n_range=_parse_qubits(args.qubits),
         instances=args.instances,
         scheme=parse_scheme(args.scheme),
-        alpha=_finite("--alpha", args.alpha),
+        alpha=alpha,
         T=args.samples,
         noise=_make_noise(args),
         base_seed=args.seed,
-        depth=args.depth,
+        depth=args.depth or 0,
         source_path=args.fixed_file,
         mean_mode=args.haar_mean_mode,
     )

@@ -127,7 +127,13 @@ def sample_member(spec, index):
                 f"index {index} out of range for fixed ensemble of "
                 f"{len(programs)} programs"
             )
-        return programs[index]
+        program = programs[index]
+        if program.dims != spec.dims:
+            raise ValueError(
+                f"{spec.source_path}: program {index} acts on "
+                f"{program.dims.n} qubits, expected {spec.dims.n}"
+            )
+        return program
     rng = _rng(mix64(spec.base_seed, index))
     if spec.kind == "haar":
         u = sample_haar_unitary(spec.dims.N, rng=rng)

@@ -8,7 +8,7 @@ explicit error instead of silent garbage.
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,12 +25,24 @@ SCHEME_NAMES = (
 )
 
 
+def depolarizing_norm(i):
+    """(i-1)!(i-1): DE of monomial i is (1-F) times this under global
+    depolarizing noise of fidelity F."""
+    if i < 2:
+        raise ValueError(
+            "degree must be >= 2: the depolarizing normalization "
+            "(i-1)!(i-1) vanishes at i = 1"
+        )
+    return math.factorial(i - 1) * (i - 1)
+
+
 @dataclass(frozen=True)
 class SchemeFunction:
     """Benchmarking post-processing function f(p) and companion g(p).
 
-    kinds: monomial (f = N^i p^i), normalized_monomial (f = N^i p^i /
-    ((i-1)!(i-1))), plogp (f = p ln p), neglog (f = -ln p).
+    kinds: monomial (f = N^i p^i), normalized_monomial (the monomial
+    divided by ``norm`` = (i-1)!(i-1)), plogp (f = p ln p), neglog
+    (f = -ln p).
     """
 
     kind: str
@@ -65,43 +77,45 @@ class SchemeFunction:
 
     @property
     def name(self):
-        if self.kind == "monomial":
-            return f"monomial{self.degree}"
-        if self.kind == "normalized_monomial":
-            return f"normalized-monomial{self.degree}"
-        return self.kind
+        if self.logarithmic:
+            return self.kind
+        return f"{self.kind.replace('_', '-')}{self.degree}"
 
     @property
     def logarithmic(self):
         return self.kind in ("plogp", "neglog")
 
-    def _norm(self):
-        i = self.degree
-        return math.factorial(i - 1) * (i - 1)
+    @property
+    def norm(self):
+        """Divisor of the monomial: (i-1)!(i-1) when normalized, else 1."""
+        if self.kind == "normalized_monomial":
+            return depolarizing_norm(self.degree)
+        return 1
+
+    def _over_norm(self, values):
+        # no array operation for the plain monomial
+        norm = self.norm
+        return values if norm == 1 else values / norm
 
     # -- pointwise forms ----------------------------------------------------
     def f(self, p, N=None):
         p = np.asarray(p, dtype=np.float64)
-        if self.kind == "monomial":
-            return float(N) ** self.degree * p**self.degree
-        if self.kind == "normalized_monomial":
-            return float(N) ** self.degree * p**self.degree / self._norm()
         if self.kind == "plogp":
             # p ln p -> 0 as p -> 0; evaluate the log away from zero
             return p * np.log(np.where(p > 0.0, p, 1.0))
-        with np.errstate(divide="ignore"):
-            return -np.log(p)
+        if self.kind == "neglog":
+            with np.errstate(divide="ignore"):
+                return -np.log(p)
+        return self._over_norm(float(N) ** self.degree * p**self.degree)
 
     def g(self, p, N):
         p = np.asarray(p, dtype=np.float64)
         N = float(N)
         i = self.degree
-        if self.kind == "monomial":
+        if not self.logarithmic:
             if i == 1:
                 return np.ones_like(p)
-            return N ** (i - 1) * p ** (i - 1)
-        if self.kind == "normalized_monomial":
-            return N ** (i - 1) * p ** (i - 1) / self._norm()
+            return self._over_norm(N ** (i - 1) * p ** (i - 1))
         if np.any(p <= 0.0):
             raise ZeroProbabilityError(
                 f"scheme {self.name} is undefined at zero ideal probability"
@@ -172,20 +186,8 @@ class ErgodicityReport:
     verdict: str  # within | violated
 
     def to_dict(self):
-        return {
-            "scheme": self.scheme,
-            "n": self.n,
-            "N": self.N,
-            "T": self.T,
-            "haar_mean": self.haar_mean,
-            "haar_mean_mode": self.haar_mean_mode,
-            "c_f_estimate": self.c_f_estimate,
-            "std_error": self.std_error,
-            "deviation": self.deviation,
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
+        """Fields in declaration order, which is the CSV column order."""
+        return asdict(self)
 
 
 def correlation_C_f(P, Q, scheme):
@@ -266,18 +268,14 @@ def deviation_of_ergodicity_exact(P, Q, scheme, alpha=10.0,
     return _build_report(P, est, scheme, alpha, mean_mode)
 
 
-def fidelity_from_de_depolarizing(deviation, i, std_error=0.0):
-    """Invert the depolarizing relation DE = (1-F)(i-1)!(i-1) for F."""
-    if i < 2:
-        raise ValueError(
-            "degree must be >= 2: the depolarizing normalization "
-            "(i-1)!(i-1) vanishes at i = 1"
-        )
-    norm = math.factorial(i - 1) * (i - 1)
+def fidelity_from_de_depolarizing(deviation, scheme, std_error=0.0):
+    """Invert the depolarizing relation DE = (1-F)(i-1)!(i-1)/norm of a
+    (normalized) monomial ``scheme`` of degree i for F."""
+    scale = depolarizing_norm(scheme.degree) / scheme.norm
     return FidelityEstimate(
-        F_hat=1.0 - deviation / norm,
+        F_hat=1.0 - deviation / scale,
         method="depolarizing_inversion",
-        std_error=std_error / norm,
+        std_error=std_error / scale,
     )
 
 

@@ -56,7 +56,7 @@ class ScanConfig:
             raise ValueError("empty qubit range")
 
     def to_dict(self):
-        d = {
+        return {
             "ensemble": self.ensemble,
             "n_range": list(self.n_range),
             "instances": self.instances,
@@ -70,7 +70,6 @@ class ScanConfig:
             "source_path": self.source_path,
             "mean_mode": self.mean_mode,
         }
-        return d
 
 
 @dataclass
@@ -81,14 +80,13 @@ class ScanResult:
 
 
 def _instance_fidelity(scheme, report):
-    if scheme.kind == "monomial" and scheme.degree >= 2:
-        est = fidelity_from_de_depolarizing(
-            report.deviation, scheme.degree, report.std_error
-        )
-        return est.F_hat
-    if scheme.kind == "normalized_monomial":
-        return 1.0 - report.deviation
-    return None
+    """Depolarizing-inversion F of one report; None for the logarithmic
+    schemes and monomial 1, which carry no fidelity."""
+    if scheme.logarithmic or scheme.degree < 2:
+        return None
+    return fidelity_from_de_depolarizing(
+        report.deviation, scheme, report.std_error
+    ).F_hat
 
 
 def _noisy_samples(P, noise, T, seed):
@@ -314,7 +312,7 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
             se = float(means.std(ddof=1) / math.sqrt(len(means)))
             mean_ref = scheme.haar_mean(spec.dims.N, "exact")
             deviation = abs(mean_ref - pooled)
-            est = fidelity_from_de_depolarizing(deviation, scheme.degree, se)
+            est = fidelity_from_de_depolarizing(deviation, scheme, se)
             rows.append({
                 "fidelity": F,
                 "degree": scheme.degree,

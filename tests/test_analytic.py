@@ -117,6 +117,23 @@ def test_covariance_strictly_negative(q1, q2, n):
     assert analytic.haar_covariance(q1, q2, 1 << n) < 0.0
 
 
+def test_covariance_vs_mpmath_up_to_2_24():
+    lg = mpmath.loggamma
+    qs = (1e-3, 0.5, 1.0, 2.0, 3.0, 5.0)
+    for k in range(1, 25):
+        N = 1 << k
+        for q1 in qs:
+            for q2 in qs:
+                a, b = mpmath.mpf(q1), mpmath.mpf(q2)
+                lead = lg(a + 1) + lg(b + 1) + lg(N)
+                ref = mpmath.exp(lead - lg(a + b + N)) - mpmath.exp(
+                    lead + lg(N) - lg(a + N) - lg(b + N)
+                )
+                value = analytic.haar_covariance(q1, q2, N)
+                assert value < 0.0, (N, q1, q2, value)
+                assert abs(value / ref - 1) <= 1e-6, (N, q1, q2, value)
+
+
 def test_covariance_large_n_no_overflow():
     v = analytic.haar_covariance(3.0, 3.0, 1 << 24)
     assert v < 0.0
@@ -209,7 +226,7 @@ def test_pt_mean_quadrature_matches_closed_form():
     N = 128
     val = analytic.pt_mean_quadrature(lambda p: -math.log(p), N)
     assert val == pytest.approx(
-        analytic.neglog_mean(N, "porter_thomas"), rel=1e-6
+        SchemeFunction.neglog().haar_mean(N, "porter_thomas"), rel=1e-6
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ergoxeb.cli import main
-from ergoxeb.ensembles import haar_state_probs
+from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
 from ergoxeb.estimators import linear_xeb
 from ergoxeb.noise import (
     read_probabilities,
@@ -14,7 +14,7 @@ from ergoxeb.noise import (
     write_probabilities,
     write_samples,
 )
-from ergoxeb.statevector import OutputDistribution, SystemDims
+from ergoxeb.statevector import OutputDistribution, SystemDims, save_programs
 
 
 def test_version_flag(capsys):
@@ -217,6 +217,13 @@ _PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
      {"p.csv": _PROBS_OK, "s.txt": ""}),
     (["xeb", "--probs", "p.csv", "--samples", "missing.txt"],
      {"p.csv": _PROBS_OK}),
+    (["scan", "--qubits", "2", "--alpha", "-1"], {}),
+    (["scan", "--qubits", "2", "--alpha", "0"], {}),
+    (["scan", "--qubits", "2", "--depth", "7"], {}),
+    (["scan", "--qubits", "2", "--ensemble", "pauli", "--depth", "3"], {}),
+    (["scan", "--qubits", "2", "--fixed-file", "g.json"], {"g.json": "[]"}),
+    (["scan", "--qubits", "2", "--ensemble", "brickwork",
+      "--fixed-file", "g.json"], {"g.json": "[]"}),
 ])
 def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
                                           argv, files):
@@ -257,10 +264,47 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--plogp-cov: expected an integer N >= 4, got '4.5'"),
     (["oracle", "--plogp-cov", "x"],
      "--plogp-cov: expected an integer N >= 4, got 'x'"),
+    (["oracle", "--moment", "1", "1", "99999999999999999999"],
+     "--moment: expected an integer N <= 16777216 (2^24), "
+     "got '99999999999999999999'"),
+    (["oracle", "--covariance", "1", "1", "67108864"],
+     "--covariance: expected an integer N <= 16777216 (2^24), "
+     "got '67108864'"),
+    (["oracle", "--haar-mean", "neglog", "16777217"],
+     "--haar-mean: expected an integer N <= 16777216 (2^24), "
+     "got '16777217'"),
+    (["oracle", "--plogp-cov", "33554432"],
+     "--plogp-cov: expected an integer N <= 16777216 (2^24), "
+     "got '33554432'"),
+    (["scan", "--qubits", "2", "--alpha", "-1"],
+     "--alpha: expected a number > 0, got -1.0"),
+    (["scan", "--qubits", "2", "--depth", "7"],
+     "--depth applies only to --ensemble brickwork"),
+    (["scan", "--qubits", "2", "--fixed-file", "g.json"],
+     "--fixed-file applies only to --ensemble fixed"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert main(["--out-dir", str(tmp_path)] + argv) == 1
     assert capsys.readouterr().err.startswith(f"ergoxeb: error: {message}")
+
+
+def test_oracle_accepts_largest_dimension(capsys):
+    assert main(["oracle", "--covariance", "1", "1", "16777216"]) == 0
+    assert float(capsys.readouterr().out) < 0.0
+
+
+def test_scan_fixed_file_qubit_mismatch_names_file(tmp_path, capsys):
+    spec = EnsembleSpec("brickwork", SystemDims(3), depth=2, base_seed=1)
+    path = tmp_path / "p3.json"
+    save_programs([sample_member(spec, i) for i in range(2)], path)
+    code = main(["--out-dir", str(tmp_path), "scan", "--ensemble", "fixed",
+                 "--fixed-file", str(path), "--qubits", "4",
+                 "--instances", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err == (f"ergoxeb: error: {path}: program 0 acts on 3 qubits, "
+                   "expected 4\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -53,6 +53,21 @@ def test_g_is_f_over_Np(scheme):
     )
 
 
+@pytest.mark.parametrize("i", [2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
+def test_normalized_monomial_is_monomial_over_norm_bit_exact(i, mode):
+    plain = SchemeFunction.monomial(i)
+    normed = SchemeFunction.normalized_monomial(i)
+    norm = math.factorial(i - 1) * (i - 1)
+    assert normed.norm == norm and plain.norm == 1
+    N = 64
+    p = np.random.default_rng(i).dirichlet(np.ones(N))
+    assert np.array_equal(normed.f(p, N), plain.f(p, N) / norm)
+    assert np.array_equal(normed.g(p, N), plain.g(p, N) / norm)
+    assert normed.haar_mean(N, mode) == plain.haar_mean(N, mode) / norm
+    assert normed.sigma(N, mode) == plain.sigma(N, mode) / norm
+
+
 def test_scheme_names_and_flags():
     assert SchemeFunction.monomial(2).name == "monomial2"
     assert SchemeFunction.normalized_monomial(3).name == "normalized-monomial3"
@@ -255,16 +270,22 @@ def test_log_xeb_empty_samples():
 
 
 def test_fidelity_inversion():
-    est = fidelity_from_de_depolarizing(0.0, 2)
+    mono = SchemeFunction.monomial
+    est = fidelity_from_de_depolarizing(0.0, mono(2))
     assert est.F_hat == 1.0 and not est.out_of_range
     # DE = (1-F)(i-1)!(i-1): i=3 norm is 4
-    est = fidelity_from_de_depolarizing(2.0, 3, std_error=0.4)
+    est = fidelity_from_de_depolarizing(2.0, mono(3), std_error=0.4)
     assert est.F_hat == pytest.approx(0.5)
     assert est.std_error == pytest.approx(0.1)
-    est = fidelity_from_de_depolarizing(1.5, 2)
+    # the normalized monomial's DE is 1 - F itself
+    est = fidelity_from_de_depolarizing(
+        0.5, SchemeFunction.normalized_monomial(3), std_error=0.1
+    )
+    assert (est.F_hat, est.std_error) == (0.5, 0.1)
+    est = fidelity_from_de_depolarizing(1.5, mono(2))
     assert est.out_of_range
     with pytest.raises(ValueError, match="vanishes"):
-        fidelity_from_de_depolarizing(0.1, 1)
+        fidelity_from_de_depolarizing(0.1, mono(1))
 
 
 def test_violation_rate_needs_100():

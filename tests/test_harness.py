@@ -49,6 +49,20 @@ def test_scan_fidelity_column():
         assert 0.0 <= row["f_hat"] <= 1.2
 
 
+@pytest.mark.parametrize("T", [0, 3000])
+def test_scan_fidelity_same_for_plain_and_normalized(T):
+    def f_hats(scheme):
+        cfg = ScanConfig(n_range=(5, 6), instances=3, scheme=scheme,
+                         noise=NoiseModel.depolarizing(0.4), T=T, base_seed=4)
+        return [row["f_hat"] for row in run_ergodicity_scan(cfg).rows]
+
+    # the deviations differ by rounding only: |m - c|/norm vs |m/norm - c/norm|
+    for i in (2, 3, 4, 5):
+        assert f_hats(SchemeFunction.normalized_monomial(i)) == pytest.approx(
+            f_hats(SchemeFunction.monomial(i)), rel=0, abs=1e-12
+        )
+
+
 def test_scan_deterministic_outputs(tmp_path):
     cfg = ScanConfig(n_range=(4,), instances=2, T=100, base_seed=3)
     paths_a = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "a")
