@@ -78,6 +78,15 @@ def _dimension(flag, value, least=2):
     return number
 
 
+def _at_least(flag, value, least):
+    """``value`` if it is >= ``least``; else an error naming ``flag``."""
+    if value < least:
+        raise ValueError(
+            f"{flag}: expected an integer >= {least}, got {value}"
+        )
+    return value
+
+
 def _build_parser():
     parser = _Parser(
         prog="ergoxeb",
@@ -135,7 +144,6 @@ def _build_parser():
                      help="CSV bitstring,probability covering all N rows")
     xeb.add_argument("--samples", required=True,
                      help="text file, one measured bitstring per line")
-    xeb.add_argument("--alpha", type=float, default=10.0)
     xeb.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="printed-report format")
 
@@ -175,16 +183,19 @@ def _cmd_scan(args):
         raise ValueError("--depth applies only to --ensemble brickwork")
     if args.fixed_file is not None and args.ensemble != "fixed":
         raise ValueError("--fixed-file applies only to --ensemble fixed")
+    if args.fixed_file is None and args.ensemble == "fixed":
+        raise ValueError("--ensemble fixed requires --fixed-file")
     cfg = ScanConfig(
         ensemble=args.ensemble,
         n_range=_parse_qubits(args.qubits),
-        instances=args.instances,
+        instances=_at_least("--instances", args.instances, 1),
         scheme=parse_scheme(args.scheme),
         alpha=alpha,
-        T=args.samples,
+        T=_at_least("--samples", args.samples, 0),
         noise=_make_noise(args),
         base_seed=args.seed,
-        depth=args.depth or 0,
+        # 0 means the default depth 5n
+        depth=_at_least("--depth", args.depth or 0, 0),
         source_path=args.fixed_file,
         mean_mode=args.haar_mean_mode,
     )
@@ -200,12 +211,9 @@ def _cmd_scan(args):
 
 
 def _cmd_xeb(args):
-    alpha = _finite("--alpha", args.alpha)
     P = read_probabilities(args.probs)
     samples = read_samples(args.samples, dims=P.dims)
-    mono = deviation_of_ergodicity(
-        P, samples, SchemeFunction.monomial(2), alpha
-    )
+    mono = deviation_of_ergodicity(P, samples, SchemeFunction.monomial(2))
     # linear XEB is the monomial-2 estimate minus one (see linear_xeb)
     report = {
         "n": P.dims.n,
@@ -217,9 +225,7 @@ def _cmd_xeb(args):
     }
     try:
         report["log_xeb"] = log_xeb(P, samples)
-        plogp = deviation_of_ergodicity(
-            P, samples, SchemeFunction.plogp(), alpha
-        )
+        plogp = deviation_of_ergodicity(P, samples, SchemeFunction.plogp())
         report["de_plogp"] = plogp.deviation
         report["de_plogp_se"] = plogp.std_error
     except ZeroProbabilityError as exc:
@@ -235,16 +241,22 @@ def _cmd_xeb(args):
 
 def _cmd_oracle(args):
     if args.moment:
-        q1, q2, n = args.moment
+        q1, q2 = (_finite("--moment", q) for q in args.moment[:2])
+        if q1 <= 0.0 or q2 < 0.0:
+            raise ValueError(
+                f"--moment: expected Q1 > 0 and Q2 >= 0, got {q1:g} {q2:g}"
+            )
         value = analytic.haar_joint_moment(
-            _finite("--moment", q1), _finite("--moment", q2),
-            _dimension("--moment", n),
+            q1, q2, _dimension("--moment", args.moment[2])
         )
     elif args.covariance:
-        q1, q2, n = args.covariance
+        q1, q2 = (_finite("--covariance", q) for q in args.covariance[:2])
+        if q1 <= 0.0 or q2 <= 0.0:
+            raise ValueError(
+                f"--covariance: expected Q1, Q2 > 0, got {q1:g} {q2:g}"
+            )
         value = analytic.haar_covariance(
-            _finite("--covariance", q1), _finite("--covariance", q2),
-            _dimension("--covariance", n),
+            q1, q2, _dimension("--covariance", args.covariance[2])
         )
     elif args.plogp_cov is not None:
         value = analytic.plogp_covariance(

@@ -292,17 +292,12 @@ def linear_xeb(P, samples):
 
 
 def log_xeb(P, samples):
-    """Per-sample mean of ln P(x_i) (logarithmic cross-entropy summary)."""
-    if samples.T < 1:
-        raise ValueError("need at least one sample")
-    pvals = P.probs[samples.bitstrings]
-    if np.any(pvals == 0.0):
-        bad = int(samples.bitstrings[np.flatnonzero(pvals == 0.0)[0]])
-        raise ZeroProbabilityError(
-            f"sampled bitstring {index_to_bitstring(bad, P.dims.n)} has zero "
-            "ideal probability; log-XEB undefined"
-        )
-    return float(_accel.neumaier_sum(np.log(pvals))) / samples.T
+    """Per-sample mean of ln P(x_i) (logarithmic cross-entropy summary).
+
+    N times the plogp estimate, whose g is ln(p)/N: bit-exact because N is
+    a power of two.
+    """
+    return P.dims.N * estimate_C_f(P, samples, SchemeFunction.plogp()).value
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ negative entries, but the induced Q must be a proper distribution.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,18 +214,22 @@ def write_samples(samples, path):
             fh.write(rows.tobytes())
 
 
+def _check_bits(path, lineno, bits, n):
+    """Raise unless ``bits`` is n '0'/'1' characters."""
+    if not bits or bits.translate(None, b"01"):
+        raise ValueError(f"{path}:{lineno}: invalid bitstring {_text(bits)}")
+    if len(bits) != n:
+        raise ValueError(
+            f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
+        )
+
+
 def _scan_samples(path, lines, lineno, n):
     """Raise the error of the first malformed line in a batch."""
     for lineno, line in enumerate(lines, start=lineno):
         s = line.strip()
-        if not s:
-            continue
-        if s.translate(None, b"01"):
-            raise ValueError(f"{path}:{lineno}: invalid bitstring {_text(s)}")
-        if len(s) != n:
-            raise ValueError(
-                f"{path}:{lineno}: bitstring length {len(s)} != {n}"
-            )
+        if s:
+            _check_bits(path, lineno, s, n)
     raise AssertionError("batch failed its checks but every line parses")
 
 
@@ -288,14 +292,7 @@ def _scan_probabilities(path, lines, lineno, n, seen):
             p = float(val)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad row {_text(s)}") from exc
-        if not bits or bits.translate(None, b"01"):
-            raise ValueError(
-                f"{path}:{lineno}: invalid bitstring {_text(bits)}"
-            )
-        if len(bits) != n:
-            raise ValueError(
-                f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
-            )
+        _check_bits(path, lineno, bits, n)
         j = int(bits, 2)
         if j in seen:
             raise ValueError(
@@ -342,36 +339,6 @@ def _parse_probability_rows(rows, n):
     return indices, values
 
 
-def _row_lineno(path, row):
-    """Line number of the row-th (from 0) nonblank row of a probability file."""
-    with open(path, "rb") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                if row == 0:
-                    return lineno
-                row -= 1
-
-
-def _check_repeats(path, index_parts, n):
-    """Raise naming the first repeated row; else (indices, sorting order).
-
-    The stable sort keeps file order among equal indices, so the earliest
-    later occurrence is the first duplicate line.
-    """
-    indices = np.concatenate(index_parts)
-    order = np.argsort(indices, kind="stable")
-    ordered = indices[order]
-    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if repeats.size:
-        row = int(order[repeats + 1].min())
-        bits = index_to_bitstring(indices[row], n)
-        raise ValueError(
-            f"{path}:{_row_lineno(path, row)}: duplicate bitstring {bits!r}"
-        )
-    return indices, order
-
-
 def read_probabilities(path):
     """Probability file: the header ``bitstring,probability``, then one
     ``bits,value`` row for each of the N bitstrings, in any order.
@@ -380,9 +347,8 @@ def read_probabilities(path):
     malformed row, NaN, infinite or negative value, or repeated bitstring
     raises an error naming its ``path:line``.
     """
-    index_parts = [np.empty(0, dtype=np.int64)]
-    value_parts = [np.empty(0)]
     dims = None
+    filled = np.zeros(0, dtype=bool)
     with open(path, "rb") as fh:
         header = fh.readline().strip()
         if header != _HEADER:
@@ -395,23 +361,31 @@ def read_probabilities(path):
                 continue
             n = dims.n if dims is not None else rows[0].find(b",")
             parsed = _parse_probability_rows(rows, n)
+            if parsed is not None:
+                indices, values = parsed
+                if dims is None:
+                    dims = _dims_at(path, lines, lineno, n)
+                    probs = np.empty(dims.N)
+                    filled = np.zeros(dims.N, dtype=bool)
+                # a sort finds in-batch repeats far faster than np.unique
+                ordered = np.sort(indices)
+                repeats = (ordered[1:] == ordered[:-1]).any()
+                if repeats or filled[indices].any():
+                    parsed = None
             if parsed is None:
-                earlier, _ = _check_repeats(path, index_parts, n)
                 _scan_probabilities(path, lines, lineno, n,
-                                    set(earlier.tolist()))
-            if dims is None:
-                dims = _dims_at(path, lines, lineno, n)
-            index_parts.append(parsed[0])
-            value_parts.append(parsed[1])
+                                    set(np.flatnonzero(filled).tolist()))
+            filled[indices] = True
+            probs[indices] = values
     if dims is None:
         raise ValueError(f"{path}: no probability rows found")
-    indices, order = _check_repeats(path, index_parts, dims.n)
-    if indices.size != dims.N:
+    count = np.count_nonzero(filled)
+    if count != dims.N:
         raise ValueError(
             f"{path}: expected {dims.N} rows covering all bitstrings, "
-            f"got {indices.size}"
+            f"got {count}"
         )
     try:
-        return OutputDistribution(dims, np.concatenate(value_parts)[order])
+        return OutputDistribution(dims, probs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -167,6 +167,14 @@ def test_xeb_missing_file_exit_1(tmp_path, capsys):
 _PROBS_OK = "bitstring,probability\n00,0.25\n01,0.25\n10,0.25\n11,0.25\n"
 
 
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("argv, files", [
     (["scan", "--qubits", "2", "--fidelity", "0.5"], {}),
     (["scan", "--qubits", "2", "--noise", "completely-noisy",
@@ -233,7 +241,7 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
             (tmp_path / name).write_bytes(content)
         else:
             (tmp_path / name).write_text(content)
-    assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("ergoxeb: error: ")
@@ -245,7 +253,7 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
     (["scan", "--qubits", "x"], "--qubits: expected N or LO..HI, got 'x'"),
     (["scan", "--qubits", "2", "--alpha", "nan"], "--alpha: "),
     (["xeb", "--alpha", "inf", "--probs", "p.csv", "--samples", "s.txt"],
-     "--alpha: "),
+     "unrecognized arguments: --alpha"),
     (["oracle", "--moment", "nan", "1", "4"], "--moment: "),
     (["oracle", "--covariance", "1", "inf", "4"], "--covariance: "),
     (["oracle", "--moment", "1", "1", "x"],
@@ -282,10 +290,35 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--depth applies only to --ensemble brickwork"),
     (["scan", "--qubits", "2", "--fixed-file", "g.json"],
      "--fixed-file applies only to --ensemble fixed"),
+    (["scan", "--qubits", "4", "--ensemble", "brickwork", "--depth", "-3"],
+     "--depth: expected an integer >= 0, got -3"),
+    (["scan", "--qubits", "2", "--instances", "0"],
+     "--instances: expected an integer >= 1, got 0"),
+    (["scan", "--qubits", "2", "--samples", "-5"],
+     "--samples: expected an integer >= 0, got -5"),
+    (["scan", "--qubits", "2", "--ensemble", "fixed"],
+     "--ensemble fixed requires --fixed-file"),
+    (["oracle", "--covariance", "0", "1", "4"],
+     "--covariance: expected Q1, Q2 > 0, got 0 1"),
+    (["oracle", "--moment", "1", "-1", "4"],
+     "--moment: expected Q1 > 0 and Q2 >= 0, got 1 -1"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
-    assert main(["--out-dir", str(tmp_path)] + argv) == 1
-    assert capsys.readouterr().err.startswith(f"ergoxeb: error: {message}")
+    assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"ergoxeb: error: {message}")
+
+
+def test_scan_brickwork_depth_0_means_5n(tmp_path, capsys):
+    csv = []
+    for depth in ([], ["--depth", "0"], ["--depth", "15"]):
+        out = tmp_path / str(len(csv))
+        assert main(["--out-dir", str(out), "scan", "--qubits", "3",
+                     "--ensemble", "brickwork", "--instances", "2"]
+                    + depth) == 0
+        csv.append(next(out.glob("*.csv")).read_bytes())
+    assert csv[0] == csv[1] == csv[2]
 
 
 def test_oracle_accepts_largest_dimension(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergoxeb import analytic
+from ergoxeb import _accel, analytic
 from ergoxeb.ensembles import haar_state_probs
 from ergoxeb.estimators import (
     SchemeFunction,
@@ -246,6 +246,19 @@ def test_linear_xeb_identity_with_monomial2():
     lin = linear_xeb(P, samples)
     assert lin.F_hat == est.value - 1.0  # bit-exact by construction
     assert lin.std_error == est.std_error
+
+
+def test_log_xeb_identity_with_plogp():
+    # N times the plogp estimate equals the direct compensated mean of
+    # ln P(x_i) bit for bit: N is a power of two, so scaling by it is exact
+    for n in range(1, 15):
+        P = _haar_P(n, 40 + n)
+        for F in (1.0, 0.5, 0.0):
+            Q = experimental_distribution(P, NoiseModel.depolarizing(F))
+            samples = sample_bitstrings(Q, 500, seed=n)
+            logs = np.log(P.probs[samples.bitstrings])
+            direct = float(_accel.neumaier_sum(logs)) / samples.T
+            assert log_xeb(P, samples) == direct
 
 
 def test_linear_xeb_uniform_P_exact_zero():

@@ -1,3 +1,7 @@
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -324,6 +328,79 @@ def test_probability_errors_after_first_batch(tmp_path):
     path.write_text(head + "\n".join(bad) + "\n")
     with pytest.raises(ValueError, match=rf"p\.csv:{3 + 10 + 1}: duplicate"):
         read_probabilities(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_duplicate_row_read_from_a_pipe_names_its_line():
+    r, w = os.pipe()
+    try:
+        os.write(w, b"bitstring,probability\n"
+                    b"00,0.25\n01,0.125\n10,0.25\n11,0.25\n01,0.25\n")
+        os.close(w)
+        with pytest.raises(ValueError,
+                           match=rf"^/dev/fd/{r}:6: duplicate bitstring '01'"):
+            read_probabilities(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def _first_error(text):
+    """(kind, line) of the first malformed or repeated row, read one line
+    at a time."""
+    n, seen = None, set()
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+        s = line.strip()
+        if not s:
+            continue
+        if n is None:
+            n = s.find(",")
+        try:
+            bits, value = s.split(",")
+            p = float(value)
+        except ValueError:
+            return "bad row", lineno
+        if not re.fullmatch("[01]+", bits):
+            return "invalid bitstring", lineno
+        if len(bits) != n:
+            return "bitstring length", lineno
+        if bits in seen:
+            return "duplicate bitstring", lineno
+        seen.add(bits)
+        if not (math.isfinite(p) and p >= 0.0):
+            return "bad probability", lineno
+
+
+_BAD_ROWS = ["{bits},0.1.2", "{bits}x,0.25", "0{bits},0.25", "{bits},nan",
+             "{bits},-0.5", "{bits}", ",0.25"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), batch=st.integers(16, 256), data=st.data())
+def test_first_error_across_small_batches(tmp_path_factory, n, batch, data):
+    # a file of a few rows spans many batches of 16-256 bytes
+    N = 1 << n
+    rows = [f"{index_to_bitstring(j, n)},{1 / N:.17g}"
+            for j in data.draw(st.permutations(range(N)))]
+    copy = data.draw(st.integers(0, N - 1))
+    rows.insert(data.draw(st.integers(copy + 1, N)), rows[copy])
+    if data.draw(st.booleans()):
+        bad = data.draw(st.sampled_from(_BAD_ROWS))
+        bits = index_to_bitstring(data.draw(st.integers(0, N - 1)), n)
+        at = data.draw(st.integers(0, len(rows)))
+        rows.insert(at, bad.format(bits=bits))
+    blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=4))
+    for i in sorted(blanks, reverse=True):
+        rows.insert(i, "")
+    text = "bitstring,probability\n" + "\n".join(rows) + "\n"
+    kind, line = _first_error(text)
+    path = tmp_path_factory.mktemp("batches") / "p.csv"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise, "_BATCH_BYTES", batch)
+        with pytest.raises(ValueError) as exc:
+            read_probabilities(path)
+    assert str(exc.value).startswith(f"{path}:{line}: {kind}"), (
+        str(exc.value), kind, line)
 
 
 def test_sample_errors_after_first_batch(tmp_path):
