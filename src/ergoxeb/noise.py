@@ -277,12 +277,14 @@ def write_probabilities(P, path):
             fh.write((template % tuple(chunk.tolist())).encode("ascii"))
 
 
-def _scan_probabilities(path, lines, lineno, n, seen):
+def _scan_probabilities(path, lines, lineno, n, filled):
     """Raise the error of the first malformed line in a batch.
 
-    ``seen`` holds the indices of the rows before the batch, so that a
-    duplicate ahead of the malformed line is reported first.
+    ``filled`` marks the indices of the rows before the batch, so that a
+    duplicate ahead of the malformed line is reported first.  It is empty
+    until the first good batch sets the dimensions.
     """
+    seen = set()
     for lineno, line in enumerate(lines, start=lineno):
         s = line.strip()
         if not s:
@@ -294,7 +296,7 @@ def _scan_probabilities(path, lines, lineno, n, seen):
             raise ValueError(f"{path}:{lineno}: bad row {_text(s)}") from exc
         _check_bits(path, lineno, bits, n)
         j = int(bits, 2)
-        if j in seen:
+        if j in seen or (j < filled.size and filled[j]):
             raise ValueError(
                 f"{path}:{lineno}: duplicate bitstring {_text(bits)}"
             )
@@ -373,8 +375,7 @@ def read_probabilities(path):
                 if repeats or filled[indices].any():
                     parsed = None
             if parsed is None:
-                _scan_probabilities(path, lines, lineno, n,
-                                    set(np.flatnonzero(filled).tolist()))
+                _scan_probabilities(path, lines, lineno, n, filled)
             filled[indices] = True
             probs[indices] = values
     if dims is None:

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ergoxeb import estimators
 from ergoxeb.cli import main
 from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
-from ergoxeb.estimators import linear_xeb
+from ergoxeb.estimators import linear_xeb, log_xeb
 from ergoxeb.noise import (
     read_probabilities,
     read_samples,
@@ -115,13 +116,28 @@ def test_xeb_csv_output(tmp_path, capsys):
     fields = dict(line.split(",", 1) for line in out.splitlines())
     assert fields["n"] == "6"
     assert fields["T"] == "5000"
-    lin = linear_xeb(read_probabilities(probs_path),
-                     read_samples(samples_path))
+    P, samples = read_probabilities(probs_path), read_samples(samples_path)
+    lin = linear_xeb(P, samples)
     assert fields["f_xeb"] == f"{lin.F_hat:.12g}"
     assert fields["f_xeb_se"] == f"{lin.std_error:.12g}"
     # noiseless samples from the ideal distribution: F_XEB near 1
     assert abs(float(fields["f_xeb"]) - 1.0) < 0.3
-    assert "log_xeb" in fields
+    assert fields["log_xeb"] == f"{log_xeb(P, samples):.12g}"
+
+
+def test_xeb_estimates_each_scheme_once(tmp_path, capsys, monkeypatch):
+    probs_path, samples_path = _write_pair(tmp_path, seed=27)
+    schemes = []
+    estimate = estimators.estimate_C_f
+
+    def counting_estimate(P, samples, scheme):
+        schemes.append(scheme.name)
+        return estimate(P, samples, scheme)
+
+    monkeypatch.setattr(estimators, "estimate_C_f", counting_estimate)
+    assert main(["xeb", "--probs", str(probs_path),
+                 "--samples", str(samples_path)]) == 0
+    assert schemes == ["monomial2", "plogp"]
 
 
 def test_xeb_json_output(tmp_path, capsys):
@@ -146,7 +162,10 @@ def test_xeb_zero_probability_reported(tmp_path, capsys):
                  "--samples", str(samples_path)])
     assert code == 0  # monomial summaries still valid
     out = capsys.readouterr().out
-    assert "log_xeb_error" in out
+    assert out.splitlines()[-1] == (
+        "log_xeb_error,sampled bitstring 10 has zero ideal probability; "
+        "plogp estimator undefined"
+    )
 
 
 def test_xeb_bad_sample_length_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,32 @@ def test_duplicate_row_read_from_a_pipe_names_its_line():
             read_probabilities(f"/dev/fd/{r}")
     finally:
         os.close(r)
+
+
+def test_late_repeat_costs_no_more_memory_than_a_good_read(tmp_path,
+                                                            monkeypatch):
+    # 64 KiB batches keep the parse's own peak near 1 MiB, so a set of the
+    # 2^16 earlier indices (~4 MiB) would show
+    monkeypatch.setattr(noise, "_BATCH_BYTES", 1 << 16)
+    n = 16
+    P = OutputDistribution(SystemDims(n), np.full(1 << n, 1.0 / (1 << n)))
+    good = tmp_path / "good.csv"
+    write_probabilities(P, good)
+    text = good.read_bytes()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_bytes(text + text.split(b"\n")[2] + b"\n")
+    tracemalloc.start()
+    try:
+        read_probabilities(good)
+        good_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError,
+                           match=f":{(1 << n) + 2}: duplicate bitstring"):
+            read_probabilities(repeated)
+        repeat_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repeat_peak - good_peak < 1 << 20, (good_peak, repeat_peak)
 
 
 def _first_error(text):
