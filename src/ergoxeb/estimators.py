@@ -205,8 +205,10 @@ def correlation_C_f(P, Q, scheme):
             f"Q({index_to_bitstring(bad, P.dims.n)}) > 0 but the ideal "
             "probability vanishes there; the correlation is undefined"
         )
-    terms = scheme.g(P.probs[mask], N) * Q.probs[mask]
-    return float(_accel.neumaier_sum(terms))
+    p, q = P.probs, Q.probs
+    if not mask.all():
+        p, q = p[mask], q[mask]
+    return float(_accel.neumaier_sum(scheme.g(p, N) * q))
 
 
 def estimate_C_f(P, samples, scheme):

@@ -25,14 +25,23 @@ from .estimators import (
 )
 from .noise import (
     NoiseModel,
+    check_bitstring_range,
+    depolarize,
     experimental_distribution,
+    inverse_cdf_rows,
     read_probabilities,
     read_samples,
     sample_bitstrings,
 )
-from .statevector import OutputDistribution, SystemDims
+from .statevector import (
+    OutputDistribution,
+    SystemDims,
+    check_probability_rows,
+)
 
 N_BATCHES = 10
+# float64 per buffer of the recovery driver's instance chunks
+_CHUNK_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -286,31 +295,65 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
     correlation estimates are pooled before inverting DE = (1-F)(i-1)!(i-1):
     a single instance's self-correlation fluctuates by O(sigma_f/sqrt(N)),
     which pooling averages away.  Reported SE comes from the scatter of
-    per-instance means (it covers both sampling and ensemble noise).  Each
-    instance is drawn once and serves every fidelity, with the same sample
-    seed.
+    per-instance means (it covers both sampling and ensemble noise).
+
+    Instances run in chunks of rows, with at most 2^13 float64 in each
+    buffer (P, Q, the cumulative sums of Q, the uniforms): 8 rows at n = 10
+    with up to 1024 samples per instance, one row from n = 13 on.  Each
+    chunk checks its P and Q rows, draws through one inverse-CDF kernel
+    (``noise.inverse_cdf_rows``) and evaluates each scheme once.  Every
+    instance keeps its own PCG64 streams (P from ``member_probs(spec,
+    31_000 + inst)``, uniforms from ``mix64(base_seed, 62_000 + inst)``)
+    and draws its uniforms once for all fidelities, so the rows do not
+    depend on the chunk size.
     """
+    if not fidelities:
+        raise ValueError("need at least one fidelity")
+    if not degrees:
+        raise ValueError("need at least one degree")
+    if min(degrees) < 2:
+        raise ValueError(
+            f"depolarizing recovery needs degrees >= 2, got {min(degrees)}"
+        )
+    if instances < 2:
+        raise ValueError(
+            f"need at least two instances for a standard error, "
+            f"got {instances}"
+        )
+    noises = [NoiseModel.depolarizing(F) for F in fidelities]
     per = max(1, T // instances)
     spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
-    noises = [NoiseModel.depolarizing(F) for F in fidelities]
+    N = spec.dims.N
     schemes = [SchemeFunction.monomial(i) for i in degrees]
+    chunk = max(1, min(instances, _CHUNK_FLOATS // max(N, per)))
+    P_buf, Q_buf, cdf_buf = (np.empty((chunk, N)) for _ in range(3))
+    u_buf = np.empty((chunk, per))
     # instance means of g(P(x)) per (fidelity, degree), instances last
     inst_means = np.empty((len(noises), len(schemes), instances))
-    for inst in range(instances):
-        P = OutputDistribution(spec.dims, member_probs(spec, 31_000 + inst))
-        seed = mix64(base_seed, 62_000 + inst)
+    for start in range(0, instances, chunk):
+        stop = min(start + chunk, instances)
+        P, u = P_buf[:stop - start], u_buf[:stop - start]
+        for row, inst in enumerate(range(start, stop)):
+            P[row] = member_probs(spec, 31_000 + inst)
+            rng = np.random.Generator(
+                np.random.PCG64(mix64(base_seed, 62_000 + inst)))
+            rng.random(out=u[row])
+        P = check_probability_rows(P)
         for a, noise in enumerate(noises):
-            _, samples = _noisy_samples(P, noise, per, seed)
-            pvals = P.probs[samples.bitstrings]
+            Q = depolarize(P, noise.F, out=Q_buf[:len(P)])
+            Q = check_probability_rows(Q)
+            draws = np.array(inverse_cdf_rows(Q, u.copy(), cdf_buf[:len(P)]))
+            check_bitstring_range(draws, N)
+            pvals = np.take_along_axis(P, draws, axis=1)
             for b, scheme in enumerate(schemes):
-                inst_means[a, b, inst] = np.mean(scheme.g(pvals, spec.dims.N))
+                inst_means[a, b, start:stop] = scheme.g(pvals, N).mean(axis=1)
     rows = []
     for a, F in enumerate(fidelities):
         for b, scheme in enumerate(schemes):
             means = inst_means[a, b]
             pooled = float(means.mean())
             se = float(means.std(ddof=1) / math.sqrt(len(means)))
-            mean_ref = scheme.haar_mean(spec.dims.N, "exact")
+            mean_ref = scheme.haar_mean(N, "exact")
             deviation = abs(mean_ref - pooled)
             est = fidelity_from_de_depolarizing(deviation, scheme, se)
             rows.append({

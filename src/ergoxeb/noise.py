@@ -63,14 +63,24 @@ class SampleSet:
         self.bitstrings = np.asarray(self.bitstrings, dtype=np.int64)
         if self.bitstrings.ndim != 1:
             raise ValueError("bitstrings must be a flat integer array")
-        if self.bitstrings.size and (
-            self.bitstrings.min() < 0 or self.bitstrings.max() >= self.dims.N
-        ):
-            raise ValueError("bitstring index out of range")
+        check_bitstring_range(self.bitstrings, self.dims.N)
 
     @property
     def T(self):
         return int(self.bitstrings.size)
+
+
+def check_bitstring_range(bitstrings, N):
+    """Raise unless every index in the ``bitstrings`` array lies in [0, N)."""
+    if bitstrings.size and (bitstrings.min() < 0 or bitstrings.max() >= N):
+        raise ValueError("bitstring index out of range")
+
+
+def depolarize(probs, F, out=None):
+    """Global depolarizing noise F * P + (1 - F) / N along the last axis."""
+    out = np.multiply(probs, F, out=out)
+    out += (1.0 - F) / probs.shape[-1]
+    return out
 
 
 def experimental_distribution(P, noise):
@@ -81,8 +91,7 @@ def experimental_distribution(P, noise):
     if noise.kind == "completely_noisy":
         return OutputDistribution(P.dims, np.full(N, 1.0 / N))
     if noise.kind == "depolarizing":
-        q = noise.F * P.probs + (1.0 - noise.F) / N
-        return OutputDistribution(P.dims, q)
+        return OutputDistribution(P.dims, depolarize(P.probs, noise.F))
     chi = noise.chi
     if chi.shape != (N,):
         raise ValueError(
@@ -97,23 +106,38 @@ def experimental_distribution(P, noise):
     return OutputDistribution(P.dims, q)
 
 
-def sample_bitstrings(Q, T, seed):
-    """Draw T i.i.d. bitstrings from Q by inverse-CDF search.
+def inverse_cdf_rows(probs, uniforms, cdf=None):
+    """Inverse-CDF draws from each row of a (rows, N) probability array.
 
-    Each draw takes one uniform u and returns the first index whose
-    cumulative probability exceeds u times the total.  Zero-probability
-    indices repeat the preceding cumulative value and so are never chosen;
-    the clamp only catches u * total rounding up to the total itself.
+    Row r takes the uniforms ``uniforms[r]`` in [0, 1] and returns, for each
+    u, the first index whose cumulative probability exceeds u times the row
+    total.  Zero-probability indices repeat the preceding cumulative value
+    and so are never chosen; the clamp to the row's last nonzero index
+    catches u * total equal to the total itself (u = 1), which would
+    otherwise land past the end.
+
+    ``uniforms`` is scaled in place to the targets u * total, so that a
+    one-row draw holds no array of T floats beside them.  ``cdf``, if given,
+    is a (rows, N) float64 buffer that receives the cumulative sums.
+    Returns a list of one int64 index array per row.
     """
+    cdf = np.cumsum(probs, axis=1, out=cdf)
+    uniforms *= cdf[:, -1:]
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)
+    draws = []
+    for row_cdf, targets, top in zip(cdf, uniforms, last):
+        row = np.searchsorted(row_cdf, targets, side="right")
+        draws.append(np.minimum(row, top, out=row))
+    return draws
+
+
+def sample_bitstrings(Q, T, seed):
+    """Draw T i.i.d. bitstrings from Q: the one-row case of
+    ``inverse_cdf_rows``, with T uniforms from PCG64(seed)."""
     if T < 0:
         raise ValueError(f"sample count must be >= 0, got {T}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if T == 0:
-        draws = np.empty(0, dtype=np.int64)
-    else:
-        cdf = np.cumsum(Q.probs)
-        draws = np.searchsorted(cdf, rng.random(T) * cdf[-1], side="right")
-        np.minimum(draws, np.flatnonzero(Q.probs)[-1], out=draws)
+    (draws,) = inverse_cdf_rows(Q.probs[None], rng.random((1, T)))
     return SampleSet(Q.dims, draws)
 
 

@@ -61,6 +61,36 @@ class PureState:
         return cls(dims, amps)
 
 
+def check_probability_rows(probs):
+    """Validated probability vectors along the last axis of ``probs``.
+
+    Every row must have entries >= -NEGATIVE_TOL (no NaN) and a sum within
+    NORM_TOL of 1.  Tiny negative entries are clipped to zero, and a row
+    whose sum is off by more than 1e-12 is divided by it; other rows keep
+    their bits.  Both make new arrays, so the caller's array is never
+    modified.  Returns the float64 rows.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    # min() is NaN when any entry is, which fails the comparison; +inf
+    # fails the sum check below
+    lowest = probs.min(axis=-1)
+    if not (lowest >= -NEGATIVE_TOL).all():
+        raise ValueError(
+            f"probability entries below -{NEGATIVE_TOL:g} or NaN"
+        )
+    if (lowest < 0.0).any():
+        probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0)
+    if (off > 1e-12).any():
+        if (off > NORM_TOL).any():
+            bad = float(np.ravel(total)[np.ravel(off > NORM_TOL)][0])
+            raise ValueError(f"probabilities sum to {bad!r}, not 1")
+        # dividing by 1.0 leaves the rows within 1e-12 bit for bit
+        probs = probs / np.where(off > 1e-12, total, 1.0)[..., None]
+    return probs
+
+
 @dataclass
 class OutputDistribution:
     """Probabilities P(x) = |<x|U|0^n>|^2 over all N bitstrings."""
@@ -75,23 +105,7 @@ class OutputDistribution:
                 f"probability vector has shape {probs.shape}, "
                 f"expected ({self.dims.N},)"
             )
-        # min() is NaN when any entry is, which fails the comparison; +inf
-        # fails the sum check below
-        lowest = float(probs.min())
-        if not lowest >= -NEGATIVE_TOL:
-            raise ValueError(
-                f"probability entries below -{NEGATIVE_TOL:g} or NaN"
-            )
-        # Clamp tiny negative rounding noise, renormalize if needed; both
-        # make new arrays, so the caller's array is never modified.
-        if lowest < 0.0:
-            probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            if abs(total - 1.0) > NORM_TOL:
-                raise ValueError(f"probabilities sum to {total!r}, not 1")
-            probs = probs / total
-        self.probs = probs
+        self.probs = check_probability_rows(probs)
 
 
 def _check_unitary(matrix, tol=UNITARY_TOL):

@@ -154,6 +154,32 @@ def test_correlation_zero_P_site_rules():
     assert np.isfinite(correlation_C_f(P, Q2, SchemeFunction.neglog()))
 
 
+@pytest.mark.parametrize("scheme", [SchemeFunction.monomial(3),
+                                    SchemeFunction.neglog()])
+def test_correlation_same_bits_with_and_without_zeros_in_Q(scheme):
+    P = _haar_P(9, 41)
+    N = P.dims.N
+    full = experimental_distribution(P, NoiseModel.depolarizing(0.6))
+    probs = full.probs.copy()
+    probs[::7] = 0.0
+    holes = OutputDistribution(P.dims, probs / probs.sum())
+    assert full.probs.min() > 0.0 and holes.probs.min() == 0.0
+    for Q in (full, holes):
+        mask = Q.probs > 0.0
+        gathered = scheme.g(P.probs[mask], N) * Q.probs[mask]
+        expected = float(_accel.neumaier_sum(gathered))
+        assert correlation_C_f(P, Q, scheme) == expected
+    # the zero-P check still names the bitstring when Q has no zeros
+    zero_P = P.probs.copy()
+    zero_P[[3, 0]] = [0.0, zero_P[0] + zero_P[3]]
+    P0 = OutputDistribution(P.dims, zero_P)
+    if scheme.logarithmic:
+        with pytest.raises(ZeroProbabilityError, match="000000011"):
+            correlation_C_f(P0, full, scheme)
+    else:
+        assert np.isfinite(correlation_C_f(P0, full, scheme))
+
+
 def test_correlation_dims_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         correlation_C_f(_haar_P(2, 0), _haar_P(3, 0),

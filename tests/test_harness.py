@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ergoxeb import harness, noise
 from ergoxeb.estimators import SchemeFunction
 from ergoxeb.harness import (
     ScanConfig,
@@ -18,12 +20,19 @@ from ergoxeb.harness import (
 )
 from ergoxeb.noise import (
     NoiseModel,
+    experimental_distribution,
     sample_bitstrings,
     write_probabilities,
     write_samples,
 )
 from ergoxeb.statevector import OutputDistribution, SystemDims, save_programs
-from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
+from ergoxeb.ensembles import (
+    EnsembleSpec,
+    haar_state_probs,
+    member_probs,
+    mix64,
+    sample_member,
+)
 
 
 def test_scan_row_counts_and_fields():
@@ -159,6 +168,120 @@ def test_depolarizing_recovery_small():
         [0.5], [2], n=8, T=20_000, instances=200, base_seed=12
     )
     assert abs(rows[0]["f_hat"] - 0.5) < 0.05
+
+
+# Rows of run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
+# instances=37, base_seed=5) from the one-instance-at-a-time driver:
+# (fidelity, degree, c_f_pooled, std_error, deviation, f_hat, f_hat_se).
+_RECOVERY_GOLDEN = [
+    (0.3, 2, 1.2956720810252926, 0.021708026222519067, 0.702376699461571,
+     0.297623300538429, 0.021708026222519067),
+    (0.3, 3, 3.1302359337230925, 0.10971559640624283, 2.852225911942927,
+     0.2869435220142682, 0.027428899101560707),
+    (0.9, 2, 1.8890973085977703, 0.02323072303672774, 0.10895147188909338,
+     0.8910485281109066, 0.02323072303672774),
+    (0.9, 3, 5.519160171070631, 0.14018267350811425, 0.46330167459538885,
+     0.8841745813511528, 0.03504566837702856),
+]
+
+
+def _assert_golden_recovery():
+    rows = run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
+                                     instances=37, base_seed=5)
+    keys = ("fidelity", "degree", "c_f_pooled", "std_error", "deviation",
+            "f_hat", "f_hat_se")
+    assert [tuple(r[k] for k in keys) for r in rows] == _RECOVERY_GOLDEN
+    for r in rows:
+        assert (r["n"], r["T"], r["instances"]) == (10, 3700, 37)
+
+
+def test_depolarizing_recovery_golden_rows():
+    _assert_golden_recovery()
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, 36, 37, 64])
+def test_depolarizing_recovery_independent_of_chunking(monkeypatch,
+                                                        rows_per_chunk):
+    # 37 instances: one-row chunks, a short last chunk (37 = 12 * 3 + 1 and
+    # 36 + 1), one full chunk, and a chunk larger than the run
+    monkeypatch.setattr(harness, "_CHUNK_FLOATS", rows_per_chunk * 1024)
+    _assert_golden_recovery()
+
+
+def test_depolarizing_recovery_matches_one_row_sampler():
+    # The last instance of a run opens a second 8-row chunk at n = 10.  Its
+    # mean g(P) from the one-row path (OutputDistribution, depolarizing
+    # noise, sample_bitstrings) is what it adds to the pooled sum.
+    N = 1 << 10
+    spec = EnsembleSpec("haar", SystemDims(10), base_seed=5)
+    P = OutputDistribution(spec.dims, member_probs(spec, 31_000 + 8))
+    Q = experimental_distribution(P, NoiseModel.depolarizing(0.9))
+    draws = sample_bitstrings(Q, 100, mix64(5, 62_000 + 8))
+    expected = np.mean(
+        SchemeFunction.monomial(3).g(P.probs[draws.bitstrings], N))
+    more, fewer = (
+        run_depolarizing_recovery([0.9], [3], n=10, T=100 * k, instances=k,
+                                  base_seed=5)[0]["c_f_pooled"]
+        for k in (9, 8)
+    )
+    assert 9 * more - 8 * fewer == pytest.approx(expected, rel=1e-12)
+
+
+def test_depolarizing_recovery_every_fidelity_draws_the_same_uniforms(
+        monkeypatch):
+    # each chunk's kernel call for every fidelity gets each instance's own
+    # uniforms, unscaled by an earlier call
+    calls = []
+
+    def recording(probs, uniforms, cdf=None):
+        calls.append(uniforms.copy())
+        return noise.inverse_cdf_rows(probs, uniforms, cdf)
+
+    monkeypatch.setattr(harness, "inverse_cdf_rows", recording)
+    run_depolarizing_recovery([0.2, 0.6, 1.0], [2], n=10, T=500,
+                              instances=10, base_seed=7)
+    expected = np.array([
+        np.random.Generator(np.random.PCG64(mix64(7, 62_000 + i))).random(50)
+        for i in range(10)
+    ])
+    assert len(calls) == 6  # chunks of 8 and 2 rows, three fidelities each
+    for k, uniforms in enumerate(calls):
+        first = 8 * (k // 3)
+        assert np.array_equal(uniforms, expected[first:first + 8])
+
+
+def test_depolarizing_recovery_buffers_stay_small():
+    # 20000 draws per instance make a chunk one row, so the driver works on
+    # about ten 160 kB rows at a time, not on a 40-row buffer of 6.4 MB
+    tracemalloc.start()
+    try:
+        run_depolarizing_recovery([0.5], [2], n=4, T=800_000, instances=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"instances": 0}, "at least two instances"),
+    ({"instances": 1}, "at least two instances"),
+    ({"degrees": [1]}, "degrees >= 2"),
+    ({"degrees": [2, 0]}, "degrees >= 2"),
+    ({"degrees": []}, "at least one degree"),
+    ({"fidelities": []}, "at least one fidelity"),
+    ({"fidelities": [0.5, 1.5]}, "fidelity must lie in"),
+])
+def test_depolarizing_recovery_rejects_bad_arguments(monkeypatch, kwargs,
+                                                    message):
+    def no_draws(spec, index):
+        raise AssertionError("an instance was drawn before the check")
+
+    monkeypatch.setattr(harness, "member_probs", no_draws)
+    args = {"fidelities": [0.5], "degrees": [2], "n": 4, "T": 100,
+            "instances": 10} | kwargs
+    with pytest.raises(ValueError, match=message) as info:
+        run_depolarizing_recovery(**args)
+    assert "\n" not in str(info.value)
 
 
 def test_fixed_scan_parses_file_once(tmp_path, monkeypatch):

@@ -14,16 +14,22 @@ from ergoxeb.noise import (
     NoiseModel,
     SampleSet,
     bitstring_to_index,
+    check_bitstring_range,
     chi_normalization_check,
     experimental_distribution,
     index_to_bitstring,
+    inverse_cdf_rows,
     read_probabilities,
     read_samples,
     sample_bitstrings,
     write_probabilities,
     write_samples,
 )
-from ergoxeb.statevector import OutputDistribution, SystemDims
+from ergoxeb.statevector import (
+    OutputDistribution,
+    SystemDims,
+    check_probability_rows,
+)
 
 
 def _random_P(n, seed):
@@ -147,6 +153,75 @@ def test_sample_set_validation():
         SampleSet(SystemDims(2), np.array([0, 4]))
     with pytest.raises(ValueError, match="flat"):
         SampleSet(SystemDims(2), np.zeros((2, 2), dtype=np.int64))
+    check_bitstring_range(np.array([[0, 3], [1, 2]]), 4)
+    for block in ([[0, 3], [1, 4]], [[0, 3], [-1, 2]]):
+        with pytest.raises(ValueError, match="out of range"):
+            check_bitstring_range(np.array(block), 4)
+
+
+def _per_row_draws(probs, u):
+    """The sampler before the row kernel, one row at a time (reference)."""
+    if u.size == 0:
+        return np.empty(0, dtype=np.int64)
+    cdf = np.cumsum(probs)
+    draws = np.searchsorted(cdf, u * cdf[-1], side="right")
+    np.minimum(draws, np.flatnonzero(probs)[-1], out=draws)
+    return draws
+
+
+def _rows_with_zeros(rows, n, seed):
+    """Dirichlet rows with random interior zeros and zero runs at both ends."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(1 << n), size=rows)
+    zero = rng.random(probs.shape) < 0.3
+    zero[:, :2] = zero[:, -5:] = True
+    probs[zero] = 0.0
+    return check_probability_rows(probs / probs.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("rows, T", [(1, 500), (7, 1), (13, 300), (5, 0)])
+def test_row_kernel_matches_per_row_sampler(rows, T):
+    probs = _rows_with_zeros(rows, 6, seed=rows + T)
+    seeds = range(40, 40 + rows)
+    uniforms = np.array(
+        [np.random.Generator(np.random.PCG64(s)).random(T) for s in seeds]
+    ).reshape(rows, T)
+    cdf = np.full(probs.shape, np.nan)
+    targets = uniforms.copy()
+    draws = inverse_cdf_rows(probs, targets, cdf=cdf)
+    assert np.array_equal(cdf, np.cumsum(probs, axis=1))
+    assert np.array_equal(targets, uniforms * cdf[:, -1:])
+    assert len(draws) == rows
+    for row, p, u, s in zip(draws, probs, uniforms, seeds):
+        assert row.shape == (T,) and row.dtype == np.int64
+        assert np.array_equal(row, _per_row_draws(p, u))
+        one = sample_bitstrings(OutputDistribution(SystemDims(6), p), T, s)
+        assert np.array_equal(row, one.bitstrings)
+
+
+def test_row_kernel_clamps_to_last_nonzero_entry():
+    # u = 1 targets the row total itself, which searchsorted places past
+    # the trailing zero run, at index N
+    probs = _rows_with_zeros(3, 5, seed=9)
+    u = np.tile([0.0, 0.5, 1.0 - 2.0**-53, 1.0], (3, 1))
+    draws = inverse_cdf_rows(probs, u.copy())
+    for row, p, u_row in zip(draws, probs, u):
+        assert np.array_equal(row, _per_row_draws(p, u_row))
+        assert row[-1] == np.flatnonzero(p)[-1] and p[row].min() > 0.0
+
+
+def test_row_kernel_fits_each_row_chi_squared():
+    # threshold fixed before the run: p > 1e-3 per row, as for one row
+    probs = _rows_with_zeros(4, 6, seed=31)
+    T = 100_000
+    uniforms = np.random.default_rng(32).random((4, T))
+    draws = inverse_cdf_rows(probs, uniforms)
+    for row, p in zip(draws, probs):
+        nonzero = p > 0.0
+        counts = np.bincount(row, minlength=p.size)
+        assert not counts[~nonzero].any()
+        pvalue = stats.chisquare(counts[nonzero], T * p[nonzero]).pvalue
+        assert pvalue > 1e-3
 
 
 # -- file formats -------------------------------------------------------------

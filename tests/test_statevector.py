@@ -14,6 +14,7 @@ from ergoxeb.statevector import (
     SystemDims,
     _fused_blocks,
     apply_block,
+    check_probability_rows,
     output_distribution,
     program_from_dict,
     program_to_dict,
@@ -155,6 +156,35 @@ def test_distribution_leaves_input_unchanged():
     assert np.array_equal(raw, before) and raw[2] == -1e-16
     assert d.probs[2] == 0.0
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_row_check_leaves_input_unchanged():
+    raw = np.array([[0.5, 0.5 + 1e-11, -1e-16, 0.0],
+                    [0.25, 0.25, 0.25, 0.25 + 1e-13],
+                    [0.1, 0.2, 0.3, 0.4]])
+    before = raw.copy()
+    rows = check_probability_rows(raw)
+    assert np.array_equal(raw, before)
+    assert rows[0, 2] == 0.0
+    assert rows[0].sum() == pytest.approx(1.0, abs=1e-15)
+    # rows within 1e-12 of unit sum keep their bits
+    assert np.array_equal(rows[1:], raw[1:])
+    for row, one in zip(rows, raw):
+        d = OutputDistribution(SystemDims(2), one)
+        assert np.array_equal(d.probs, row)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.5, np.nan, 0.5, 0.0], "below .* or NaN"),
+    ([0.5, -1e-3, 0.5, 1e-3], "below .* or NaN"),
+    ([0.5, 0.5, 0.5, 0.0], "sum to 1.5, not 1"),
+])
+def test_row_check_rejects_a_bad_row(bad, message):
+    raw = np.array([[0.25] * 4, bad, [0.25] * 4])
+    with pytest.raises(ValueError, match=message):
+        check_probability_rows(raw)
+    with pytest.raises(ValueError, match=message):
+        OutputDistribution(SystemDims(2), raw[1])
 
 
 def _element_formula_unitary(n, targets, block):
