@@ -91,13 +91,28 @@ def polygamma(m, z):
 # Haar output-probability moments (exact Beta law) and covariances
 # ---------------------------------------------------------------------------
 
+# Integer exponents up to this total order take the exact rational form.
+_EXACT_MOMENT_ORDER = 256
+
+
 def haar_joint_moment(q1, q2, N):
-    """E[P(x)^q1 * P(y)^q2] for x != y under Haar; q2=0 gives E[P^q1]."""
+    """E[P(x)^q1 * P(y)^q2] for x != y under Haar; q2=0 gives E[P^q1].
+
+    For integer q1, q2 (total order up to 256) and integer N this is
+    q1! q2! / (N (N+1) ... (N+q1+q2-1)), divided in integers and so
+    correctly rounded.  Other exponents use log-gamma, whose cancelling
+    lgamma(N) - lgamma(q1+q2+N) costs ~2e-9 relative at N = 2^20.
+    """
     q1, q2 = float(q1), float(q2)
     if q1 <= 0.0 or q2 < 0.0:
         raise ValueError(f"need q1 > 0 and q2 >= 0, got q1={q1}, q2={q2}")
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
+    if (q1.is_integer() and q2.is_integer() and float(N).is_integer()
+            and q1 + q2 <= _EXACT_MOMENT_ORDER):
+        k1, k2, N = int(q1), int(q2), int(N)
+        return (math.factorial(k1) * math.factorial(k2)
+                / math.prod(range(N, N + k1 + k2)))
     return math.exp(
         log_gamma(N)
         + log_gamma(q1 + 1.0)
@@ -216,7 +231,7 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
         return (polygamma(0, float(N)) if exact else math.log(N)) + EULER_GAMMA
     i = scheme.degree
     if exact:
-        mean = math.exp(i * math.log(N)) * haar_joint_moment(i, 0.0, N)
+        mean = float(N) ** i * haar_joint_moment(i, 0.0, N)
     else:
         mean = math.exp(log_gamma(i + 1.0))
     return mean / scheme.norm
@@ -247,7 +262,7 @@ def sigma_of_scheme(scheme, N, mode="exact"):
         spread = math.sqrt(m2 - m1 * m1)
     else:
         spread = pt_sigma(i, N)
-    return math.exp(i * math.log(N)) * spread / scheme.norm
+    return float(N) ** i * spread / scheme.norm
 
 
 def pt_mean_quadrature(f, N):

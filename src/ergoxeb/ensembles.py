@@ -63,29 +63,39 @@ class EnsembleSpec:
         return load_programs(self.source_path)
 
 
-def sample_haar_unitary(N, seed=None, rng=None):
-    """Haar-random N x N unitary via Ginibre + QR with phase correction."""
+def sample_haar_unitary(N, seed=None, rng=None, size=None):
+    """Haar-random N x N unitary via Ginibre + QR with phase correction.
+
+    ``size`` gives a batch shape (an int or a tuple): the result then has
+    shape ``(*size, N, N)``, drawn by one normal call and one stacked QR.
+    Each matrix takes its real part and then its imaginary part from the
+    stream, so ``size=(k,)`` gives the k matrices that k calls with
+    ``size=None`` would give, in order.
+    """
     if N > HAAR_DENSE_CAP:
         raise ValueError(f"dense Haar sampling limited to N <= {HAAR_DENSE_CAP}")
     if rng is None:
         rng = _rng(seed)
-    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    batch = () if size is None else tuple(np.atleast_1d(size))
+    g = rng.standard_normal((*batch, 2, N, N))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_state_probs(N, rng, size=None):
     """Output probabilities of Haar-random circuits, all N entries at once.
 
-    The first column of a Haar unitary is a uniformly random unit vector, so
-    P(x) over all x equals the normalized squared moduli of an N-vector of
-    independent complex Gaussians.  Returns shape (N,) or (size, N).
+    P over all x follows the uniform (Dirichlet(1, ..., 1)) law on the
+    simplex, the law of |<x|U|0>|^2 for a Haar U.  It is drawn as N
+    independent standard exponentials divided by their sum, in place, so
+    the result is the only N-array allocated.  Returns shape (N,) or
+    (size, N).
     """
     shape = (N,) if size is None else (size, N)
-    z = rng.standard_normal(shape) ** 2 + rng.standard_normal(shape) ** 2
-    return z / z.sum(axis=-1, keepdims=True)
+    z = rng.standard_exponential(shape)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _pauli_program(dims, index):
@@ -100,14 +110,10 @@ def _pauli_program(dims, index):
 
 
 def _brickwork_program(dims, depth, rng):
-    n = dims.n
-    gates = []
-    for layer in range(depth):
-        start = layer % 2
-        for a in range(start, n - 1, 2):
-            block = sample_haar_unitary(4, rng=rng)
-            gates.append(((a, a + 1), block))
-    return GateProgram(dims=dims, gates=gates)
+    pairs = [(a, a + 1) for layer in range(depth)
+             for a in range(layer % 2, dims.n - 1, 2)]
+    blocks = sample_haar_unitary(4, rng=rng, size=len(pairs))
+    return GateProgram(dims=dims, gates=list(zip(pairs, blocks)))
 
 
 def sample_member(spec, index):
@@ -146,9 +152,11 @@ def member_probs(spec, index):
 
     This is what the scan drivers (``harness.run_ergodicity_scan``) use.
     For the Haar kind it skips the dense QR: only the first unitary column
-    matters, and it is distributionally a normalized Ginibre column.  The
-    instance is therefore not the one ``sample_member(spec, index)`` gives
-    for the same seed and index: both are Haar-distributed, but they differ.
+    matters, and its squared moduli follow the uniform (Dirichlet) law on
+    the simplex, drawn as normalized exponentials by ``haar_state_probs``.
+    The instance is therefore not the one ``sample_member(spec, index)``
+    gives for the same seed and index: both are Haar-distributed, but they
+    differ.
     Other kinds return ``output_distribution(sample_member(spec, index))``.
     """
     if spec.kind == "haar":

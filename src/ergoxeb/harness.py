@@ -291,8 +291,9 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
                               instances=1000, base_seed=0):
     """Recover depolarizing fidelities from pooled deviation of ergodicity.
 
-    The T-sample budget is spread over many circuit instances and the
-    correlation estimates are pooled before inverting DE = (1-F)(i-1)!(i-1):
+    The T-sample budget is spread evenly over many circuit instances (T
+    must be a positive multiple of ``instances``) and the correlation
+    estimates are pooled before inverting DE = (1-F)(i-1)!(i-1):
     a single instance's self-correlation fluctuates by O(sigma_f/sqrt(N)),
     which pooling averages away.  Reported SE comes from the scatter of
     per-instance means (it covers both sampling and ensemble noise).
@@ -320,8 +321,12 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
             f"need at least two instances for a standard error, "
             f"got {instances}"
         )
+    if T < instances or T % instances:
+        raise ValueError(
+            f"T={T} must be a positive multiple of instances={instances}"
+        )
     noises = [NoiseModel.depolarizing(F) for F in fidelities]
-    per = max(1, T // instances)
+    per = T // instances
     spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
     N = spec.dims.N
     schemes = [SchemeFunction.monomial(i) for i in degrees]
@@ -360,7 +365,7 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
                 "fidelity": F,
                 "degree": scheme.degree,
                 "n": n,
-                "T": per * instances,
+                "T": T,
                 "instances": instances,
                 "c_f_pooled": pooled,
                 "std_error": se,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,6 +88,16 @@ def test_joint_moment_vs_beta_quadrature():
         assert analytic.haar_joint_moment(q, 0.0, N) == pytest.approx(
             ref, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("q", [3.0, 256.0, 257.0, 300.0])
+def test_joint_moment_integer_orders_vs_mpmath(q):
+    # the exact rational form up to total order 256, log-gamma above it
+    N = 64
+    ref = mpmath.factorial(q) * mpmath.gamma(N) / mpmath.gamma(q + N)
+    assert analytic.haar_joint_moment(q, 0.0, N) == pytest.approx(
+        float(ref), rel=1e-11
+    )
 
 
 def test_covariance_hand_computable_values():
@@ -188,6 +199,16 @@ def test_scheme_means_exact_values():
     assert pl.haar_mean(N, "porter_thomas") == pytest.approx(
         (1.0 - analytic.EULER_GAMMA - math.log(N)) / N, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("log2_N", [10, 16, 20, 24])
+@pytest.mark.parametrize("i", [2, 3, 4])
+def test_monomial_means_match_exact_fractions(i, log2_N):
+    # E[(N P)^i] = i! N^i / (N (N+1) ... (N+i-1)), to within 4 ulp
+    N = 1 << log2_N
+    exact = Fraction(math.factorial(i) * N**i, math.prod(range(N, N + i)))
+    mean = SchemeFunction.monomial(i).haar_mean(N, "exact")
+    assert abs(Fraction(mean) - exact) <= 4 * math.ulp(float(exact))
 
 
 def test_scheme_means_vs_quadrature():

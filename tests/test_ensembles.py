@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from ergoxeb.ensembles import (
     sample_haar_unitary,
     sample_member,
 )
+from ergoxeb.estimators import SchemeFunction, correlation_C_f
 from ergoxeb.statevector import (
+    OutputDistribution,
     SystemDims,
     output_distribution,
     program_unitary,
@@ -43,6 +46,38 @@ def test_haar_unitary_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_haar_unitary_batch_starts_with_the_single_draw():
+    # the single draw is Ginibre + QR with the phases of R's diagonal
+    # divided out, taking the real part and then the imaginary part
+    rng = np.random.Generator(np.random.PCG64(5))
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    one = sample_haar_unitary(8, seed=5)
+    assert np.array_equal(one, q * (d / np.abs(d)))
+    batch = sample_haar_unitary(8, seed=5, size=(3,))
+    assert batch.shape == (3, 8, 8)
+    assert np.array_equal(batch[0], one)
+    for u in batch:
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 1), (2, 6), (3, 5), (5, 4),
+                                      (8, 7)])
+def test_brickwork_gates_match_per_gate_draws(n, depth):
+    # the member's gates, drawn in one batch, against one draw per gate
+    spec = EnsembleSpec("brickwork", SystemDims(n), depth=depth, base_seed=31)
+    rng = np.random.Generator(np.random.PCG64(mix64(31, 3)))
+    expected = [
+        ((a, a + 1), sample_haar_unitary(4, rng=rng))
+        for layer in range(depth) for a in range(layer % 2, n - 1, 2)
+    ]
+    gates = sample_member(spec, 3).gates
+    assert [t for t, _ in gates] == [t for t, _ in expected]
+    for (_, block), (_, reference) in zip(gates, expected):
+        assert np.array_equal(block, reference)
+
+
 def test_haar_mean_entry_probability():
     # E[|U_00|^2] = 1/N for Haar; 4x4 case, 2000 direct draws
     rng = np.random.default_rng(7)
@@ -65,6 +100,20 @@ def test_haar_state_probs_match_unitary_column_law():
     sq = u**2
     se2 = sq.std(ddof=1) / math.sqrt(sq.size)
     assert abs(sq.mean() - 2.0 / (N * (N + 1))) < 4 * se2
+
+
+def test_haar_state_probs_allocate_only_the_result():
+    # the 2 MiB result is the only N-array a draw at N = 2^18 allocates
+    N = 1 << 18
+    rng = np.random.default_rng(29)
+    tracemalloc.start()
+    try:
+        probs = haar_state_probs(N, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (N,)
+    assert peak <= 1.1 * 8 * N
 
 
 def test_haar_probs_beta_law_ks():
@@ -94,7 +143,7 @@ def test_sample_member_bit_exact_reproducible():
 
 
 def test_member_probs_haar_fast_path_statistics():
-    # the Ginibre shortcut and the dense QR column describe the same law
+    # the exponential shortcut and the dense QR column describe the same law
     spec = EnsembleSpec("haar", SystemDims(3), base_seed=23)
     fast = np.array([member_probs(spec, i)[0] for i in range(4000)])
     rng = np.random.default_rng(23)
@@ -102,6 +151,20 @@ def test_member_probs_haar_fast_path_statistics():
         abs(sample_haar_unitary(8, rng=rng)[0, 0]) ** 2 for _ in range(4000)
     ])
     assert stats.ks_2samp(fast, dense).pvalue > 1e-3
+
+
+def test_member_probs_haar_monomial_means():
+    # noiseless C_f of monomials 2 and 3 over 400 instances at n = 6, within
+    # 5 standard errors of the exact Haar mean
+    dims = SystemDims(6)
+    spec = EnsembleSpec("haar", dims, base_seed=43)
+    dists = [OutputDistribution(dims, member_probs(spec, k))
+             for k in range(400)]
+    for i in (2, 3):
+        scheme = SchemeFunction.monomial(i)
+        c_f = np.array([correlation_C_f(P, P, scheme) for P in dists])
+        se = c_f.std(ddof=1) / math.sqrt(c_f.size)
+        assert abs(c_f.mean() - scheme.haar_mean(dims.N, "exact")) <= 5 * se
 
 
 def test_pauli_members_n1():

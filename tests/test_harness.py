@@ -171,17 +171,19 @@ def test_depolarizing_recovery_small():
 
 
 # Rows of run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
-# instances=37, base_seed=5) from the one-instance-at-a-time driver:
-# (fidelity, degree, c_f_pooled, std_error, deviation, f_hat, f_hat_se).
+# instances=37, base_seed=5) from the one-row-per-chunk path
+# (_CHUNK_FLOATS = 1024), with Haar instances drawn as normalized
+# exponentials: (fidelity, degree, c_f_pooled, std_error, deviation, f_hat,
+# f_hat_se).
 _RECOVERY_GOLDEN = [
-    (0.3, 2, 1.2956720810252926, 0.021708026222519067, 0.702376699461571,
-     0.297623300538429, 0.021708026222519067),
-    (0.3, 3, 3.1302359337230925, 0.10971559640624283, 2.852225911942927,
-     0.2869435220142682, 0.027428899101560707),
-    (0.9, 2, 1.8890973085977703, 0.02323072303672774, 0.10895147188909338,
-     0.8910485281109066, 0.02323072303672774),
-    (0.9, 3, 5.519160171070631, 0.14018267350811425, 0.46330167459538885,
-     0.8841745813511528, 0.03504566837702856),
+    (0.3, 2, 1.3022153530767557, 0.014932204777024151, 0.6958334274110491,
+     0.30416657258895086, 0.014932204777024151),
+    (0.3, 3, 3.233636147308398, 0.08227691784675775, 2.7488256983626904,
+     0.3127935754093274, 0.020569229461689438),
+    (0.9, 2, 1.9399904058413795, 0.024116770780699775, 0.05805837464642538,
+     0.9419416253535746, 0.024116770780699775),
+    (0.9, 3, 5.832703258038429, 0.14690554527171387, 0.14975858763265926,
+     0.9625603530918352, 0.03672638631792847),
 ]
 
 
@@ -270,6 +272,9 @@ def test_depolarizing_recovery_buffers_stay_small():
     ({"degrees": []}, "at least one degree"),
     ({"fidelities": []}, "at least one fidelity"),
     ({"fidelities": [0.5, 1.5]}, "fidelity must lie in"),
+    ({"T": 0}, "positive multiple of instances=10"),
+    ({"T": 5}, "positive multiple of instances=10"),
+    ({"T": 105}, "T=105 must be a positive multiple"),
 ])
 def test_depolarizing_recovery_rejects_bad_arguments(monkeypatch, kwargs,
                                                     message):
