@@ -32,6 +32,11 @@ class NoiseModel:
                 raise ValueError("custom noise needs a chi vector")
             chi = np.asarray(self.chi, dtype=np.float64)
             object.__setattr__(self, "chi", chi)
+            if chi.ndim != 1:
+                raise ValueError(f"chi must be a 1-D vector, got shape "
+                                 f"{chi.shape}")
+            if not np.isfinite(chi).all():
+                raise ValueError("chi has NaN or infinite entries")
             if abs(float(chi.sum()) - 1.0) > 1e-10:
                 raise ValueError(f"chi sums to {chi.sum()!r}, not 1")
 
@@ -60,10 +65,16 @@ class SampleSet:
     bitstrings: np.ndarray
 
     def __post_init__(self):
-        self.bitstrings = np.asarray(self.bitstrings, dtype=np.int64)
-        if self.bitstrings.ndim != 1:
+        values = np.asarray(self.bitstrings)
+        if values.ndim != 1:
             raise ValueError("bitstrings must be a flat integer array")
-        check_bitstring_range(self.bitstrings, self.dims.N)
+        if values.dtype.kind not in "biu":
+            whole = np.isfinite(values) & (np.trunc(values) == values)
+            if not whole.all():
+                bad = float(values[~whole][0])
+                raise ValueError(f"bitstring index {bad!r} is not an integer")
+        check_bitstring_range(values, self.dims.N)
+        self.bitstrings = values.astype(np.int64, copy=False)
 
     @property
     def T(self):
@@ -176,8 +187,8 @@ def bitstring_to_index(s):
     return int(s, 2)
 
 
-# Rows per write chunk and bytes per read batch: each step makes one C-level
-# format or parse call over many rows while its temporaries stay a few MiB.
+# Rows per write chunk and bytes per read batch: each step runs whole-array
+# operations over many rows while its temporaries stay a few MiB.
 _CHUNK_ROWS = 1 << 16
 _BATCH_BYTES = 1 << 20
 _HEADER = b"bitstring,probability"
@@ -287,18 +298,146 @@ def read_samples(path, dims=None):
     return SampleSet(dims, np.concatenate(parts))
 
 
+#: 10**0 .. 10**22, each an exact double since 5**22 < 2**53
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+#: Veltkamp's splitting constant 2**27 + 1
+_SPLIT = 134217729.0
+#: '0000' .. '9999' as 4-byte words, so that a lookup copies one group
+_DIGIT_GROUPS = np.frombuffer(
+    "".join(f"{k:04d}" for k in range(10**4)).encode("ascii"), dtype=np.uint32
+)
+#: 'e-00' .. 'e-99' as 4-byte words
+_EXPONENTS = np.frombuffer(
+    "".join(f"e-{k:02d}" for k in range(100)).encode("ascii"), dtype=np.uint32
+)
+#: characters in the longest '%.17g' of a float64, '-4.9406564584124654e-324'
+_FIELD = 24
+#: row k keeps the first k + 1 characters of a field
+_PREFIXES = np.tri(_FIELD, dtype=bool)
+
+
+def _two_product(a, b):
+    """(x, y) with x = fl(a * b) and x + y = a * b exactly.
+
+    Dekker's TwoProduct with Veltkamp splits (Dekker, "A floating-point
+    technique for extending the available precision", Numer. Math. 18,
+    1971); exact while nothing overflows or underflows.
+    """
+    x = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _scaled(p, s):
+    """floor(p * 10**s) as int64, and the fraction above it to ~1e-15.
+
+    For p >= 1e-26 and 17 <= s <= 44, with a = min(s, 22) and b = s - a,
+    10**a and 10**b are exact doubles, and two TwoProducts give
+    p * 10**s = h2 + l2 + l1 * 10**b exactly, where p * 10**a = h1 + l1.
+    Once p * 10**s >= 2**53 the leading h2 is an integer, and the rest
+    r = l2 + fl(l1 * 10**b), below 32 in size, is off by ~1e-15 at most.
+    That moves the floor only where the fraction lies as near 0 or 1,
+    and round(p * 10**s) comes out the same either way.
+    """
+    a = np.minimum(s, 22)
+    ten_b = _POW10[s - a]
+    h1, l1 = _two_product(p, _POW10[a])
+    h2, l2 = _two_product(h1, ten_b)
+    r = l2 + l1 * ten_b
+    whole = np.floor(r)
+    return h2.astype(np.int64) + whole.astype(np.int64), r - whole
+
+
+def _format_g17(values):
+    """The text of ``'%.17g' % x`` for each float64 x of a 1-D array.
+
+    Returns ``(chars, keep)``, two ``(len(values), _FIELD)`` arrays: row i
+    of ``chars[keep]`` is the ASCII of ``'%.17g' % values[i]``.
+
+    Every x with 1e-26 <= x < 1 is formatted by whole-array operations:
+    with s = 16 - floor(log10 x), its 17 significant digits are
+    D = round(x * 10**s), from the product of ``_scaled``, and a D that
+    rounds up to 10**17 becomes 10**16 one decade higher.  Left to
+    ``'%.17g' % x`` itself are: an x whose unrounded floor(x * 10**s)
+    lies outside [10**16, 10**17), because log10 was one off next to a
+    power of ten (the double nearest 1e-6 is 9.9999999999999995e-07, and
+    its rounded D = 10**16 would print 1e-06); a possible tie, whose
+    fraction lies within 1e-9 of 1/2; and every x outside [1e-26, 1):
+    zeros, -0.0, subnormals and 1.0.
+
+    The layouts are those of %g without '#': ``d.dddddddddddddddde-XX``
+    for exponents X < -4, ``0.`` then -X - 1 zeros and the 17 digits for
+    X = -4..-1, with trailing zeros dropped, and the '.' when no digit
+    follows it.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    rows = x.size
+    fast = (x >= 1e-26) & (x < 1.0)
+    p = np.where(fast, x, 0.5)  # a stand-in, so that log10 sees no zero
+    s = 16 - np.floor(np.log10(p)).astype(np.int64)
+    floor, frac = _scaled(p, s)
+    # an s that log10 put one off has its unrounded floor out of range
+    fast &= (floor >= 10**16) & (floor < 10**17)
+    fast &= np.abs(frac - 0.5) >= 1e-9
+    digits = floor + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    decade = s - 16 - carry  # -X, the exponent's magnitude
+
+    # the 16 digits after the first as four 4-digit groups, looked up
+    groups = np.empty((rows, 4), dtype=np.int64)
+    head, tail = np.divmod(digits, 10**8)
+    head, groups[:, 1] = np.divmod(head, 10**4)
+    first, groups[:, 0] = np.divmod(head, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(tail, 10**4)
+
+    chars = np.empty((rows, _FIELD), dtype=np.uint8)
+    chars[:, 0] = first + ord("0")
+    chars[:, 1] = ord(".")
+    chars[:, 2:18] = _DIGIT_GROUPS[groups].view(np.uint8)
+    chars[:, 18:22] = np.take(_EXPONENTS, decade)[:, None].view(np.uint8)
+    # index of the last nonzero digit of the 17; the '.' stops the search
+    last = 16 - np.argmax(chars[:, 17::-1] != ord("0"), axis=1)
+    end = np.where(last > 0, last + 1, 0)  # last character kept
+    for zeros in range(4):
+        fixed = np.flatnonzero(decade == zeros + 1)
+        if fixed.size:
+            scientific = chars[fixed]
+            chars[fixed, :5] = np.frombuffer(b"0.000", dtype=np.uint8)
+            chars[fixed, 2 + zeros] = scientific[:, 0]
+            chars[fixed, 3 + zeros:19 + zeros] = scientific[:, 2:18]
+            end[fixed] = 2 + zeros + last[fixed]
+    keep = np.take(_PREFIXES, end, axis=0)
+    keep[:, 18:22] |= (decade > 4)[:, None]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # '%.17g' has no spaces, so the padding marks the end of the text
+        text = "".join(["%-24.17g" % v for v in x[slow].tolist()])
+        chars[slow] = np.frombuffer(text.encode("ascii"), dtype=np.uint8
+                                    ).reshape(slow.size, _FIELD)
+        keep[slow] = chars[slow] != ord(" ")
+    return chars, keep
+
+
 def write_probabilities(P, path):
+    """Write the header, then ``bits,p`` with p as ``'%.17g'`` per row."""
     n = P.dims.n
-    suffix = np.frombuffer(b",%.17g\n", dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(_HEADER + b"\n")
         for start in range(0, P.dims.N, _CHUNK_ROWS):
             chunk = P.probs[start:start + _CHUNK_ROWS]
-            rows = np.empty((chunk.size, n + suffix.size), dtype=np.uint8)
+            rows = np.empty((chunk.size, n + _FIELD + 2), dtype=np.uint8)
+            keep = np.ones(rows.shape, dtype=bool)
             rows[:, :n] = _bit_chars(np.arange(start, start + chunk.size), n)
-            rows[:, n:] = suffix
-            template = rows.tobytes().decode("ascii")
-            fh.write((template % tuple(chunk.tolist())).encode("ascii"))
+            rows[:, n] = ord(",")
+            rows[:, n + 1:-1], keep[:, n + 1:-1] = _format_g17(chunk)
+            rows[:, -1] = ord("\n")
+            fh.write(rows[keep])
 
 
 def _scan_probabilities(path, lines, lineno, n, filled):

@@ -100,6 +100,20 @@ def test_joint_moment_integer_orders_vs_mpmath(q):
     )
 
 
+@pytest.mark.parametrize("log2_N", [10, 20, 24])
+@pytest.mark.parametrize("q1, q2", [(0.5, 0.0), (1.5, 2.5), (2.5, 0.0)])
+def test_joint_moment_non_integer_orders_vs_mpmath(q1, q2, log2_N):
+    # the integrated digamma keeps 1e-12 where lgamma(N) - lgamma(q + N)
+    # would cancel to ~1e-9 at N = 2^20
+    N = 1 << log2_N
+    a, b = mpmath.mpf(q1), mpmath.mpf(q2)
+    ref = (mpmath.gamma(a + 1) * mpmath.gamma(b + 1) * mpmath.gamma(N)
+           / mpmath.gamma(a + b + N))
+    assert analytic.haar_joint_moment(q1, q2, N) == pytest.approx(
+        float(ref), rel=1e-12
+    )
+
+
 def test_covariance_hand_computable_values():
     # small-N cases computable by hand from the Gamma-ratio formula
     assert analytic.haar_covariance(1.0, 1.0, 4) == pytest.approx(

@@ -86,6 +86,17 @@ def test_custom_chi_checks():
         experimental_distribution(P, NoiseModel.custom(0.1, bad))
 
 
+@pytest.mark.parametrize("chi, message", [
+    ([math.nan, 0.5, 0.25, 0.25], "NaN or infinite"),
+    ([math.inf, -math.inf, 0.5, 0.5], "NaN or infinite"),
+    ([[0.25, 0.25], [0.25, 0.25]], "1-D"),
+    (1.0, "1-D"),
+])
+def test_custom_chi_rejects_non_finite_or_non_vector(chi, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseModel.custom(0.5, chi)
+
+
 def test_custom_chi_shape_mismatch():
     P = _random_P(3, 4)
     with pytest.raises(ValueError, match="shape"):
@@ -157,6 +168,27 @@ def test_sample_set_validation():
     for block in ([[0, 3], [1, 4]], [[0, 3], [-1, 2]]):
         with pytest.raises(ValueError, match="out of range"):
             check_bitstring_range(np.array(block), 4)
+
+
+@pytest.mark.parametrize("values", [
+    [1.7, 2.9], [0.0, math.nan], [math.inf], np.array([1.0, 2.5]),
+])
+def test_sample_set_rejects_non_integral_indices(values):
+    with pytest.raises(ValueError, match="not an integer"):
+        SampleSet(SystemDims(2), values)
+
+
+def test_sample_set_takes_integral_values_as_before():
+    dims = SystemDims(2)
+    ints = np.array([0, 3, 1], dtype=np.int64)
+    assert SampleSet(dims, ints).bitstrings is ints
+    for values in ([0, 3, 1], np.array([0.0, 3.0, 1.0]),
+                   np.array([0, 3, 1], dtype=np.uint8)):
+        got = SampleSet(dims, values).bitstrings
+        assert got.dtype == np.int64
+        assert got.tolist() == [0, 3, 1]
+    empty = SampleSet(dims, [])
+    assert empty.T == 0 and empty.bitstrings.dtype == np.int64
 
 
 def _per_row_draws(probs, u):
@@ -366,6 +398,59 @@ def test_samples_round_trip_and_format(tmp_path_factory, n, data):
     assert path.read_bytes() == _reference_samples(samples)
     back = read_samples(path, dims=dims)
     assert np.array_equal(back.bitstrings, samples.bitstrings)
+
+
+def _g17_lines(values):
+    """Kernel output for a float64 array, one '%.17g' text per line."""
+    chars, keep = noise._format_g17(values)
+    newline = np.full((values.size, 1), ord("\n"), dtype=np.uint8)
+    lines = np.hstack([chars, newline])
+    return lines[np.hstack([keep, newline > 0])].tobytes()
+
+
+def _g17_reference(values):
+    return (("%.17g\n" * values.size) % tuple(values.tolist())).encode()
+
+
+def _bit_patterns(rng, low, high, size):
+    """Floats whose bit patterns are uniform in [bits(low), bits(high))."""
+    lo, hi = np.array([low, high]).view(np.int64)
+    return rng.integers(lo, hi, size).view(np.float64)
+
+
+def test_g17_kernel_matches_percent_format_on_random_bit_patterns():
+    rng = np.random.default_rng(41)
+    # one pattern in ten from every finite non-negative double, the rest
+    # from [1e-30, 1.5), which holds the kernel's range and both its edges
+    x = np.concatenate([
+        _bit_patterns(rng, 0.0, math.inf, 100_000),
+        _bit_patterns(rng, 1e-30, 1.5, 900_000),
+    ])
+    inside = (x >= 1e-26) & (x < 1.0)
+    assert min(np.count_nonzero(inside), np.count_nonzero(~inside)) > 10**5
+    for start in range(0, x.size, noise._CHUNK_ROWS):
+        chunk = x[start:start + noise._CHUNK_ROWS]
+        assert _g17_lines(chunk) == _g17_reference(chunk)
+
+
+def _neighbours(v):
+    return [np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)]
+
+
+def test_g17_kernel_edge_values():
+    powers = [w for k in range(1, 31) for w in _neighbours(10.0 ** -k)]
+    switch = [np.nextafter(v, d) for v in (1e-4, 1e-5)
+              for d in (0.0, 0.0, 1.0, 1.0)]
+    lowest = _neighbours(1e-26)
+    # m * 2**-18 with m odd lies exactly halfway between two 17-digit texts
+    ties = [m * 2.0**-18 for m in (26215, 26217, 131071, 262143)]
+    special = [0.0, -0.0, 5e-324, 1e-310, 1.0, np.nextafter(1.0, 0.0)]
+    x = np.array(powers + switch + lowest + ties + special)
+    assert _g17_lines(x) == _g17_reference(x)
+    # log10 of the double nearest 1e-6 rounds to -6: its 17 digits sit a
+    # decade lower, and the unrounded product must say so
+    assert _g17_lines(np.array([1e-6])) == b"9.9999999999999995e-07\n"
+    assert _g17_lines(np.array([-0.0, 1e-4])) == b"-0\n0.0001\n"
 
 
 def test_writers_match_reference_across_chunks(tmp_path):
