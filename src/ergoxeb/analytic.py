@@ -164,16 +164,14 @@ def haar_covariance(q1, q2, N):
         raise ValueError(f"need q1, q2 > 0, got q1={q1}, q2={q2}")
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    lg_n = log_gamma(N)
     lg_sum = log_gamma(q1 + q2 + N)
-    lead = log_gamma(q1 + 1.0) + log_gamma(q2 + 1.0)
     # log of the ratio of the product term to the joint term; > 0 by
     # log-convexity, so expm1 keeps the sign exact even when the two terms
     # nearly cancel
-    delta = lg_n + lg_sum - log_gamma(q1 + N) - log_gamma(q2 + N)
+    delta = log_gamma(N) + lg_sum - log_gamma(q1 + N) - log_gamma(q2 + N)
     if delta < _DIRECT_DELTA_FLOOR * abs(lg_sum):
         delta = _mixed_difference(q1, q2, float(N))
-    return -math.exp(lead + (lg_n - lg_sum)) * math.expm1(delta)
+    return -haar_joint_moment(q1, q2, N) * math.expm1(delta)
 
 
 def pt_moment(i, N):

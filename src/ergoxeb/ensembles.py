@@ -6,6 +6,7 @@ and in parallel.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,13 +118,15 @@ def _brickwork_program(dims, depth, rng):
 
 
 def sample_member(spec, index):
-    """Deterministically sample the index-th member of an ensemble.
+    """Deterministically sample the index-th member's gate program.
 
-    For the Haar kind this is a dense QR-corrected unitary, and
-    ``output_distribution(sample_member(spec, i))`` is a different Haar
-    instance from ``member_probs(spec, i)``, which draws from the same seed
-    but consumes it differently.  The scan drivers use ``member_probs``.
+    The Haar kind has no gate program: its members exist only as output
+    distributions, drawn by ``member_probs``.
     """
+    if spec.kind == "haar":
+        raise ValueError(
+            "the haar ensemble has no gate program; use member_probs"
+        )
     if spec.kind == "pauli":
         return _pauli_program(spec.dims, index)
     if spec.kind == "fixed":
@@ -141,9 +144,6 @@ def sample_member(spec, index):
             )
         return program
     rng = _rng(mix64(spec.base_seed, index))
-    if spec.kind == "haar":
-        u = sample_haar_unitary(spec.dims.N, rng=rng)
-        return GateProgram.from_unitary(spec.dims, u)
     return _brickwork_program(spec.dims, spec.depth, rng)
 
 
@@ -151,13 +151,10 @@ def member_probs(spec, index):
     """Ideal output distribution of one ensemble member.
 
     This is what the scan drivers (``harness.run_ergodicity_scan``) use.
-    For the Haar kind it skips the dense QR: only the first unitary column
-    matters, and its squared moduli follow the uniform (Dirichlet) law on
-    the simplex, drawn as normalized exponentials by ``haar_state_probs``.
-    The instance is therefore not the one ``sample_member(spec, index)``
-    gives for the same seed and index: both are Haar-distributed, but they
-    differ.
-    Other kinds return ``output_distribution(sample_member(spec, index))``.
+    For the Haar kind only the first unitary column matters, and its
+    squared moduli follow the uniform (Dirichlet) law on the simplex, drawn
+    as normalized exponentials by ``haar_state_probs``.  Other kinds return
+    ``output_distribution(sample_member(spec, index))``.
     """
     if spec.kind == "haar":
         rng = _rng(mix64(spec.base_seed, index))
@@ -230,50 +227,46 @@ def _mc_moment_tensor(dims, t, samples, rng, unitary_source):
     return mean, se
 
 
-def haar_first_moment_tensor(N):
-    """Exact Haar value of E[U (x) U^dag]: the swap operator over N."""
-    swap = np.zeros((N * N, N * N), dtype=np.complex128)
-    for i in range(N):
-        for k in range(N):
-            swap[i * N + k, k * N + i] = 1.0
-    return swap / N
+def haar_moment_tensor(N, t):
+    """Exact Haar value of E[U^t (x) Udag^t], laid out as ``_moment_tensor``.
+
+    Weingarten calculus (Collins & Sniady 2006; Hunter-Jones,
+    arXiv:1905.12053): with P_s the N^t x N^t operators that permute the t
+    tensor factors and W the pseudo-inverse of their Gram matrix
+    tr(P_s^T P_r), which is singular when N < t, entry ((a, c), (b, d)) is
+    the sum over s, r of W[s, r] P_s[a, d] P_r[b, c].
+    """
+    d = N**t
+    index = np.arange(d).reshape((N,) * t)
+    perms = np.zeros((math.factorial(t), d, d))
+    for s, order in enumerate(itertools.permutations(range(t))):
+        perms[s, index.transpose(order).ravel(), np.arange(d)] = 1.0
+    weights = np.linalg.pinv(np.einsum("sij,rij->sr", perms, perms))
+    moment = np.einsum("st,sad,tbc->acbd", weights, perms, perms,
+                       optimize=True)
+    return moment.reshape(d * d, d * d)
 
 
-def design_moment_discrepancy(spec, cfg, seed=0, haar_reference="mc"):
+def design_moment_discrepancy(spec, cfg):
     """Max-entry gap between an ensemble's t-th moment tensor and Haar's.
 
-    The Pauli side is an exact 4^n-term sum; everything else is Monte-Carlo.
-    The Haar reference is Monte-Carlo with the configured sample count, or
-    the exact swap-operator value when haar_reference="exact" (t = 1 only).
+    The Haar side is exact (``haar_moment_tensor``), and so is the Pauli
+    side, a 4^n-term sum; other kinds are Monte-Carlo estimates.  Each
+    tensor has dim^2 entries, dim = N^(2t), at most 2^20.
     """
     dims = spec.dims
-    if dims.N ** (2 * cfg.t) > 1 << 20:
+    dim = dims.N ** (2 * cfg.t)
+    if dim * dim > 1 << 20:
         raise ValueError(
-            f"moment tensor dimension N^(2t) = {dims.N ** (2 * cfg.t)} "
-            "exceeds the 2^20 cap"
+            f"moment tensor of {dim}^2 entries exceeds the 2^20 cap"
         )
-    rng = _rng(mix64(seed, 0xD351))
-    if haar_reference == "exact":
-        if cfg.t != 1:
-            raise ValueError("exact Haar reference only available for t = 1")
-        haar_mean = haar_first_moment_tensor(dims.N)
-        haar_se = np.zeros_like(haar_mean, dtype=np.float64)
-    elif haar_reference == "mc":
-        haar_mean, haar_se = _mc_moment_tensor(
-            dims, cfg.t, cfg.mc_samples, rng,
-            lambda r: sample_haar_unitary(dims.N, rng=r),
-        )
-    else:
-        raise ValueError(f"unknown haar_reference {haar_reference!r}")
     if spec.kind == "pauli":
-        dim = dims.N ** (2 * cfg.t)
-        ens_mean = np.zeros((dim, dim), dtype=np.complex128)
         count = 4**dims.n
-        for index in range(count):
-            u = program_unitary(_pauli_program(dims, index))
-            ens_mean += _moment_tensor(u, cfg.t)
-        ens_mean /= count
-        ens_se = np.zeros_like(haar_se)
+        ens_mean = sum(
+            _moment_tensor(program_unitary(_pauli_program(dims, i)), cfg.t)
+            for i in range(count)
+        ) / count
+        ens_se = np.zeros(ens_mean.shape)
     else:
         ens_rng = _rng(mix64(spec.base_seed, 0xE5EB))
         if spec.kind == "haar":
@@ -290,7 +283,7 @@ def design_moment_discrepancy(spec, cfg, seed=0, haar_reference="mc"):
         ens_mean, ens_se = _mc_moment_tensor(
             dims, cfg.t, cfg.mc_samples, ens_rng, source
         )
-    gap = np.abs(ens_mean - haar_mean)
+    gap = np.abs(ens_mean - haar_moment_tensor(dims.N, cfg.t))
     flat = int(np.argmax(gap))
-    se = float(np.sqrt(haar_se.flat[flat] ** 2 + ens_se.flat[flat] ** 2))
-    return DesignCheckReport(discrepancy=float(gap.flat[flat]), std_error=se)
+    return DesignCheckReport(discrepancy=float(gap.flat[flat]),
+                             std_error=float(ens_se.flat[flat]))

@@ -108,20 +108,20 @@ class OutputDistribution:
         self.probs = check_probability_rows(probs)
 
 
-def _check_unitary(matrix, tol=UNITARY_TOL):
+def _check_unitary(matrix):
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"gate block must be square, got shape {matrix.shape}")
     m = matrix.shape[0]
     err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(m)))
-    if err > tol:
+    if not err <= UNITARY_TOL:  # NaN entries fail too
         raise ValueError(f"gate block non-unitary: max |U^dag U - I| = {err:g}")
     return matrix
 
 
 @dataclass
 class GateProgram:
-    """A circuit: either an ordered gate list or one full dense unitary.
+    """A circuit: an ordered gate list, applied to |0^n>.
 
     Each gate is (targets, block) where ``targets`` lists distinct qubit
     indices and ``block`` is a dense unitary of dimension 2**len(targets).
@@ -130,7 +130,6 @@ class GateProgram:
 
     dims: SystemDims
     gates: list = field(default_factory=list)
-    unitary: np.ndarray | None = None
 
     def __post_init__(self):
         checked = []
@@ -151,17 +150,6 @@ class GateProgram:
                 )
             checked.append((targets, block))
         self.gates = checked
-        if self.unitary is not None:
-            self.unitary = _check_unitary(self.unitary, tol=1e-10)
-            if self.unitary.shape[0] != self.dims.N:
-                raise ValueError(
-                    f"full unitary dimension {self.unitary.shape[0]} != N="
-                    f"{self.dims.N}"
-                )
-
-    @classmethod
-    def from_unitary(cls, dims, unitary):
-        return cls(dims=dims, gates=[], unitary=unitary)
 
 
 def apply_block(state, targets, block):
@@ -301,19 +289,11 @@ def _apply_gates(amps, n, gates):
 def output_distribution(program):
     """Ideal output distribution of ``program`` applied to |0^n>."""
     dims = program.dims
-    if program.unitary is not None:
-        amps = program.unitary[:, 0].copy()
-    else:
-        amps = np.zeros(dims.N, dtype=np.complex128)
-        amps[0] = 1.0
+    amps = np.zeros(dims.N, dtype=np.complex128)
+    amps[0] = 1.0
     amps = _apply_gates(amps, dims.n, program.gates)
-    probs = np.abs(amps) ** 2
-    # Summed here rather than with np.vdot: at 2**16 amplitudes and more
-    # OpenBLAS runs zdotc on its worker threads (see _ITEM_MACS).
-    norm = float(probs.sum())
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm drifted to {norm!r} during simulation")
-    return OutputDistribution(dims, probs)
+    # OutputDistribution checks that the probabilities sum to 1
+    return OutputDistribution(dims, np.abs(amps) ** 2)
 
 
 def program_unitary(program):
@@ -321,17 +301,16 @@ def program_unitary(program):
     dims = program.dims
     if dims.n > 12:
         raise ValueError("dense composition limited to n <= 12")
-    u = program.unitary.copy() if program.unitary is not None else np.eye(
-        dims.N, dtype=np.complex128
-    )
-    # Column c of u is the image of basis state c: all N columns form the
-    # batch axis of one kernel call.
-    return _apply_gates(u, dims.n, program.gates)
+    # Column c is the image of basis state c: all N columns form the batch
+    # axis of one kernel call.
+    return _apply_gates(np.eye(dims.N, dtype=np.complex128), dims.n,
+                        program.gates)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {"n": ..., "gates": [{"targets": [...], "matrix": ...}]}
-# with matrix entries as [re, im] pairs, row-major.
+# JSON serialization: [{"n": ..., "gates": [{"targets": [...], "matrix": ...}]}]
+# with matrix entries as [re, im] pairs, row-major.  Readers reject any
+# other key.
 # ---------------------------------------------------------------------------
 
 def _matrix_to_json(matrix):
@@ -340,36 +319,78 @@ def _matrix_to_json(matrix):
     ]
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def _matrix_from_json(rows):
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in rows],
-        dtype=np.complex128,
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows) for row in rows)):
+        raise ValueError("matrix must be a square list of rows")
+    parts = []
+    for row in rows:
+        for pair in row:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(map(_is_number, pair))):
+                raise ValueError(
+                    f"matrix entry {pair!r} is not an [re, im] number pair"
+                )
+            parts.extend(pair)
+    # the float pairs viewed as complex keep both parts' bits exactly
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(
+        len(rows), len(rows)
     )
 
 
+def _check_keys(doc, required, optional=()):
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+
+
+def _gate_from_dict(doc):
+    _check_keys(doc, ("targets", "matrix"))
+    targets = doc["targets"]
+    if not (isinstance(targets, list) and all(map(_is_int, targets))):
+        raise ValueError("targets must be a list of integers")
+    return tuple(targets), _matrix_from_json(doc["matrix"])
+
+
 def program_to_dict(program):
-    doc = {
+    return {
         "n": program.dims.n,
         "gates": [
             {"targets": list(t), "matrix": _matrix_to_json(b)}
             for t, b in program.gates
         ],
     }
-    if program.unitary is not None:
-        doc["unitary"] = _matrix_to_json(program.unitary)
-    return doc
 
 
 def program_from_dict(doc):
-    dims = SystemDims(int(doc["n"]))
-    gates = [
-        (tuple(g["targets"]), _matrix_from_json(g["matrix"]))
-        for g in doc.get("gates", [])
-    ]
-    unitary = None
-    if "unitary" in doc:
-        unitary = _matrix_from_json(doc["unitary"])
-    return GateProgram(dims=dims, gates=gates, unitary=unitary)
+    """The GateProgram of one JSON document; ValueError if malformed."""
+    _check_keys(doc, ("n",), ("gates",))
+    if not _is_int(doc["n"]):
+        raise ValueError(f"n must be an integer, got {doc['n']!r}")
+    dims = SystemDims(doc["n"])
+    docs = doc.get("gates", [])
+    if not isinstance(docs, list):
+        raise ValueError("gates must be a JSON list")
+    gates = []
+    for j, gate in enumerate(docs):
+        try:
+            gates.append(_gate_from_dict(gate))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"gate {j}: {exc}") from None
+    return GateProgram(dims=dims, gates=gates)
 
 
 def save_programs(programs, path):
@@ -378,11 +399,15 @@ def save_programs(programs, path):
 
 
 def load_programs(path):
+    """Gate programs of a JSON file; a malformed one is named by its index."""
     with open(path) as fh:
         docs = json.load(fh)
     if not isinstance(docs, list):
         raise ValueError(f"{path}: expected a JSON list of gate programs")
-    try:
-        return [program_from_dict(d) for d in docs]
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed gate program: {exc!r}") from exc
+    programs = []
+    for i, doc in enumerate(docs):
+        try:
+            programs.append(program_from_dict(doc))
+        except ValueError as exc:
+            raise ValueError(f"{path}: program {i}: {exc}") from None
+    return programs

@@ -110,7 +110,7 @@ def test_joint_moment_non_integer_orders_vs_mpmath(q1, q2, log2_N):
     ref = (mpmath.gamma(a + 1) * mpmath.gamma(b + 1) * mpmath.gamma(N)
            / mpmath.gamma(a + b + N))
     assert analytic.haar_joint_moment(q1, q2, N) == pytest.approx(
-        float(ref), rel=1e-12
+        float(ref), rel=1e-12, abs=0.0
     )
 
 
@@ -157,6 +157,23 @@ def test_covariance_vs_mpmath_up_to_2_24():
                 value = analytic.haar_covariance(q1, q2, N)
                 assert value < 0.0, (N, q1, q2, value)
                 assert abs(value / ref - 1) <= 1e-6, (N, q1, q2, value)
+
+
+@pytest.mark.parametrize("log2_N", [16, 20, 24])
+@pytest.mark.parametrize("q1, q2", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0),
+                                    (1.5, 2.5)])
+def test_covariance_large_n_vs_mpmath(q1, q2, log2_N):
+    # the magnitude is haar_joint_moment's; exp(lgamma(N) - lgamma(q + N))
+    # cancelled to 5.6e-8 relative at (2, 2) and N = 2^24
+    N = 1 << log2_N
+    a, b = mpmath.mpf(q1), mpmath.mpf(q2)
+    lead = mpmath.gamma(a + 1) * mpmath.gamma(b + 1) * mpmath.gamma(N)
+    ref = lead / mpmath.gamma(a + b + N) - lead * mpmath.gamma(N) / (
+        mpmath.gamma(a + N) * mpmath.gamma(b + N)
+    )
+    assert analytic.haar_covariance(q1, q2, N) == pytest.approx(
+        float(ref), rel=1e-12, abs=0.0
+    )
 
 
 def test_covariance_large_n_no_overflow():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,48 @@ def test_scan_fixed_file_qubit_mismatch_names_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
     assert err == (f"ergoxeb: error: {path}: program 0 acts on 3 qubits, "
                    "expected 4\n")
+
+
+_GOOD_PROGRAM = {"n": 2, "gates": [
+    {"targets": [1], "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n": 2, "gate": []}, "unknown key 'gate'"),
+    ({"n": 2, "gates": [], "unitary": [[[1, 0]]]}, "unknown key 'unitary'"),
+    ({"gates": []}, "missing key 'n'"),
+    ({"n": "2", "gates": []}, "n must be an integer, got '2'"),
+    ({"n": 0, "gates": []}, "qubit count must be >= 1, got 0"),
+    ({"n": 2, "gates": [{"targets": [0], "matrix": [[[1, 0], [0, 0]],
+                                                    [[0, 0], [2, 0]]]}]},
+     "gate block non-unitary"),
+    ({"n": 2, "gates": [{"targets": [0], "matrix": [[[math.nan, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]}]},
+     "gate block non-unitary"),
+    ({"n": 2, "gates": [{"targets": [0], "matrix": [[[10**400, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]}]},
+     "gate 0: int too large to convert to float"),
+    ({"n": 2, "gates": [{"targets": [0], "matrix": [[[1, 0, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]}]},
+     "gate 0: matrix entry [1, 0, 0] is not an [re, im] number pair"),
+    ({"n": 2, "gates": [{"targets": [2], "matrix": [[[1, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]}]},
+     "target qubit 2 out of range for n=2"),
+])
+def test_scan_fixed_file_malformed_program_exits_1(tmp_path, capsys, bad,
+                                                   message):
+    # the bad program follows a good one, so its index is 1
+    path = tmp_path / "programs.json"
+    path.write_text(json.dumps([_GOOD_PROGRAM, bad]))
+    code = main(["--out-dir", str(tmp_path), "scan", "--ensemble", "fixed",
+                 "--fixed-file", str(path), "--qubits", "2",
+                 "--instances", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"ergoxeb: error: {path}: program 1: "), err
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

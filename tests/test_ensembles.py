@@ -10,9 +10,10 @@ from ergoxeb.ensembles import (
     DesignCheckConfig,
     EnsembleSpec,
     design_moment_discrepancy,
-    haar_first_moment_tensor,
+    haar_moment_tensor,
     haar_state_probs,
     member_probs,
+    _moment_tensor,
     mix64,
     pauli_ensemble_average,
     sample_haar_unitary,
@@ -210,6 +211,29 @@ def test_fixed_ensemble_round_trip(tmp_path):
         sample_member(spec, 3)
 
 
+def test_sample_member_haar_names_member_probs():
+    with pytest.raises(ValueError, match="member_probs") as info:
+        sample_member(EnsembleSpec("haar", SystemDims(3)), 0)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["brickwork", "pauli", "fixed"])
+def test_member_probs_is_the_member_programs_distribution(kind, tmp_path):
+    dims = SystemDims(4)
+    spec = EnsembleSpec("brickwork", dims, depth=5, base_seed=3)
+    if kind == "fixed":
+        path = tmp_path / "programs.json"
+        save_programs([sample_member(spec, i) for i in range(3)], path)
+        spec = EnsembleSpec("fixed", dims, source_path=str(path))
+    elif kind == "pauli":
+        spec = EnsembleSpec("pauli", dims)
+    for i in range(3):
+        assert np.array_equal(
+            member_probs(spec, i),
+            output_distribution(sample_member(spec, i)).probs,
+        )
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown ensemble"):
         EnsembleSpec("clifford", SystemDims(2))
@@ -224,42 +248,86 @@ def test_spec_validation():
 def test_haar_first_moment_tensor_projects():
     # E[U (x) Udag] acting as swap/N: squares to itself / N
     N = 4
-    m = haar_first_moment_tensor(N)
+    m = haar_moment_tensor(N, 1)
     np.testing.assert_allclose(m @ m, np.eye(N * N) / N**2, atol=1e-14)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_haar_moment_tensor_t1_is_swap_over_n(N):
+    swap = np.zeros((N * N, N * N))
+    for i in range(N):
+        for k in range(N):
+            swap[i * N + k, k * N + i] = 1.0
+    np.testing.assert_allclose(haar_moment_tensor(N, 1), swap / N,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N, t", [(2, 2), (3, 2), (2, 3)])
+def test_haar_moment_tensor_matches_monte_carlo(N, t):
+    # every entry within 5 standard errors of the mean of _moment_tensor,
+    # kron(U^t, Udag^t), over 2*10^4 Haar unitaries; at (2, 3) the Gram
+    # matrix is singular
+    samples = 20_000
+    rng = np.random.default_rng(1905)
+    u = sample_haar_unitary(N, rng=rng, size=samples)
+    udag = u.conj().transpose(0, 2, 1)
+    a, b = u, udag
+    for _ in range(t - 1):  # batched kron
+        size = a.shape[1] * N
+        a = np.einsum("sij,skl->sikjl", a, u).reshape(samples, size, size)
+        b = np.einsum("sij,skl->sikjl", b, udag).reshape(samples, size,
+                                                         size)
+    d = N**t
+    # entry ((i, j), (k, l)) of kron(a, b) is a[i, k] * b[j, l]
+    np.testing.assert_allclose(
+        np.einsum("ik,jl->ijkl", a[0], b[0]).reshape(d * d, d * d),
+        _moment_tensor(u[0], t), rtol=0, atol=1e-15,
+    )
+    mean = np.einsum("sik,sjl->ijkl", a, b, optimize=True).reshape(
+        d * d, d * d) / samples
+    second = np.einsum("sik,sjl->ijkl", np.abs(a) ** 2,
+                       np.abs(b) ** 2, optimize=True).reshape(
+        d * d, d * d) / samples
+    se = np.sqrt((second - np.abs(mean) ** 2) / (samples - 1))
+    gap = np.abs(mean - haar_moment_tensor(N, t))
+    assert (gap <= 5 * se).all(), float(np.max(gap / se))
 
 
 def test_pauli_is_exact_1_design():
     spec = EnsembleSpec("pauli", SystemDims(1))
-    report = design_moment_discrepancy(
-        spec, DesignCheckConfig(t=1), haar_reference="exact"
-    )
+    report = design_moment_discrepancy(spec, DesignCheckConfig(t=1))
     assert report.discrepancy <= 1e-14
 
 
 def test_pauli_fails_2_design():
     spec = EnsembleSpec("pauli", SystemDims(1))
     report = design_moment_discrepancy(
-        spec, DesignCheckConfig(t=2, mc_samples=2000), seed=5
+        spec, DesignCheckConfig(t=2, mc_samples=2000)
     )
+    assert abs(report.discrepancy - 0.5) <= 1e-14
     assert report.z_score > 10.0
 
 
 def test_haar_self_consistency():
     spec = EnsembleSpec("haar", SystemDims(1), base_seed=6)
     report = design_moment_discrepancy(
-        spec, DesignCheckConfig(t=1, mc_samples=2000), seed=6
+        spec, DesignCheckConfig(t=1, mc_samples=2000)
     )
     assert report.discrepancy <= 4.0 * report.std_error + 1e-12
 
 
 def test_design_check_caps():
-    with pytest.raises(ValueError, match="cap"):
-        design_moment_discrepancy(
-            EnsembleSpec("haar", SystemDims(6)), DesignCheckConfig(t=2)
-        )
-    with pytest.raises(ValueError, match="t = 1"):
-        design_moment_discrepancy(
-            EnsembleSpec("pauli", SystemDims(1)),
-            DesignCheckConfig(t=2),
-            haar_reference="exact",
-        )
+    # the cap counts the dim^2 entries of a moment tensor and raises before
+    # allocating: at n = 3, t = 2, dim = 8^4 = 4096 passed a cap on dim, and
+    # the batch means alone would take 10 x 4096^2 complex128 (2.7 GB)
+    for n in (6, 3):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                design_moment_discrepancy(
+                    EnsembleSpec("haar", SystemDims(n)), DesignCheckConfig(t=2)
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -106,7 +106,10 @@ def test_permutation_unitary_hits_single_index():
         order = np.arange(8)
         order[0], order[j] = j, 0
         perm[order, np.arange(8)] = 1.0
-        probs = output_distribution(GateProgram.from_unitary(dims, perm)).probs
+        # block bit j is qubit j, so the 3-qubit block is the whole unitary
+        probs = output_distribution(
+            GateProgram(dims, [((0, 1, 2), perm)])
+        ).probs
         assert probs[j] == pytest.approx(1.0)
         assert probs.sum() == pytest.approx(1.0)
 
