@@ -9,6 +9,7 @@ integrated instead (``haar_covariance``).
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -140,20 +141,32 @@ def _gauss_legendre():
     return tuple(zip((0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()))
 
 
-# haar_covariance's direct delta sums lgamma values of size up to
-# lgamma(q1+q2+N), each rounded to ~2**-53 relative.  Below this fraction of
-# that size, rounding could reach 1e-8 of delta, so it is integrated instead.
-_DIRECT_DELTA_FLOOR = 1e-7
+def _panels(q, N):
+    """Breakpoints 0, ..., q whose panels are each no longer than their
+    distance N + start from the trigamma pole at -N: one panel while
+    q <= N, then doubling lengths."""
+    points = [0.0]
+    while points[-1] < q:
+        points.append(min(q, 2.0 * points[-1] + N))
+    return points
 
 
 def _mixed_difference(q1, q2, N):
     """log Gamma(N) + log Gamma(N+q1+q2) - log Gamma(N+q1) - log Gamma(N+q2)
     as the integral of trigamma(N+s+t) over [0, q1] x [0, q2]: a sum of
-    positive terms, free of the cancellation of the direct form."""
+    positive terms, free of the cancellation of the direct form.
+
+    The 24-point rule runs on each pair of ``_panels``, so that the pole
+    stays at least a panel's length away, as large exponents need.
+    """
     rule = _gauss_legendre()
-    return q1 * q2 * sum(
-        ws * wt * _trigamma(N + q1 * s + q2 * t)
-        for s, ws in rule for t, wt in rule
+    return sum(
+        (b - a) * (d - c) * sum(
+            ws * wt * _trigamma(N + (a + (b - a) * s) + (c + (d - c) * t))
+            for s, ws in rule for t, wt in rule
+        )
+        for a, b in itertools.pairwise(_panels(q1, N))
+        for c, d in itertools.pairwise(_panels(q2, N))
     )
 
 
@@ -164,13 +177,10 @@ def haar_covariance(q1, q2, N):
         raise ValueError(f"need q1, q2 > 0, got q1={q1}, q2={q2}")
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    lg_sum = log_gamma(q1 + q2 + N)
     # log of the ratio of the product term to the joint term; > 0 by
     # log-convexity, so expm1 keeps the sign exact even when the two terms
     # nearly cancel
-    delta = log_gamma(N) + lg_sum - log_gamma(q1 + N) - log_gamma(q2 + N)
-    if delta < _DIRECT_DELTA_FLOOR * abs(lg_sum):
-        delta = _mixed_difference(q1, q2, float(N))
+    delta = _mixed_difference(q1, q2, float(N))
     return -haar_joint_moment(q1, q2, N) * math.expm1(delta)
 
 

@@ -204,17 +204,22 @@ def _bit_chars(indices, n):
     return bits + np.uint8(ord("0"))
 
 
-def _bits_to_indices(chars):
-    """Integer indices of rows of ASCII '0'/'1' characters.
+def _bit_values(chars):
+    """0/1 values of an array of ASCII '0'/'1' characters.
 
     Returns None if any other character occurs, so that the caller can name
     the offending line.
     """
     bits = chars - np.uint8(ord("0"))
-    if (bits > 1).any():
-        return None
-    n = chars.shape[1]
-    return bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    return None if (bits > 1).any() else bits
+
+
+def _bits_to_indices(bits):
+    """Integer indices of the rows of a ``(rows, n)`` array of 0/1 values,
+    most significant bit first, for n <= 32."""
+    words = np.zeros((len(bits), 32), dtype=np.uint8)
+    words[:, 32 - bits.shape[1]:] = bits
+    return np.packbits(words).view(">u4").astype(np.int64)
 
 
 def _text(raw):
@@ -223,18 +228,55 @@ def _text(raw):
 
 
 def _batches(fh, lineno):
-    """Yield (lines, first line number, nonblank stripped rows) per batch."""
-    while lines := fh.readlines(_BATCH_BYTES):
-        yield lines, lineno, [s for s in map(bytes.strip, lines) if s]
-        lineno += len(lines)
+    """Yield (raw, first line number, text, newline offsets) per batch.
+
+    A batch is the next ``_BATCH_BYTES`` read, cut after its last newline;
+    the rest opens the next batch, a line longer than a read extends its
+    batch, and a short read, which ends the file, is not cut.  ``raw``
+    holds the batch's whole lines, the file's last one with a newline
+    added.  ``text`` is ``raw`` with every line stripped and the blank
+    lines dropped, and ``ends`` the offset of each of its newlines.  A
+    batch with no whitespace but the newline that ends each line, and no
+    blank line, is its own ``text``; any other is rebuilt line by line.
+    """
+    tail = []
+    while True:
+        chunk = fh.read(_BATCH_BYTES)
+        # a blocking read comes up short only at the end of the file
+        end = len(chunk) < _BATCH_BYTES
+        cut = len(chunk) if end else chunk.rfind(b"\n") + 1
+        if not cut and not end:
+            tail.append(chunk)  # part of a line longer than a read
+            continue
+        raw = b"".join([*tail, memoryview(chunk)[:cut]])
+        tail = [chunk[cut:]]
+        del chunk
+        if not raw:
+            return
+        if not raw.endswith(b"\n"):
+            raw += b"\n"
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        lines = ends.size
+        text = raw
+        # every whitespace byte sorts at or below b" "
+        if (ends[0] == 0 or (ends[1:] - ends[:-1] == 1).any()
+                or np.count_nonzero(buf <= ord(" ")) != lines):
+            rows = [s for s in map(bytes.strip, raw.split(b"\n")) if s]
+            text = b"\n".join(rows) + b"\n" if rows else b""
+            ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
+                                  == ord("\n"))
+        yield raw, lineno, text, ends
+        lineno += lines
 
 
-def _dims_at(path, lines, lineno, n):
-    """SystemDims(n), with an error naming the first nonblank line."""
+def _dims_at(path, text, lineno, n):
+    """SystemDims(n), with an error naming the first nonblank line of a
+    batch that starts at line ``lineno``."""
     try:
         return SystemDims(n)
     except ValueError as exc:
-        lineno += next(i for i, line in enumerate(lines) if line.strip())
+        lineno += text.count(b"\n", 0, len(text) - len(text.lstrip()))
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
@@ -268,6 +310,20 @@ def _scan_samples(path, lines, lineno, n):
     raise AssertionError("batch failed its checks but every line parses")
 
 
+def _sample_bits(text, rows, n):
+    """``(rows, n)`` 0/1 bits of a batch's stripped lines; None unless every
+    line is n '0'/'1' characters."""
+    # The lines hold no other newline, so with the size right and a newline
+    # ending every n + 1 bytes, each line is n long.
+    buf = np.frombuffer(text, dtype=np.uint8)
+    if buf.size != rows * (n + 1):
+        return None
+    chars = buf.reshape(rows, n + 1)
+    if (chars[:, n] != ord("\n")).any():
+        return None
+    return _bit_values(chars[:, :n])
+
+
 def read_samples(path, dims=None):
     """Sample file: one bitstring of '0'/'1' per line.
 
@@ -276,23 +332,16 @@ def read_samples(path, dims=None):
     """
     parts = [np.empty(0, dtype=np.int64)]
     with open(path, "rb") as fh:
-        for lines, lineno, rows in _batches(fh, 1):
-            if not rows:
+        for raw, lineno, text, ends in _batches(fh, 1):
+            if not ends.size:
                 continue
-            n = dims.n if dims is not None else len(rows[0])
-            # Stripped rows hold no newline, so with the size right and a
-            # newline ending every n + 1 bytes, each row is n long.
-            buf = np.frombuffer(b"\n".join(rows) + b"\n", dtype=np.uint8)
-            indices = None
-            if buf.size == len(rows) * (n + 1):
-                chars = buf.reshape(len(rows), n + 1)
-                if (chars[:, n] == ord("\n")).all():
-                    indices = _bits_to_indices(chars[:, :n])
-            if indices is None:
-                _scan_samples(path, lines, lineno, n)
+            n = dims.n if dims is not None else int(ends[0])
+            bits = _sample_bits(text, ends.size, n)
+            if bits is None:
+                _scan_samples(path, raw.split(b"\n"), lineno, n)
             if dims is None:
-                dims = _dims_at(path, lines, lineno, n)
-            parts.append(indices)
+                dims = _dims_at(path, raw, lineno, n)
+            parts.append(_bits_to_indices(bits))
     if dims is None:
         raise ValueError(f"{path}: no bitstrings found")
     return SampleSet(dims, np.concatenate(parts))
@@ -314,6 +363,18 @@ _EXPONENTS = np.frombuffer(
 _FIELD = 24
 #: row k keeps the first k + 1 characters of a field
 _PREFIXES = np.tri(_FIELD, dtype=bool)
+
+
+def _tenth(s):
+    """10**-s as a double-double (hi, lo): each is an integer quotient,
+    which Python rounds correctly, and lo = 10**-s - hi exactly, rounded."""
+    hi = 1 / 10**s
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10**s) / (den * 10**s)
+
+
+#: 10**-s for s = 0 .. 44 as double-doubles hi + lo
+_TENTHS_HI, _TENTHS_LO = np.array([_tenth(s) for s in range(45)]).T
 
 
 def _two_product(a, b):
@@ -471,37 +532,175 @@ def _scan_probabilities(path, lines, lineno, n, filled):
     raise AssertionError("batch failed its checks but every line parses")
 
 
-def _parse_probability_rows(rows, n):
-    """(indices, values) of nonblank rows ``bits,value``; None if malformed.
+def _eight_digits(words):
+    """(values, ok) for uint64 words of eight ASCII characters, the first
+    in the lowest byte: ok where all eight are digits, and then the number
+    they spell.
 
-    A row is well formed when its only comma sits at column n after n
+    One mask test finds the digits, and two multiply-and-shift steps join
+    them into pairs and the pairs into a number (Lemire, "Number parsing
+    at a gigabyte per second", arXiv:2101.11408).
+    """
+    ok = ((words + np.uint64(0x4646464646464646))
+          | (words - np.uint64(0x3030303030303030))
+          ) & np.uint64(0x8080808080808080) == 0
+    w = words - np.uint64(0x3030303030303030)
+    w = w * np.uint64(10) + (w >> np.uint64(8))
+    pairs = np.uint64(0x000000FF000000FF)
+    w = ((w & pairs) * np.uint64(100 + (1000000 << 32))
+         + ((w >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32)))
+    return w >> np.uint64(32), ok
+
+
+def _decimal_tokens(padded, first, lengths):
+    """(M, s, ok) for the value tokens that start at column ``first`` of
+    the rows of a zero-padded C-ordered uint8 array ``padded``.
+
+    ``lengths`` holds each token's length.  ``ok`` marks the tokens in
+    either layout of ``'%.17g'`` for [1e-26, 1) with at most 17 digits:
+    ``d.ddd...e-XX`` (no '.' after a lone digit) with X in 1..26, or
+    ``0.``, X - 1 <= 3 zeros and the digits.  Each such token is exactly
+    M * 10**-s, with M its 17 significant digits (the dropped trailing
+    zeros put back) as an integer and s = 16 + X.  Elsewhere M is 10**16
+    and s is 17, stand-ins that keep later arithmetic in range.
+    """
+    rows, width = padded.shape
+    tokens = padded[:, first:]
+    # the scientific layout ends in 'e-XX'
+    flat = padded.reshape(-1)
+    at = (np.arange(rows) * width + (first - 4)
+          + np.clip(lengths, 4, _FIELD))
+    e, minus, tens, units = (flat[at + k] for k in range(4))
+    tens -= np.uint8(ord("0"))
+    units -= np.uint8(ord("0"))
+    ok = ((e == ord("e")) & (minus == ord("-")) & (tens <= 9) & (units <= 9)
+          & (lengths >= 5) & ((tokens[:, 1] == ord(".")) | (lengths == 5)))
+    X = tens.astype(np.int64) * 10 + units
+    more = lengths - 6  # digits after the first
+    # the 17 digits, after seven '0's that fill three 8-byte words
+    digits = np.empty((rows, 24), dtype=np.uint8)
+    digits[:, :7] = ord("0")
+    digits[:, 7] = tokens[:, 0]
+    digits[:, 8:] = tokens[:, 2:18]
+    # the fixed layout: '0.', then zeros up to the first significant digit
+    fixed = np.flatnonzero(tokens[:, 0] == ord("0"))
+    if fixed.size:
+        lead = 2 + np.argmax(tokens[fixed, 2:6] != ord("0"), axis=1)
+        ok[fixed] = tokens[fixed, 1] == ord(".")
+        X[fixed] = lead - 1
+        more[fixed] = lengths[fixed] - 1 - lead
+        for k in range(2, 6):
+            at_k = fixed[lead == k]
+            digits[at_k, 7:] = tokens[at_k, k:k + 17]
+    ok &= (X >= 1) & (X <= 26) & (more <= 16)
+    # the trailing zeros that '%.17g' drops
+    short = np.flatnonzero(more < 16)
+    digits[short, 8:] = np.where(np.arange(16) < more[short, None],
+                                 digits[short, 8:], np.uint8(ord("0")))
+    groups, digit_words = _eight_digits(digits.view("<u8"))
+    ok &= digit_words.all(axis=1)
+    M = (groups[:, 0] * np.uint64(10**16) + groups[:, 1] * np.uint64(10**8)
+         + groups[:, 2]).astype(np.int64)
+    M[~ok] = 10**16
+    return M, np.where(ok, 16 + X, 17), ok
+
+
+def _times_tenth(M, s):
+    """M * 10**-s for int64 M below 2**63, rounded from a double-double
+    product; within an ulp or so, and nearly always the nearest double."""
+    hi = M.astype(np.float64)
+    lo = (M - hi.astype(np.int64)).astype(np.float64)  # exact
+    tenth_hi, tenth_lo = _TENTHS_HI[s], _TENTHS_LO[s]
+    z, err = _two_product(hi, tenth_hi)
+    z += err + (hi * tenth_lo + lo * tenth_hi)
+    return z
+
+
+def _parse_values(padded, first, lengths):
+    """(values, fast) for the value tokens that start at column ``first``
+    of the rows of a zero-padded C-ordered uint8 array ``padded``.
+
+    ``lengths`` holds each token's length.  ``fast`` marks the tokens
+    parsed here, whose values equal ``float(token)``; the other values are
+    meaningless and left to the caller.
+
+    The tokens are those of ``_decimal_tokens``, exactly M * 10**-s.  The
+    candidate z = ``_times_tenth(M, s)`` is kept only where
+    ``_scaled(z, s)``, the writer's own scaling, rounds z * 10**s to M: a
+    floor in [10**16, 10**17), a fraction at least 1e-9 from 1/2, and
+    floor + (fraction > 1/2) == M.  The token then lies within half a unit
+    in its 17th digit of z, at most 5e-17 * z, which is less than half the
+    spacing of doubles next to z (2**-54 * z or more), so the double
+    nearest the token, ``float(token)``, is z.
+    """
+    M, s, fast = _decimal_tokens(padded, first, lengths)
+    z = _times_tenth(M, s)
+    floor, frac = _scaled(z, s)
+    fast &= (floor >= 10**16) & (floor < 10**17)
+    fast &= np.abs(frac - 0.5) >= 1e-9
+    fast &= floor + (frac > 0.5) == M
+    return z, fast
+
+
+def _padded_rows(text, starts, lengths, width):
+    """The lines of ``text`` as the rows of a zero-padded ``(lines, width)``
+    uint8 array, newline included, scattered with one mask: the reverse of
+    the writer's ``rows[keep]``.  A longer line keeps its first ``width``
+    bytes."""
+    buf = np.frombuffer(text, dtype=np.uint8)
+    keep = np.arange(width) <= np.minimum(lengths, width - 1)[:, None]
+    long = np.flatnonzero(lengths >= width)
+    if long.size:
+        # drop the bytes past each long line's row; +1 and -1 bound each cut
+        cut = np.zeros(buf.size + 1, dtype=np.int8)
+        cut[starts[long] + width] = 1
+        cut[starts[long] + lengths[long] + 1] = -1
+        buf = buf[np.cumsum(cut[:-1], dtype=np.int8) == 0]
+    padded = np.zeros(keep.shape, dtype=np.uint8)
+    padded[keep] = buf
+    return padded
+
+
+def _parse_probability_rows(text, ends, n):
+    """(bits, values) of a batch's stripped nonblank lines ``bits,value``,
+    each ending at its offset in ``ends``; None if any is malformed.
+
+    A line is well formed when its only comma sits at column n after n
     '0'/'1' characters and its value is a finite float >= -NEGATIVE_TOL.
+    ``bits`` is a ``(lines, n)`` array of 0/1 values.  The lines become the
+    rows of a padded array, so that each column group is checked and
+    parsed at once; ``_parse_values`` reads the values, and each token it
+    leaves goes to ``float``.
     """
     if n < 1:
         return None
-    text = b"\n".join(rows)
     buf = np.frombuffer(text, dtype=np.uint8)
-    starts = np.empty(len(rows), dtype=np.int64)
+    starts = np.empty_like(ends)
     starts[0] = 0
-    starts[1:] = np.flatnonzero(buf == ord("\n")) + 1
-    lengths = np.append(starts[1:] - 1, buf.size) - starts
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
     if (lengths <= n).any():
+        return None
+    if np.count_nonzero(buf == ord(",")) != ends.size:
         return None
     if (buf[starts + n] != ord(",")).any():
         return None
-    if np.count_nonzero(buf == ord(",")) != len(rows):
+    padded = _padded_rows(text, starts, lengths, n + 2 + _FIELD)
+    bits = _bit_values(padded[:, :n])
+    if bits is None:
         return None
-    indices = _bits_to_indices(buf[starts[:, None] + np.arange(n)])
-    if indices is None:
-        return None
-    tokens = text.replace(b"\n", b",").split(b",")[1::2]
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    except ValueError:
-        return None
+    values, fast = _parse_values(padded, n + 1, lengths - (n + 1))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        firsts = (starts[slow] + n + 1).tolist()
+        try:
+            values[slow] = [float(text[a:b]) for a, b
+                            in zip(firsts, ends[slow].tolist())]
+        except ValueError:
+            return None
     if not (np.isfinite(values).all() and values.min() >= -NEGATIVE_TOL):
         return None
-    return indices, values
+    return bits, values
 
 
 def read_probabilities(path):
@@ -521,24 +720,26 @@ def read_probabilities(path):
                 f"{path}: expected header 'bitstring,probability', "
                 f"got {_text(header)}"
             )
-        for lines, lineno, rows in _batches(fh, 2):
-            if not rows:
+        for raw, lineno, text, ends in _batches(fh, 2):
+            if not ends.size:
                 continue
-            n = dims.n if dims is not None else rows[0].find(b",")
-            parsed = _parse_probability_rows(rows, n)
+            n = dims.n if dims is not None else text.find(b",", 0, ends[0])
+            parsed = _parse_probability_rows(text, ends, n)
             if parsed is not None:
-                indices, values = parsed
+                bits, values = parsed
                 if dims is None:
-                    dims = _dims_at(path, lines, lineno, n)
+                    dims = _dims_at(path, raw, lineno, n)
                     probs = np.empty(dims.N)
                     filled = np.zeros(dims.N, dtype=bool)
+                indices = _bits_to_indices(bits)
                 # a sort finds in-batch repeats far faster than np.unique
                 ordered = np.sort(indices)
                 repeats = (ordered[1:] == ordered[:-1]).any()
                 if repeats or filled[indices].any():
                     parsed = None
             if parsed is None:
-                _scan_probabilities(path, lines, lineno, n, filled)
+                _scan_probabilities(path, raw.split(b"\n"), lineno, n,
+                                    filled)
             filled[indices] = True
             probs[indices] = values
     if dims is None:

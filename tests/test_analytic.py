@@ -25,9 +25,11 @@ def test_log_gamma_vs_mpmath(z):
 
 def test_log_gamma_known_values():
     assert analytic.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert analytic.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    assert analytic.log_gamma(5.0) == pytest.approx(
+        math.log(24.0), rel=1e-14, abs=0
+    )
     assert analytic.log_gamma(0.5) == pytest.approx(
-        0.5 * math.log(math.pi), rel=1e-14
+        0.5 * math.log(math.pi), rel=1e-14, abs=0
     )
 
 
@@ -54,7 +56,7 @@ def test_digamma_is_log_gamma_derivative():
     for z in [1.5, 4.2, 30.0]:
         h = 1e-6
         num = (analytic.log_gamma(z + h) - analytic.log_gamma(z - h)) / (2 * h)
-        assert analytic.polygamma(0, z) == pytest.approx(num, rel=1e-8)
+        assert analytic.polygamma(0, z) == pytest.approx(num, rel=1e-8, abs=0)
 
 
 def test_polygamma_domain():
@@ -70,13 +72,13 @@ def test_joint_moment_integer_cases():
     # E[P^i] = Gamma(i+1) Gamma(N) / Gamma(i+N); i=1 must be exactly 1/N
     N = 16
     assert analytic.haar_joint_moment(1.0, 0.0, N) == pytest.approx(
-        1.0 / N, rel=1e-14
+        1.0 / N, rel=1e-14, abs=0
     )
     assert analytic.haar_joint_moment(2.0, 0.0, N) == pytest.approx(
-        2.0 / (N * (N + 1)), rel=1e-13
+        2.0 / (N * (N + 1)), rel=1e-13, abs=0
     )
     assert analytic.haar_joint_moment(1.0, 1.0, N) == pytest.approx(
-        1.0 / (N * (N + 1)), rel=1e-13
+        1.0 / (N * (N + 1)), rel=1e-13, abs=0
     )
 
 
@@ -86,7 +88,7 @@ def test_joint_moment_vs_beta_quadrature():
     for q in [0.5, 1.0, 2.5]:
         ref, _ = quad(lambda p: p**q * analytic.beta_pdf(p, N), 0.0, 1.0)
         assert analytic.haar_joint_moment(q, 0.0, N) == pytest.approx(
-            ref, rel=1e-9
+            ref, rel=1e-9, abs=0
         )
 
 
@@ -96,7 +98,7 @@ def test_joint_moment_integer_orders_vs_mpmath(q):
     N = 64
     ref = mpmath.factorial(q) * mpmath.gamma(N) / mpmath.gamma(q + N)
     assert analytic.haar_joint_moment(q, 0.0, N) == pytest.approx(
-        float(ref), rel=1e-11
+        float(ref), rel=1e-11, abs=0
     )
 
 
@@ -117,11 +119,11 @@ def test_joint_moment_non_integer_orders_vs_mpmath(q1, q2, log2_N):
 def test_covariance_hand_computable_values():
     # small-N cases computable by hand from the Gamma-ratio formula
     assert analytic.haar_covariance(1.0, 1.0, 4) == pytest.approx(
-        1.0 / 20.0 - 1.0 / 16.0, rel=1e-12
+        1.0 / 20.0 - 1.0 / 16.0, rel=1e-12, abs=0
     )
     # Gamma(3)^2 [Gamma(2)/Gamma(6) - Gamma(2)^2/Gamma(4)^2] = -7/90
     assert analytic.haar_covariance(2.0, 2.0, 2) == pytest.approx(
-        -7.0 / 90.0, rel=1e-12
+        -7.0 / 90.0, rel=1e-12, abs=0
     )
 
 
@@ -129,7 +131,7 @@ def test_covariance_symmetry():
     for N in [2, 8, 100]:
         a = analytic.haar_covariance(0.7, 2.3, N)
         b = analytic.haar_covariance(2.3, 0.7, N)
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,7 +158,25 @@ def test_covariance_vs_mpmath_up_to_2_24():
                 )
                 value = analytic.haar_covariance(q1, q2, N)
                 assert value < 0.0, (N, q1, q2, value)
-                assert abs(value / ref - 1) <= 1e-6, (N, q1, q2, value)
+                assert abs(value / ref - 1) <= 1e-12, (N, q1, q2, value)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 256])
+@pytest.mark.parametrize("q1, q2", [(10.0, 10.0), (100.0, 100.0),
+                                    (1e-3, 60.0), (0.5, 60.0),
+                                    (60.5, 90.5)])
+def test_covariance_large_exponents_vs_mpmath(q1, q2, N):
+    # exponents far above N bring the trigamma pole close to a single
+    # 24-point rule over [0, q1] x [0, q2] (off by 1.3e-5 at (100, 100, 2));
+    # the direct log-gamma delta was off by 1.8e-9 at (1e-3, 60, 256)
+    lg = mpmath.loggamma
+    a, b = mpmath.mpf(q1), mpmath.mpf(q2)
+    lead = lg(a + 1) + lg(b + 1) + lg(N)
+    ref = mpmath.exp(lead - lg(a + b + N)) - mpmath.exp(
+        lead + lg(N) - lg(a + N) - lg(b + N)
+    )
+    value = analytic.haar_covariance(q1, q2, N)
+    assert abs(value / ref - 1) <= 1e-12, (N, q1, q2, value)
 
 
 @pytest.mark.parametrize("log2_N", [16, 20, 24])
@@ -186,10 +206,12 @@ def test_covariance_large_n_no_overflow():
 
 def test_pt_moment_and_sigma():
     N = 64
-    assert analytic.pt_moment(2, N) == pytest.approx(2.0 / N**2, rel=1e-13)
-    assert analytic.pt_sigma(1, N) == pytest.approx(1.0 / N, rel=1e-13)
+    assert analytic.pt_moment(2, N) == pytest.approx(
+        2.0 / N**2, rel=1e-13, abs=0
+    )
+    assert analytic.pt_sigma(1, N) == pytest.approx(1.0 / N, rel=1e-13, abs=0)
     assert analytic.pt_sigma(2, N) == pytest.approx(
-        math.sqrt(24 - 4) / N**2, rel=1e-13
+        math.sqrt(24 - 4) / N**2, rel=1e-13, abs=0
     )
 
 
@@ -219,16 +241,18 @@ def test_scheme_means_exact_values():
     N = 256
     m2 = SchemeFunction.monomial(2)
     assert m2.haar_mean(N, "exact") == pytest.approx(
-        2.0 * N / (N + 1), rel=1e-13
+        2.0 * N / (N + 1), rel=1e-13, abs=0
     )
-    assert m2.haar_mean(N, "porter_thomas") == pytest.approx(2.0, rel=1e-13)
+    assert m2.haar_mean(N, "porter_thomas") == pytest.approx(
+        2.0, rel=1e-13, abs=0
+    )
     nl = SchemeFunction.neglog()
     assert nl.haar_mean(N, "porter_thomas") == pytest.approx(
-        math.log(N) + analytic.EULER_GAMMA, rel=1e-13
+        math.log(N) + analytic.EULER_GAMMA, rel=1e-13, abs=0
     )
     pl = SchemeFunction.plogp()
     assert pl.haar_mean(N, "porter_thomas") == pytest.approx(
-        (1.0 - analytic.EULER_GAMMA - math.log(N)) / N, rel=1e-12
+        (1.0 - analytic.EULER_GAMMA - math.log(N)) / N, rel=1e-12, abs=0
     )
 
 
@@ -255,7 +279,9 @@ def test_scheme_means_vs_quadrature():
     for scheme, f in cases:
         ref, _ = quad(lambda p: f(p) * analytic.beta_pdf(p, N), 0.0, 1.0,
                       limit=200)
-        assert scheme.haar_mean(N, "exact") == pytest.approx(ref, rel=1e-6)
+        assert scheme.haar_mean(N, "exact") == pytest.approx(
+            ref, rel=1e-6, abs=0
+        )
 
 
 def test_scheme_sigmas_vs_quadrature():
@@ -271,14 +297,14 @@ def test_scheme_sigmas_vs_quadrature():
         second, _ = quad(lambda p: f(p) ** 2 * analytic.beta_pdf(p, N),
                          0.0, 1.0, limit=200)
         ref = math.sqrt(second - mean * mean)
-        assert scheme.sigma(N, "exact") == pytest.approx(ref, rel=1e-5)
+        assert scheme.sigma(N, "exact") == pytest.approx(ref, rel=1e-5, abs=0)
 
 
 def test_pt_mean_quadrature_matches_closed_form():
     N = 128
     val = analytic.pt_mean_quadrature(lambda p: -math.log(p), N)
     assert val == pytest.approx(
-        SchemeFunction.neglog().haar_mean(N, "porter_thomas"), rel=1e-6
+        SchemeFunction.neglog().haar_mean(N, "porter_thomas"), rel=1e-6, abs=0
     )
 
 
@@ -323,7 +349,9 @@ def test_plogp_covariance_vs_mpmath_limit():
         ref = float(
             (cov(i + 1, i + 1) - 2 * cov(i + 1, 1) + cov(1, 1)) / i**2
         )
-        assert analytic.plogp_covariance(N) == pytest.approx(ref, rel=1e-9)
+        assert analytic.plogp_covariance(N) == pytest.approx(
+            ref, rel=1e-9, abs=0
+        )
 
 
 def test_plogp_covariance_asymptotic_agreement():

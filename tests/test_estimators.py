@@ -111,7 +111,7 @@ def test_correlation_delta_monomial2():
     delta[5] = 1.0
     P = OutputDistribution(dims, delta)
     val = correlation_C_f(P, P, SchemeFunction.monomial(2))
-    assert val == pytest.approx(8.0, rel=1e-14)
+    assert val == pytest.approx(8.0, rel=1e-14, abs=0)
 
 
 def test_correlation_uniform_Q_monomial2_exactly_one():
@@ -125,7 +125,9 @@ def test_correlation_uniform_Q_monomial2_exactly_one():
 def test_correlation_self_noiseless_matches_moment_sum():
     P = _haar_P(4, 2)
     val = correlation_C_f(P, P, SchemeFunction.monomial(2))
-    assert val == pytest.approx(16.0 * float(np.sum(P.probs**2)), rel=1e-13)
+    assert val == pytest.approx(
+        16.0 * float(np.sum(P.probs**2)), rel=1e-13, abs=0
+    )
 
 
 def test_correlation_affine_in_Q():
@@ -192,7 +194,7 @@ def test_estimate_single_sample():
     P = _haar_P(3, 4)
     s = SampleSet(P.dims, np.array([5]))
     est = estimate_C_f(P, s, SchemeFunction.monomial(2))
-    assert est.value == pytest.approx(8.0 * P.probs[5], rel=1e-14)
+    assert est.value == pytest.approx(8.0 * P.probs[5], rel=1e-14, abs=0)
     assert est.std_error == 0.0
 
 
@@ -252,7 +254,7 @@ def test_exact_report_noiseless_small_deviation():
     assert report.T == 0
     assert report.verdict == "within"
     assert report.threshold == pytest.approx(
-        10.0 * SchemeFunction.neglog().sigma(256) / 16.0, rel=1e-12
+        10.0 * SchemeFunction.neglog().sigma(256) / 16.0, rel=1e-12, abs=0
     )
 
 
@@ -298,7 +300,9 @@ def test_log_xeb_uniform_P():
     dims = SystemDims(5)
     P = OutputDistribution(dims, np.full(32, 1.0 / 32))
     samples = sample_bitstrings(P, 50, seed=14)
-    assert log_xeb(P, samples) == pytest.approx(-math.log(32), rel=1e-13)
+    assert log_xeb(P, samples) == pytest.approx(
+        -math.log(32), rel=1e-13, abs=0
+    )
 
 
 def test_log_xeb_empty_samples():

@@ -226,7 +226,7 @@ def test_depolarizing_recovery_matches_one_row_sampler():
                                   base_seed=5)[0]["c_f_pooled"]
         for k in (9, 8)
     )
-    assert 9 * more - 8 * fewer == pytest.approx(expected, rel=1e-12)
+    assert 9 * more - 8 * fewer == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_depolarizing_recovery_every_fidelity_draws_the_same_uniforms(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ergoxeb import noise
+from ergoxeb import ensembles, noise
 from ergoxeb.noise import (
     NoiseModel,
     SampleSet,
@@ -320,11 +320,19 @@ def test_read_probabilities_errors(tmp_path):
         p.write_text(f"bitstring,probability\n00,0.25\n{row}\n")
         with pytest.raises(ValueError, match=r"probs\.csv:3: invalid bitstring"):
             read_probabilities(p)
-    for value in ("nan", "inf", "-inf", "-0.25"):
+    for value in ("nan", "inf", "-inf", "-0.25", "-1e-3"):
         p.write_text("bitstring,probability\n"
                      f"00,0.25\n01,0.25\n10,{value}\n11,0.25\n")
         with pytest.raises(ValueError,
                            match=r"probs\.csv:4: bad probability"):
+            read_probabilities(p)
+    # near misses of '%.17g': a byte on either side of the digits, and a
+    # trailing character
+    for value in ("1.234567890123456:e-07", "1.2345678901234567e-0/",
+                  "0.000123456789012345/", "1.2345678901234567e-07x"):
+        p.write_text("bitstring,probability\n"
+                     f"00,0.25\n01,0.25\n10,{value}\n11,0.25\n")
+        with pytest.raises(ValueError, match=r"probs\.csv:4: bad row"):
             read_probabilities(p)
     p.write_text("bitstring,probability\n0,0.25\n1,0.25\n")
     with pytest.raises(ValueError, match=r"^\S*probs\.csv: .*sum to"):
@@ -529,6 +537,128 @@ def test_late_repeat_costs_no_more_memory_than_a_good_read(tmp_path,
     finally:
         tracemalloc.stop()
     assert repeat_peak - good_peak < 1 << 20, (good_peak, repeat_peak)
+
+
+def test_read_peak_memory_stays_at_the_line_reader_figure(tmp_path):
+    # 11_375_473 bytes: the tracemalloc peak of the same read when each
+    # batch was split into Python lines and parsed with float, token by
+    # token (numpy 2.4, CPython 3.11)
+    n = 16
+    rng = np.random.Generator(np.random.PCG64([0, 0]))
+    P = OutputDistribution(SystemDims(n),
+                           ensembles.haar_state_probs(1 << n, rng))
+    path = tmp_path / "p.csv"
+    write_probabilities(P, path)
+    tracemalloc.start()
+    try:
+        back = read_probabilities(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.probs, P.probs)
+    assert peak <= 11_375_473, peak
+
+
+def _capped(x):
+    """The floats ``x`` as a distribution: an entry that would take the
+    running sum past 1/2 is scaled by 2**-64, which keeps its significand
+    bits, and the last entry takes the rest."""
+    x = x.copy()
+    total = 0.0
+    for i, v in enumerate(x.tolist()):
+        if total + v > 0.5:
+            x[i] = v * 2.0**-64
+        total += x[i]
+    x[-1] = 0.0
+    x[-1] = 1.0 - math.fsum(x.tolist())
+    return x
+
+
+def test_reader_reads_writer_files_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(43)
+    x = _capped(_bit_patterns(rng, 1e-30, 1.5, 1 << 17))
+    # both layouts and the range left to float all occur
+    for low, high in ((1e-30, 1e-26), (1e-26, 1e-4), (1e-4, 1.0)):
+        assert np.count_nonzero((x >= low) & (x < high)) > 10, (low, high)
+    # and ~1000 values of the form '0.000ddd...'
+    y = _capped(_bit_patterns(rng, 1e-4, 1e-3, 1 << 10))
+    path = tmp_path / "p.csv"
+    for probs in (x, y):
+        P = OutputDistribution(SystemDims(probs.size.bit_length() - 1), probs)
+        write_probabilities(P, path)
+        assert np.array_equal(read_probabilities(path).probs, P.probs)
+    # each edge value of the writer's kernel beside its complement
+    powers = [w for k in range(1, 31) for w in _neighbours(10.0 ** -k)]
+    switch = [np.nextafter(v, d) for v in (1e-4, 1e-5) for d in (0.0, 1.0)]
+    ties = [m * 2.0**-18 for m in (26215, 26217, 131071, 262143)]
+    special = [0.0, -0.0, 5e-324, 1e-310, 1.0, np.nextafter(1.0, 0.0)]
+    for v in powers + switch + _neighbours(1e-26) + ties + special:
+        P = OutputDistribution(SystemDims(1), np.array([v, 1.0 - v]))
+        write_probabilities(P, path)
+        back = read_probabilities(path).probs
+        assert back.tobytes() == P.probs.tobytes(), v
+
+
+def test_value_kernel_takes_every_writer_token_in_its_range():
+    rng = np.random.default_rng(46)
+    x = _bit_patterns(rng, 1e-26, 1.0, 100_000)
+    text = b"".join(b"0," + line + b"\n"
+                    for line in _g17_lines(x).split(b"\n")[:-1])
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    starts = np.append(0, ends[:-1] + 1)
+    padded = noise._padded_rows(text, starts, ends - starts,
+                                3 + noise._FIELD)
+    values, fast = noise._parse_values(padded, 2, ends - starts - 2)
+    assert fast.all()
+    assert values.tobytes() == x.tobytes()
+
+
+# forms '%.17g' never writes: other exponent and mantissa spellings, signs,
+# underscores, more than 17 digits and a token longer than a field
+_HAND_TOKENS = [b"1E-07", b"+1e-07", b"1e-7", b"1.50e-07", b"0.50", b".5",
+                b"5.", b"5.e-07", b"1_0e-08", b"-0", b"0", b"1",
+                b"1.23456789012345678e-07", b"0.012345678901234567890",
+                b"1.000000000000000000000000e-07"]
+
+
+def test_hand_written_tokens_equal_float_bit_for_bit(tmp_path):
+    assert len(_HAND_TOKENS[-1]) == 30
+    expected = np.array([float(t) for t in _HAND_TOKENS])
+    # all of them in one batch, beside tokens the fast path takes
+    text = b"".join(b"0," + t + b"\n0,1.2345678901234567e-07\n"
+                    for t in _HAND_TOKENS)
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    _, values = noise._parse_probability_rows(text, ends, 1)
+    assert values[::2].tobytes() == expected.tobytes()
+    assert (values[1::2] == 1.2345678901234567e-07).all()
+    # and read from a file, beside their complement
+    path = tmp_path / "p.csv"
+    for i, token in enumerate(_HAND_TOKENS):
+        if expected[i] <= 1.0:
+            path.write_bytes(b"bitstring,probability\n0," + token
+                             + b"\n1,%r\n" % (1.0 - float(expected[i])))
+            back = read_probabilities(path).probs
+            assert back[:1].tobytes() == expected[i:i + 1].tobytes(), token
+
+
+@pytest.mark.parametrize("batch", [1, 7, 30, 1 << 20])
+def test_readers_take_batches_shorter_than_a_line(tmp_path, monkeypatch,
+                                                   batch):
+    P = _random_P(4, 44)
+    path = tmp_path / "p.csv"
+    write_probabilities(P, path)
+    # a last line longer than any batch here but the default, no newline
+    text = path.read_bytes().replace(b"\n0000,", b"\n0000,  ", 1)
+    rows = text.split(b"\n")
+    rows[-2] = rows[-2].split(b",")[0] + b"," + b"%.40f" % P.probs[-1]
+    path.write_bytes(b"\n".join(rows[:-1]))
+    draws = sample_bitstrings(P, 50, seed=45)
+    samples = tmp_path / "s.txt"
+    write_samples(draws, samples)
+    monkeypatch.setattr(noise, "_BATCH_BYTES", batch)
+    expected = np.array([float(r.split(b",")[1]) for r in rows[1:-1]])
+    assert np.array_equal(read_probabilities(path).probs, expected)
+    assert np.array_equal(read_samples(samples).bitstrings, draws.bitstrings)
 
 
 def _first_error(text):
