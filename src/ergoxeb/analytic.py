@@ -151,6 +151,11 @@ def _panels(q, N):
     return points
 
 
+#: haar_covariance takes exponents up to this multiple of N: at most 21
+#: ``_panels`` a side, so at most 441 panel pairs of 576 trigamma calls
+_MAX_EXPONENT_PER_N = 2.0**20
+
+
 def _mixed_difference(q1, q2, N):
     """log Gamma(N) + log Gamma(N+q1+q2) - log Gamma(N+q1) - log Gamma(N+q2)
     as the integral of trigamma(N+s+t) over [0, q1] x [0, q2]: a sum of
@@ -177,6 +182,11 @@ def haar_covariance(q1, q2, N):
         raise ValueError(f"need q1, q2 > 0, got q1={q1}, q2={q2}")
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
+    if max(q1, q2) > _MAX_EXPONENT_PER_N * N:
+        raise ValueError(
+            f"need q1, q2 <= 2^20 N = {_MAX_EXPONENT_PER_N * N:g}, "
+            f"got q1={q1:g}, q2={q2:g}"
+        )
     # log of the ratio of the product term to the joint term; > 0 by
     # log-convexity, so expm1 keeps the sign exact even when the two terms
     # nearly cancel

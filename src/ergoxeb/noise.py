@@ -557,12 +557,13 @@ def _decimal_tokens(padded, first, lengths):
     the rows of a zero-padded C-ordered uint8 array ``padded``.
 
     ``lengths`` holds each token's length.  ``ok`` marks the tokens in
-    either layout of ``'%.17g'`` for [1e-26, 1) with at most 17 digits:
-    ``d.ddd...e-XX`` (no '.' after a lone digit) with X in 1..26, or
-    ``0.``, X - 1 <= 3 zeros and the digits.  Each such token is exactly
-    M * 10**-s, with M its 17 significant digits (the dropped trailing
-    zeros put back) as an integer and s = 16 + X.  Elsewhere M is 10**16
-    and s is 17, stand-ins that keep later arithmetic in range.
+    the layout ``'%.17g'`` prints for [1e-26, 1e-4), ``d.ddd...e-XX`` (no
+    '.' after a lone digit), with X in 1..26 and at most 17 digits.  Each
+    such token is exactly M * 10**-s, with M its 17 significant digits
+    (the dropped trailing zeros put back) as an integer and s = 16 + X.
+    Elsewhere M is 10**16 and s is 17, stand-ins that keep later
+    arithmetic in range.  A token in the ``0.000...`` layout of [1e-4, 1)
+    is left to ``float``: a Haar file at n = 20 holds next to none.
     """
     rows, width = padded.shape
     tokens = padded[:, first:]
@@ -582,16 +583,6 @@ def _decimal_tokens(padded, first, lengths):
     digits[:, :7] = ord("0")
     digits[:, 7] = tokens[:, 0]
     digits[:, 8:] = tokens[:, 2:18]
-    # the fixed layout: '0.', then zeros up to the first significant digit
-    fixed = np.flatnonzero(tokens[:, 0] == ord("0"))
-    if fixed.size:
-        lead = 2 + np.argmax(tokens[fixed, 2:6] != ord("0"), axis=1)
-        ok[fixed] = tokens[fixed, 1] == ord(".")
-        X[fixed] = lead - 1
-        more[fixed] = lengths[fixed] - 1 - lead
-        for k in range(2, 6):
-            at_k = fixed[lead == k]
-            digits[at_k, 7:] = tokens[at_k, k:k + 17]
     ok &= (X >= 1) & (X <= 26) & (more <= 16)
     # the trailing zeros that '%.17g' drops
     short = np.flatnonzero(more < 16)

@@ -196,6 +196,15 @@ def test_covariance_large_n_vs_mpmath(q1, q2, log2_N):
     )
 
 
+def test_covariance_caps_exponents_at_2_20_n():
+    # at most 21 panels a side; one step further is refused
+    limit = 2.0**20 * 4
+    assert analytic.haar_covariance(1e-3, limit, 4) < 0.0
+    for q1, q2 in [(np.nextafter(limit, math.inf), 1.0), (1.0, 1e300)]:
+        with pytest.raises(ValueError, match=r"need q1, q2 <= 2\^20 N"):
+            analytic.haar_covariance(q1, q2, 4)
+
+
 def test_covariance_large_n_no_overflow():
     v = analytic.haar_covariance(3.0, 3.0, 1 << 24)
     assert v < 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,17 @@ def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith(f"ergoxeb: error: {message}")
+
+
+def test_huge_covariance_exponents_fail_at_once(tmp_path, capsys):
+    # integrating up to 1e100 would take ~6e7 trigamma calls, minutes
+    start = time.perf_counter()
+    argv = ["oracle", "--covariance", "1e100", "1e100", "2"]
+    assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == ("ergoxeb: error: need q1, q2 <= 2^20 N = 2.09715e+06, "
+                   "got q1=1e+100, q2=1e+100\n")
 
 
 def test_scan_brickwork_depth_0_means_5n(tmp_path, capsys):
