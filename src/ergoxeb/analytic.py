@@ -1,29 +1,23 @@
 """Closed-form Haar / Porter-Thomas moments, covariances and densities.
 
-All Gamma-ratio formulas are evaluated in log space with a single final
-exponentiation.  Their exponent is a difference of lgamma values of size
-N ln N, so the relative error grows like N ln N * 2**-53: within 1e-12 up to
-N = 2^10 and within 1e-7 up to N = 2^24, the largest N the ``oracle``
-command accepts.  The covariance's near-cancelling second difference is
-integrated instead (``haar_covariance``).
+Integer Haar moments of total order up to 256 are exact integer ratios.
+Every other Gamma ratio is taken in log space, as -int_0^q digamma(a + s) ds
+for log Gamma(a) - log Gamma(a + q): an integral of one sign, free of the
+cancellation of an lgamma difference of size N ln N.  The covariance's
+near-cancelling second difference is likewise integrated, as trigamma over a
+rectangle.  Both run Gauss-Legendre panels through one array kernel,
+``polygamma``.  The tests hold the moments and covariances within 1e-12
+relative of mpmath up to N = 2^24, the largest N the ``oracle`` command
+accepts.
 """
 
 import functools
-import itertools
 import math
+import sys
 
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-def log_gamma(z):
-    """Natural log of Gamma(z) for z > 0 (``math.lgamma``)."""
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError(f"log_gamma requires z > 0, got {z}")
-    return math.lgamma(z)
-
 
 # Bernoulli-number tails of the digamma/trigamma asymptotic series.
 _DIGAMMA_TAIL = (
@@ -44,48 +38,39 @@ _TRIGAMMA_TAIL = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
-_ASYMPTOTIC_CUT = 12.0
-
-
-def _digamma(z):
-    acc = 0.0
-    while z < _ASYMPTOTIC_CUT:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0
-    power = inv2
-    for c in _DIGAMMA_TAIL:
-        series += c * power
-        power *= inv2
-    return acc + math.log(z) - 0.5 / z + series
-
-
-def _trigamma(z):
-    acc = 0.0
-    while z < _ASYMPTOTIC_CUT:
-        acc += 1.0 / (z * z)
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0.0
-    power = inv * inv2
-    for c in _TRIGAMMA_TAIL:
-        series += c * power
-        power *= inv2
-    return acc + inv + 0.5 * inv2 + series
 
 
 def polygamma(m, z):
-    """Polygamma function psi^(m)(z), m in {0, 1}, z > 0."""
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError(f"polygamma requires z > 0, got {z}")
+    """Polygamma function psi^(m)(z), m in {0, 1}, z > 0, elementwise; a
+    float for a scalar z.
+
+    The recurrence psi(z) = psi(z + 1) - 1/z (psi'(z) = psi'(z + 1) +
+    1/z^2) lifts every z below 12 in at most 12 masked steps; the
+    asymptotic series in 1/z^2 takes it from there.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    bad = z[z <= 0.0]
+    if bad.size:
+        raise ValueError(f"polygamma requires z > 0, got {bad[0]}")
+    if m not in (0, 1):
+        raise ValueError(f"polygamma supports orders 0 and 1, got {m}")
+    acc = np.zeros_like(z)
+    while (small := z < 12.0).any():
+        acc += np.where(small, -1.0 / z if m == 0 else 1.0 / (z * z), 0.0)
+        z = np.where(small, z + 1.0, z)
     if m == 0:
-        return _digamma(z)
-    if m == 1:
-        return _trigamma(z)
-    raise ValueError(f"polygamma supports orders 0 and 1, got {m}")
+        inv2 = 1.0 / (z * z)
+        head, power, tail = acc + np.log(z) - 0.5 / z, inv2, _DIGAMMA_TAIL
+    else:
+        inv = 1.0 / z
+        inv2 = inv * inv
+        head, power, tail = acc + inv + 0.5 * inv2, inv * inv2, _TRIGAMMA_TAIL
+    series = np.zeros_like(z)
+    for c in tail:
+        series += c * power
+        power = power * inv2
+    out = head + series
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +81,61 @@ def polygamma(m, z):
 _EXACT_MOMENT_ORDER = 256
 
 
+@functools.cache
+def _gauss_legendre():
+    """24-point Gauss-Legendre rule on [0, 1] as (nodes, weights) arrays.
+
+    Built on first use: importing numpy.polynomial costs every process that
+    imports this module ~1.4 MiB and ~10 ms."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(24)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _quadrature(q, N):
+    """Nodes and weights on [0, q] for an integrand with its pole at -N:
+    the 24-point rule on panels each no longer than their distance
+    N + start from the pole (one panel while q <= N, then doubling
+    lengths), so exact to far below double precision."""
+    points = [0.0]
+    while points[-1] < q:
+        points.append(min(q, 2.0 * points[-1] + N))
+    x, w = _gauss_legendre()
+    start, length = np.array(points[:-1])[:, None], np.diff(points)[:, None]
+    return (start + length * x).ravel(), (length * w).ravel()
+
+
+def _log_gamma_ratio(a, q):
+    """log Gamma(a) - log Gamma(a + q) for a > 0 and q >= 0, as
+    -int_0^q digamma(a + s) ds."""
+    s, w = _quadrature(q, a)
+    return -float(w @ polygamma(0, a + s))
+
+
+def _log_moment(q1, q2, N):
+    """log E[P(x)^q1 P(y)^q2] = log Gamma(q1+1) + log Gamma(q2+1)
+    + log Gamma(N) - log Gamma(q1+q2+N).
+
+    The largest numerator argument is paired with the denominator in
+    ``_log_gamma_ratio``, so that the integral spans the shorter of q1 + q2
+    and N - 1 + min(q1, q2), and no large lgamma(q + 1) cancels against it.
+    """
+    lo, hi = sorted((q1, q2))
+    if N >= hi + 1.0:
+        return (math.lgamma(q1 + 1.0) + math.lgamma(q2 + 1.0)
+                + _log_gamma_ratio(N, q1 + q2))
+    return (math.lgamma(N) + math.lgamma(lo + 1.0)
+            + _log_gamma_ratio(hi + 1.0, lo + (N - 1.0)))
+
+
 def haar_joint_moment(q1, q2, N):
     """E[P(x)^q1 * P(y)^q2] for x != y under Haar; q2=0 gives E[P^q1].
 
     For integer q1, q2 (total order up to 256) and integer N this is
     q1! q2! / (N (N+1) ... (N+q1+q2-1)), divided in integers and so
     correctly rounded.  Other exponents use Gamma(q1+1) Gamma(q2+1)
-    Gamma(N) / Gamma(q1+q2+N) in log space.  While q1 + q2 <= N, the
-    log Gamma(N) - log Gamma(q1+q2+N) of that ratio, which cancels to
-    ~2e-9 relative at N = 2^20 when taken as a difference, is integrated
-    as -int_0^(q1+q2) digamma(N+s) ds, a sum of positive terms.
+    Gamma(N) / Gamma(q1+q2+N) in log space (``_log_moment``).
     """
     q1, q2 = float(q1), float(q2)
     if q1 <= 0.0 or q2 < 0.0:
@@ -117,42 +147,11 @@ def haar_joint_moment(q1, q2, N):
         k1, k2, N = int(q1), int(q2), int(N)
         return (math.factorial(k1) * math.factorial(k2)
                 / math.prod(range(N, N + k1 + k2)))
-    q = q1 + q2
-    if q <= N:
-        # the digamma pole at s = -N lies at least 2q from [0, q], where
-        # 24 Gauss-Legendre nodes are exact to far below double precision
-        log_ratio = -q * sum(
-            w * _digamma(N + q * s) for s, w in _gauss_legendre()
-        )
-    else:
-        log_ratio = log_gamma(N) - log_gamma(q + N)
-    return math.exp(log_ratio + log_gamma(q1 + 1.0) + log_gamma(q2 + 1.0))
-
-
-@functools.cache
-def _gauss_legendre():
-    """24-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs.
-
-    Built on first use: importing numpy.polynomial costs every process that
-    imports this module ~1.4 MiB and ~10 ms."""
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(24)
-    return tuple(zip((0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()))
-
-
-def _panels(q, N):
-    """Breakpoints 0, ..., q whose panels are each no longer than their
-    distance N + start from the trigamma pole at -N: one panel while
-    q <= N, then doubling lengths."""
-    points = [0.0]
-    while points[-1] < q:
-        points.append(min(q, 2.0 * points[-1] + N))
-    return points
+    return math.exp(_log_moment(q1, q2, float(N)))
 
 
 #: haar_covariance takes exponents up to this multiple of N: at most 21
-#: ``_panels`` a side, so at most 441 panel pairs of 576 trigamma calls
+#: panels a side, so at most 504 x 504 trigamma values
 _MAX_EXPONENT_PER_N = 2.0**20
 
 
@@ -160,23 +159,15 @@ def _mixed_difference(q1, q2, N):
     """log Gamma(N) + log Gamma(N+q1+q2) - log Gamma(N+q1) - log Gamma(N+q2)
     as the integral of trigamma(N+s+t) over [0, q1] x [0, q2]: a sum of
     positive terms, free of the cancellation of the direct form.
-
-    The 24-point rule runs on each pair of ``_panels``, so that the pole
-    stays at least a panel's length away, as large exponents need.
     """
-    rule = _gauss_legendre()
-    return sum(
-        (b - a) * (d - c) * sum(
-            ws * wt * _trigamma(N + (a + (b - a) * s) + (c + (d - c) * t))
-            for s, ws in rule for t, wt in rule
-        )
-        for a, b in itertools.pairwise(_panels(q1, N))
-        for c, d in itertools.pairwise(_panels(q2, N))
-    )
+    s, ws = _quadrature(q1, N)
+    t, wt = _quadrature(q2, N)
+    return float(ws @ polygamma(1, N + s[:, None] + t) @ wt)
 
 
 def haar_covariance(q1, q2, N):
-    """Cov(P(x)^q1, P(y)^q2) for x != y under Haar; strictly negative."""
+    """Cov(P(x)^q1, P(y)^q2) for x != y under Haar; negative, or -0.0
+    where it underflows."""
     q1, q2 = float(q1), float(q2)
     if q1 <= 0.0 or q2 <= 0.0:
         raise ValueError(f"need q1, q2 > 0, got q1={q1}, q2={q2}")
@@ -191,14 +182,21 @@ def haar_covariance(q1, q2, N):
     # log-convexity, so expm1 keeps the sign exact even when the two terms
     # nearly cancel
     delta = _mixed_difference(q1, q2, float(N))
-    return -haar_joint_moment(q1, q2, N) * math.expm1(delta)
+    joint = haar_joint_moment(q1, q2, N)
+    if delta < 709.0 and joint >= sys.float_info.min:
+        return -joint * math.expm1(delta)
+    # expm1 overflows or the joint term underflows: take the product term
+    # E[P^q1] E[P^q2] = joint * e^delta from its own log instead
+    product = math.exp(_log_moment(q1, 0.0, float(N))
+                       + _log_moment(q2, 0.0, float(N)))
+    return product * math.expm1(-delta)
 
 
 def pt_moment(i, N):
     """Porter-Thomas moment approximation E[P^i] ~ i!/N^i."""
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    return math.exp(log_gamma(i + 1.0) - i * math.log(N))
+    return math.exp(math.lgamma(i + 1.0) - i * math.log(N))
 
 
 def pt_sigma(i, N):
@@ -258,7 +256,7 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
     if exact:
         mean = float(N) ** i * haar_joint_moment(i, 0.0, N)
     else:
-        mean = math.exp(log_gamma(i + 1.0))
+        mean = math.exp(math.lgamma(i + 1.0))
     return mean / scheme.norm
 
 

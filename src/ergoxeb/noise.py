@@ -335,12 +335,17 @@ def read_samples(path, dims=None):
         for raw, lineno, text, ends in _batches(fh, 1):
             if not ends.size:
                 continue
-            n = dims.n if dims is not None else int(ends[0])
+            if dims is None:
+                n = int(ends[0])
+                # a well-formed first line that sets n above the cap is the
+                # first offending line, whatever follows it in the batch
+                if _sample_bits(text[:n + 1], 1, n) is not None:
+                    dims = _dims_at(path, raw, lineno, n)
+            else:
+                n = dims.n
             bits = _sample_bits(text, ends.size, n)
             if bits is None:
                 _scan_samples(path, raw.split(b"\n"), lineno, n)
-            if dims is None:
-                dims = _dims_at(path, raw, lineno, n)
             parts.append(_bits_to_indices(bits))
     if dims is None:
         raise ValueError(f"{path}: no bitstrings found")
@@ -361,6 +366,13 @@ _EXPONENTS = np.frombuffer(
 )
 #: characters in the longest '%.17g' of a float64, '-4.9406564584124654e-324'
 _FIELD = 24
+#: The writer's and reader's kernels take the values whose '%.17g' is
+#: d.ddd...e-XX with XX from 5 to 26, those of [1e-26, 1e-4): a Haar file
+#: at n = 20 holds next to no entry from 1e-4 up.  No double below 1e-4
+#: rounds up to 1e-04 in 17 digits (the one below it prints
+#: 9.9999999999999991e-05).
+_KERNEL_X = (5, 26)
+_KERNEL_RANGE = (float(f"1e-{_KERNEL_X[1]}"), float(f"1e-{_KERNEL_X[0] - 1}"))
 #: row k keeps the first k + 1 characters of a field
 _PREFIXES = np.tri(_FIELD, dtype=bool)
 
@@ -420,7 +432,7 @@ def _format_g17(values):
     Returns ``(chars, keep)``, two ``(len(values), _FIELD)`` arrays: row i
     of ``chars[keep]`` is the ASCII of ``'%.17g' % values[i]``.
 
-    Every x with 1e-26 <= x < 1 is formatted by whole-array operations:
+    Every x in ``_KERNEL_RANGE`` is formatted by whole-array operations:
     with s = 16 - floor(log10 x), its 17 significant digits are
     D = round(x * 10**s), from the product of ``_scaled``, and a D that
     rounds up to 10**17 becomes 10**16 one decade higher.  Left to
@@ -428,17 +440,16 @@ def _format_g17(values):
     lies outside [10**16, 10**17), because log10 was one off next to a
     power of ten (the double nearest 1e-6 is 9.9999999999999995e-07, and
     its rounded D = 10**16 would print 1e-06); a possible tie, whose
-    fraction lies within 1e-9 of 1/2; and every x outside [1e-26, 1):
-    zeros, -0.0, subnormals and 1.0.
+    fraction lies within 1e-9 of 1/2; and every x outside the range:
+    zeros, -0.0, subnormals and every x from 1e-4 up.
 
-    The layouts are those of %g without '#': ``d.dddddddddddddddde-XX``
-    for exponents X < -4, ``0.`` then -X - 1 zeros and the 17 digits for
-    X = -4..-1, with trailing zeros dropped, and the '.' when no digit
-    follows it.
+    The kernel's layout is %g's ``d.dddddddddddddddde-XX``, with trailing
+    zeros dropped, and the '.' when no digit follows it.
     """
     x = np.asarray(values, dtype=np.float64)
     rows = x.size
-    fast = (x >= 1e-26) & (x < 1.0)
+    low, high = _KERNEL_RANGE
+    fast = (x >= low) & (x < high)
     p = np.where(fast, x, 0.5)  # a stand-in, so that log10 sees no zero
     s = 16 - np.floor(np.log10(p)).astype(np.int64)
     floor, frac = _scaled(p, s)
@@ -465,16 +476,8 @@ def _format_g17(values):
     # index of the last nonzero digit of the 17; the '.' stops the search
     last = 16 - np.argmax(chars[:, 17::-1] != ord("0"), axis=1)
     end = np.where(last > 0, last + 1, 0)  # last character kept
-    for zeros in range(4):
-        fixed = np.flatnonzero(decade == zeros + 1)
-        if fixed.size:
-            scientific = chars[fixed]
-            chars[fixed, :5] = np.frombuffer(b"0.000", dtype=np.uint8)
-            chars[fixed, 2 + zeros] = scientific[:, 0]
-            chars[fixed, 3 + zeros:19 + zeros] = scientific[:, 2:18]
-            end[fixed] = 2 + zeros + last[fixed]
     keep = np.take(_PREFIXES, end, axis=0)
-    keep[:, 18:22] |= (decade > 4)[:, None]
+    keep[:, 18:22] = True
     slow = np.flatnonzero(~fast)
     if slow.size:
         # '%.17g' has no spaces, so the padding marks the end of the text
@@ -557,13 +560,13 @@ def _decimal_tokens(padded, first, lengths):
     the rows of a zero-padded C-ordered uint8 array ``padded``.
 
     ``lengths`` holds each token's length.  ``ok`` marks the tokens in
-    the layout ``'%.17g'`` prints for [1e-26, 1e-4), ``d.ddd...e-XX`` (no
-    '.' after a lone digit), with X in 1..26 and at most 17 digits.  Each
-    such token is exactly M * 10**-s, with M its 17 significant digits
-    (the dropped trailing zeros put back) as an integer and s = 16 + X.
+    the layout ``'%.17g'`` prints for ``_KERNEL_RANGE``, ``d.ddd...e-XX``
+    (no '.' after a lone digit), with X in ``_KERNEL_X`` and at most 17
+    digits.  Each such token is exactly M * 10**-s, with M its 17
+    significant digits (the dropped trailing zeros put back) as an integer
+    and s = 16 + X.
     Elsewhere M is 10**16 and s is 17, stand-ins that keep later
-    arithmetic in range.  A token in the ``0.000...`` layout of [1e-4, 1)
-    is left to ``float``: a Haar file at n = 20 holds next to none.
+    arithmetic in range.
     """
     rows, width = padded.shape
     tokens = padded[:, first:]
@@ -583,7 +586,7 @@ def _decimal_tokens(padded, first, lengths):
     digits[:, :7] = ord("0")
     digits[:, 7] = tokens[:, 0]
     digits[:, 8:] = tokens[:, 2:18]
-    ok &= (X >= 1) & (X <= 26) & (more <= 16)
+    ok &= (X >= _KERNEL_X[0]) & (X <= _KERNEL_X[1]) & (more <= 16)
     # the trailing zeros that '%.17g' drops
     short = np.flatnonzero(more < 16)
     digits[short, 8:] = np.where(np.arange(16) < more[short, None],
@@ -714,14 +717,21 @@ def read_probabilities(path):
         for raw, lineno, text, ends in _batches(fh, 2):
             if not ends.size:
                 continue
-            n = dims.n if dims is not None else text.find(b",", 0, ends[0])
-            parsed = _parse_probability_rows(text, ends, n)
-            if parsed is not None:
-                bits, values = parsed
-                if dims is None:
+            if dims is None:
+                n = text.find(b",", 0, ends[0])
+                # a well-formed first row that sets n above the cap is the
+                # first offending line, whatever follows it in the batch
+                first = ends[:1]
+                if _parse_probability_rows(text[:first[0] + 1], first,
+                                           n) is not None:
                     dims = _dims_at(path, raw, lineno, n)
                     probs = np.empty(dims.N)
                     filled = np.zeros(dims.N, dtype=bool)
+            else:
+                n = dims.n
+            parsed = _parse_probability_rows(text, ends, n)
+            if parsed is not None:
+                bits, values = parsed
                 indices = _bits_to_indices(bits)
                 # a sort finds in-batch repeats far faster than np.unique
                 ordered = np.sort(indices)

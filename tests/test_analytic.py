@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -19,26 +20,31 @@ mpmath.mp.dps = 40
 @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 64.0,
                                1024.0, 1e6])
 def test_log_gamma_vs_mpmath(z):
+    # log Gamma(z) as the integrated log Gamma(z) - log Gamma(1)
+    if z < 1.0:
+        value = analytic._log_gamma_ratio(z, 1.0 - z)
+    else:
+        value = -analytic._log_gamma_ratio(1.0, z - 1.0)
     ref = float(mpmath.loggamma(z))
-    assert analytic.log_gamma(z) == pytest.approx(ref, rel=5e-15, abs=5e-15)
+    assert value == pytest.approx(ref, rel=5e-15, abs=5e-15)
 
 
 def test_log_gamma_known_values():
-    assert analytic.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert analytic.log_gamma(5.0) == pytest.approx(
-        math.log(24.0), rel=1e-14, abs=0
+    assert analytic._log_gamma_ratio(1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert analytic._log_gamma_ratio(1.0, 4.0) == pytest.approx(
+        -math.log(24.0), rel=1e-14, abs=0
     )
-    assert analytic.log_gamma(0.5) == pytest.approx(
+    assert analytic._log_gamma_ratio(0.5, 0.5) == pytest.approx(
         0.5 * math.log(math.pi), rel=1e-14, abs=0
     )
 
 
 def test_log_gamma_recurrence():
     # Gamma(z+1) = z Gamma(z)
-    for z in [0.3, 1.7, 3.7, 25.2]:
-        lhs = analytic.log_gamma(z + 1.0)
-        rhs = analytic.log_gamma(z) + math.log(z)
-        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+    for z in [0.3, 1.7, 3.7, 25.2, 2.0**24]:
+        assert analytic._log_gamma_ratio(z, 1.0) == pytest.approx(
+            -math.log(z), rel=1e-13, abs=1e-13
+        )
 
 
 @pytest.mark.parametrize("z", [0.2, 1.0, 2.0, 3.7, 12.5, 100.0, 4096.0])
@@ -52,11 +58,51 @@ def test_polygamma_vs_mpmath(z):
 
 
 def test_digamma_is_log_gamma_derivative():
-    # central difference of log_gamma matches digamma
+    # central difference of math.lgamma matches digamma
     for z in [1.5, 4.2, 30.0]:
         h = 1e-6
-        num = (analytic.log_gamma(z + h) - analytic.log_gamma(z - h)) / (2 * h)
+        num = (math.lgamma(z + h) - math.lgamma(z - h)) / (2 * h)
         assert analytic.polygamma(0, z) == pytest.approx(num, rel=1e-8, abs=0)
+
+
+def _polygamma_reference(m, z):
+    # the recurrence and series one Python float at a time, with the
+    # kernel's np.log (math.log differs by an ulp at some z)
+    acc = 0.0
+    while z < 12.0:
+        acc += -1.0 / z if m == 0 else 1.0 / (z * z)
+        z += 1.0
+    if m == 0:
+        inv2 = 1.0 / (z * z)
+        head = acc + float(np.log(z)) - 0.5 / z
+        power, tail = inv2, analytic._DIGAMMA_TAIL
+    else:
+        inv = 1.0 / z
+        inv2 = inv * inv
+        head = acc + inv + 0.5 * inv2
+        power, tail = inv * inv2, analytic._TRIGAMMA_TAIL
+    series = 0.0
+    for c in tail:
+        series += c * power
+        power *= inv2
+    return head + series
+
+
+def test_polygamma_array_matches_scalar_recurrence():
+    # the masked steps of the array kernel are the scalar loop's, bit for
+    # bit, at the arguments the scheme means pass and across [1e-3, 1e8]
+    rng = np.random.default_rng(3)
+    z = np.concatenate([
+        10.0 ** rng.uniform(-3.0, 8.0, 500), np.arange(1.0, 40.0),
+        [2.0**k + d for k in range(25) for d in (0.0, 1.0, 2.0)],
+    ])
+    for m in (0, 1):
+        values = analytic.polygamma(m, z)
+        assert values.shape == z.shape
+        assert values.tolist() == [_polygamma_reference(m, x)
+                                   for x in z.tolist()]
+        assert [analytic.polygamma(m, x) for x in z[:50].tolist()] \
+            == values[:50].tolist()
 
 
 def test_polygamma_domain():
@@ -134,14 +180,30 @@ def test_covariance_symmetry():
         assert a == pytest.approx(b, rel=1e-14, abs=0)
 
 
+def _covariance_reference(q1, q2, N):
+    lg = mpmath.loggamma
+    a, b = mpmath.mpf(q1), mpmath.mpf(q2)
+    lead = lg(a + 1) + lg(b + 1) + lg(N)
+    return mpmath.exp(lead - lg(a + b + N)) - mpmath.exp(
+        lead + lg(N) - lg(a + N) - lg(b + N)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    q1=st.floats(1e-3, 5.0),
-    q2=st.floats(1e-3, 5.0),
+    q1=st.floats(1e-3, 1e3),
+    q2=st.floats(1e-3, 1e3),
     n=st.integers(1, 8),
 )
 def test_covariance_strictly_negative(q1, q2, n):
-    assert analytic.haar_covariance(q1, q2, 1 << n) < 0.0
+    value = analytic.haar_covariance(q1, q2, 1 << n)
+    assert math.isfinite(value)
+    if value == 0.0:
+        # -0.0 only where the true covariance is below the normal range
+        assert math.copysign(1.0, value) == -1.0
+        assert abs(_covariance_reference(q1, q2, 1 << n)) < sys.float_info.min
+    else:
+        assert value < 0.0
 
 
 def test_covariance_vs_mpmath_up_to_2_24():
@@ -203,6 +265,18 @@ def test_covariance_caps_exponents_at_2_20_n():
     for q1, q2 in [(np.nextafter(limit, math.inf), 1.0), (1.0, 1e300)]:
         with pytest.raises(ValueError, match=r"need q1, q2 <= 2\^20 N"):
             analytic.haar_covariance(q1, q2, 4)
+
+
+@pytest.mark.parametrize("q1, q2, N", [(600.0, 600.0, 2),
+                                       (1000.0, 1000.0, 16),
+                                       (2.0**22, 2.0**22, 4)])
+def test_covariance_beyond_expm1_range_vs_mpmath(q1, q2, N):
+    # the joint moment underflows and the log ratio delta passes expm1's
+    # ~709.8; the last point is at the 2^20 N cap
+    with mpmath.workdps(60):
+        ref = _covariance_reference(q1, q2, N)
+    value = analytic.haar_covariance(q1, q2, N)
+    assert abs(value / ref - 1) <= 1e-12, (q1, q2, N, value)
 
 
 def test_covariance_large_n_no_overflow():

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergoxeb
 from ergoxeb import estimators
 from ergoxeb.cli import main
 from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
@@ -356,6 +360,48 @@ def test_scan_brickwork_depth_0_means_5n(tmp_path, capsys):
 def test_oracle_accepts_largest_dimension(capsys):
     assert main(["oracle", "--covariance", "1", "1", "16777216"]) == 0
     assert float(capsys.readouterr().out) < 0.0
+
+
+def test_oracle_covariance_past_expm1_range(capsys):
+    # the joint moment underflows and expm1 of the log ratio overflows
+    # here; the value is mpmath's at 60 digits
+    assert main(["oracle", "--covariance", "600", "600", "2"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(
+        -2.768541615333291e-06, rel=1e-12, abs=0
+    )
+
+
+def test_benchmark_cli_paths_import_no_scipy(tmp_path):
+    # scipy.special alone adds ~20 MiB and ~0.3 s to a run; the scan, xeb
+    # and oracle paths the benchmark times must not import any of scipy
+    probs_path, samples_path = _write_pair(tmp_path)
+    out = str(tmp_path)
+    runs = [
+        ["--out-dir", out, "scan", "--qubits", "4", "--instances", "2",
+         "--scheme", "neglog"],
+        ["--out-dir", out, "scan", "--qubits", "4", "--instances", "2",
+         "--ensemble", "brickwork", "--samples", "100",
+         "--noise", "depolarizing", "--fidelity", "0.5"],
+        ["xeb", "--probs", str(probs_path), "--samples", str(samples_path)],
+        ["oracle", "--haar-mean", "plogp", "1024"],
+        ["oracle", "--covariance", "0.5", "0.5", "1024"],
+    ]
+    script = (
+        "import sys\n"
+        "from ergoxeb.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
+    )
+    src = str(Path(ergoxeb.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_scan_fixed_file_qubit_mismatch_names_file(tmp_path, capsys):

@@ -720,6 +720,26 @@ def test_first_error_across_small_batches(tmp_path_factory, n, batch, data):
         str(exc.value), kind, line)
 
 
+@pytest.mark.parametrize("batch", [16, 33, 100, 1 << 20])
+def test_cap_error_names_first_row_whatever_the_batch(tmp_path, monkeypatch,
+                                                      batch):
+    # a well-formed first row sets n = 25; the malformed rows after it share
+    # its batch or not, depending on the batch size
+    bits = "0" * 25
+    probs = tmp_path / "p.csv"
+    probs.write_text(f"bitstring,probability\n\n{bits},0.5\n"
+                     f"{bits[1:]}1,0.5\n{bits}x,0.25\n{bits},nan\n")
+    samples = tmp_path / "s.txt"
+    samples.write_text(f"\n{bits}\n{bits[1:]}\n01x\n")
+    monkeypatch.setattr(noise, "_BATCH_BYTES", batch)
+    with pytest.raises(ValueError) as exc:
+        read_probabilities(probs)
+    assert str(exc.value) == f"{probs}:3: qubit count 25 exceeds cap 24"
+    with pytest.raises(ValueError) as exc:
+        read_samples(samples)
+    assert str(exc.value) == f"{samples}:2: qubit count 25 exceeds cap 24"
+
+
 def test_sample_errors_after_first_batch(tmp_path):
     lines = ["01101001"] * 200_000  # 1.8 MB
     lines[150_000] = "0110100"
