@@ -17,6 +17,7 @@ from .estimators import (
     linear_xeb,  # noqa: F401 -- perfbench/tracing.py wraps cli.linear_xeb
     log_xeb,  # noqa: F401 -- perfbench/tracing.py wraps cli.log_xeb
     parse_scheme,
+    sampled_probabilities,
 )
 from .harness import ScanConfig, run_ergodicity_scan, write_scan_result
 from .noise import NoiseModel, read_probabilities, read_samples
@@ -213,7 +214,10 @@ def _cmd_scan(args):
 def _cmd_xeb(args):
     P = read_probabilities(args.probs)
     samples = read_samples(args.samples, dims=P.dims)
-    mono = deviation_of_ergodicity(P, samples, SchemeFunction.monomial(2))
+    # one gather of P at the samples serves both schemes
+    pvals = sampled_probabilities(P, samples)
+    mono = deviation_of_ergodicity(P, samples, SchemeFunction.monomial(2),
+                                   pvals=pvals)
     # linear XEB is the monomial-2 estimate minus one (see linear_xeb)
     report = {
         "n": P.dims.n,
@@ -224,7 +228,8 @@ def _cmd_xeb(args):
         "de_monomial2_se": mono.std_error,
     }
     try:
-        plogp = deviation_of_ergodicity(P, samples, SchemeFunction.plogp())
+        plogp = deviation_of_ergodicity(P, samples, SchemeFunction.plogp(),
+                                        pvals=pvals)
         # log XEB is N times the plogp estimate (see log_xeb)
         report["log_xeb"] = P.dims.N * plogp.c_f_estimate
         report["de_plogp"] = plogp.deviation

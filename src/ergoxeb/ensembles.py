@@ -99,6 +99,57 @@ def haar_state_probs(N, rng, size=None):
     return z
 
 
+def haar_sample_values(N, instances, per, rng):
+    """Haar output probabilities at sampled bitstrings, with no N-vector.
+
+    Returns ``(u, ps, pu)``, each of shape (instances, per), for independent
+    P ~ Dirichlet(1, ..., 1) over N outcomes, one per row: ``ps`` holds P at
+    ``per`` i.i.d. draws from P, ``pu`` holds P at ``per`` uniform draws and
+    ``u`` holds ``per`` uniforms.  ``np.where(u < F, ps, pu)`` is then P at
+    ``per`` i.i.d. draws from F * P + (1 - F) / N, with the same P and
+    uniforms for every F.  The cost is O(instances * per log per) for any
+    N < 2^63.
+
+    The signal labels follow the Polya urn of Dirichlet(1^N) (Blackwell &
+    MacQueen, Ann. Stat. 1, 353, 1973): draw j (from 0) copies a uniformly
+    chosen earlier draw with probability j / (N + j) and is otherwise a
+    uniform label.  One integer k uniform on [0, N + j) decides both: k < j
+    copies draw k, else the label is k - j.  Copies of copies resolve by
+    pointer jumping.  Given all labels, P on the distinct labels c and on
+    the U unvisited ones is Dirichlet(1 + signal count of c, ..., U), since
+    the uniform labels are independent of P; it is drawn as normalized
+    Gamma variates.
+    """
+    u = rng.random((instances, per))
+    cols = np.arange(per)
+    k = rng.integers(0, N + cols, size=(instances, per))
+    fresh = k - cols
+    ptr = np.where(fresh < 0, k, cols)
+    while True:
+        jumped = np.take_along_axis(ptr, ptr, axis=1)
+        if np.array_equal(jumped, ptr):
+            break
+        ptr = jumped
+    labels = np.concatenate([np.take_along_axis(fresh, ptr, axis=1),
+                             rng.integers(0, N, size=(instances, per))],
+                            axis=1)
+    order = np.argsort(labels, axis=1)
+    ranked = np.take_along_axis(labels, order, axis=1)
+    first = np.ones(ranked.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run = np.cumsum(first.ravel()) - 1  # distinct label id, row-major
+    signal = np.bincount(run[(order < per).ravel()], minlength=run[-1] + 1)
+    gamma = rng.standard_gamma(1.0 + signal)
+    visited = first.sum(axis=1)
+    starts = np.cumsum(visited) - visited
+    total = (np.add.reduceat(gamma, starts)
+             + rng.standard_gamma((N - visited).astype(np.float64)))
+    values = (gamma / np.repeat(total, visited))[run]
+    probs = np.empty(labels.shape)
+    np.put_along_axis(probs, order, values.reshape(labels.shape), axis=1)
+    return u, probs[:, :per], probs[:, per:]
+
+
 def _pauli_program(dims, index):
     if not 0 <= index < 4**dims.n:
         raise IndexError(f"Pauli index {index} out of range for n={dims.n}")

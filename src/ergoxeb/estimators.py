@@ -211,13 +211,24 @@ def correlation_C_f(P, Q, scheme):
     return float(_accel.neumaier_sum(scheme.g(p, N) * q))
 
 
-def estimate_C_f(P, samples, scheme):
-    """Unbiased sample estimator (1/T) sum_i g(P(x_i)) with its SE."""
+def sampled_probabilities(P, samples):
+    """Ideal probabilities P(x_i) at the sampled bitstrings: one gather,
+    which several ``estimate_C_f`` calls on the same samples can share."""
     if samples.dims != P.dims:
         raise ValueError("sample set dimensions differ from P")
+    return P.probs[samples.bitstrings]
+
+
+def estimate_C_f(P, samples, scheme, pvals=None):
+    """Unbiased sample estimator (1/T) sum_i g(P(x_i)) with its SE.
+
+    ``pvals`` is ``sampled_probabilities(P, samples)`` when the caller has
+    it; it is gathered here otherwise.
+    """
+    if pvals is None:
+        pvals = sampled_probabilities(P, samples)
     if samples.T < 1:
         raise ValueError("need at least one sample")
-    pvals = P.probs[samples.bitstrings]
     if scheme.logarithmic and np.any(pvals == 0.0):
         bad = int(samples.bitstrings[np.flatnonzero(pvals == 0.0)[0]])
         raise ZeroProbabilityError(
@@ -233,10 +244,15 @@ def estimate_C_f(P, samples, scheme):
     return CorrelationEstimate(value=value, std_error=se, T=samples.T)
 
 
-def _build_report(P, estimate, scheme, alpha, mean_mode):
+def haar_reference(scheme, N, mean_mode="exact"):
+    """(Haar mean, sigma) of ``scheme`` at dimension N: what an
+    ergodicity report compares an instance's C_f against."""
+    return scheme.haar_mean(N, mean_mode), scheme.sigma(N, mean_mode)
+
+
+def _build_report(P, estimate, scheme, alpha, mean_mode, reference):
     N = P.dims.N
-    mean = scheme.haar_mean(N, mean_mode)
-    sigma = scheme.sigma(N, mean_mode)
+    mean, sigma = reference or haar_reference(scheme, N, mean_mode)
     deviation = abs(mean - estimate.value)
     threshold = alpha * sigma / math.sqrt(N)
     return ErgodicityReport(
@@ -256,24 +272,50 @@ def _build_report(P, estimate, scheme, alpha, mean_mode):
 
 
 def deviation_of_ergodicity(P, samples, scheme, alpha=10.0,
-                            mean_mode="exact"):
-    """Sampled deviation-of-ergodicity report for one circuit instance."""
-    return _build_report(P, estimate_C_f(P, samples, scheme), scheme, alpha,
-                         mean_mode)
+                            mean_mode="exact", reference=None, pvals=None):
+    """Sampled deviation-of-ergodicity report for one circuit instance.
+
+    ``reference`` is ``haar_reference(scheme, N, mean_mode)`` and ``pvals``
+    is ``sampled_probabilities(P, samples)``, for callers that already
+    hold them; both are computed here when None.
+    """
+    estimate = estimate_C_f(P, samples, scheme, pvals)
+    return _build_report(P, estimate, scheme, alpha, mean_mode, reference)
 
 
 def deviation_of_ergodicity_exact(P, Q, scheme, alpha=10.0,
-                                  mean_mode="exact"):
-    """Exact-correlation variant (no sampling noise); reports T = 0."""
+                                  mean_mode="exact", reference=None):
+    """Exact-correlation variant (no sampling noise); reports T = 0.
+    ``reference`` is as for ``deviation_of_ergodicity``."""
     value = correlation_C_f(P, Q, scheme)
     est = CorrelationEstimate(value=value, std_error=0.0, T=0)
-    return _build_report(P, est, scheme, alpha, mean_mode)
+    return _build_report(P, est, scheme, alpha, mean_mode, reference)
 
 
-def fidelity_from_de_depolarizing(deviation, scheme, std_error=0.0):
-    """Invert the depolarizing relation DE = (1-F)(i-1)!(i-1)/norm of a
-    (normalized) monomial ``scheme`` of degree i for F."""
-    scale = depolarizing_norm(scheme.degree) / scheme.norm
+def depolarizing_scale(scheme, N, mode="exact"):
+    """DE / (1 - F) of a (normalized) monomial ``scheme`` of degree i under
+    global depolarizing noise of fidelity F.
+
+    C_f then averages to F E_H[f_i] + (1 - F) E_H[f_{i-1}] over the Haar
+    law, so the scale is E_H[f_i] - E_H[f_{i-1}] at dimension N, divided by
+    ``scheme.norm``.  Its Porter-Thomas limit ("porter_thomas" ``mode``) is
+    the depolarizing norm (i-1)!(i-1) over ``scheme.norm``.
+    """
+    i = scheme.degree
+    asymptotic = depolarizing_norm(i) / scheme.norm
+    if mode == "porter_thomas":
+        return asymptotic
+    exact = (SchemeFunction.monomial(i).haar_mean(N, mode)
+             - SchemeFunction.monomial(i - 1).haar_mean(N, mode))
+    return exact / scheme.norm
+
+
+def fidelity_from_de_depolarizing(deviation, scheme, N, mode="exact",
+                                  std_error=0.0):
+    """Invert DE = (1 - F) ``depolarizing_scale(scheme, N, mode)`` for F,
+    with the deviation measured from the Haar mean of the same N and
+    ``mode``."""
+    scale = depolarizing_scale(scheme, N, mode)
     return FidelityEstimate(
         F_hat=1.0 - deviation / scale,
         method="depolarizing_inversion",

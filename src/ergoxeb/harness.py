@@ -15,33 +15,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .ensembles import EnsembleSpec, haar_state_probs, member_probs, mix64
+from .ensembles import (
+    EnsembleSpec,
+    haar_sample_values,
+    haar_state_probs,
+    member_probs,
+    mix64,
+)
 from .estimators import (
     SchemeFunction,
     chebyshev_violation_rate,
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
     fidelity_from_de_depolarizing,
+    haar_reference,
 )
 from .noise import (
     NoiseModel,
-    check_bitstring_range,
-    depolarize,
     experimental_distribution,
-    inverse_cdf_rows,
     read_probabilities,
     read_samples,
     sample_bitstrings,
 )
-from .statevector import (
-    OutputDistribution,
-    SystemDims,
-    check_probability_rows,
-)
+from .statevector import OutputDistribution, SystemDims
 
 N_BATCHES = 10
-# float64 per buffer of the recovery driver's instance chunks
-_CHUNK_FLOATS = 1 << 13
+# sampled values per chunk of the recovery driver's instances
+_CHUNK_DRAWS = 1 << 11
+# the recovery driver's labels are int64 draws on [0, 2^n + T / instances)
+MAX_RECOVERY_QUBITS = 62
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def _instance_fidelity(scheme, report):
     if scheme.logarithmic or scheme.degree < 2:
         return None
     return fidelity_from_de_depolarizing(
-        report.deviation, scheme, report.std_error
+        report.deviation, scheme, report.N, report.haar_mean_mode,
+        report.std_error,
     ).F_hat
 
 
@@ -107,13 +110,17 @@ def _noisy_samples(P, noise, T, seed):
     return Q, sample_bitstrings(Q, T, seed=seed)
 
 
-def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, **keys):
+def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, reference=None,
+                  **keys):
     """Ergodicity report as a result row: ``report.to_dict()``, then
-    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None."""
+    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None.
+    ``reference`` is as for ``deviation_of_ergodicity``."""
     if samples is None:
-        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode)
+        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode,
+                                               reference)
     else:
-        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode)
+        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode,
+                                         reference)
     row = report.to_dict() | keys
     row["f_hat"] = _instance_fidelity(scheme, report)
     return row
@@ -132,6 +139,8 @@ def run_ergodicity_scan(cfg):
             base_seed=mix64(cfg.base_seed, n),
             source_path=cfg.source_path,
         )
+        # the Haar mean and sigma depend only on (scheme, N, mode)
+        reference = haar_reference(cfg.scheme, dims.N, cfg.mean_mode)
         n_rows = []
         for inst in range(cfg.instances):
             P = OutputDistribution(dims, member_probs(spec, inst))
@@ -139,8 +148,9 @@ def run_ergodicity_scan(cfg):
                 P, cfg.noise, cfg.T, mix64(spec.base_seed, 10_000 + inst)
             )
             n_rows.append(_estimate_row(P, Q, samples, cfg.scheme, cfg.alpha,
-                                        cfg.mean_mode, instance=inst))
-        sigma = cfg.scheme.sigma(dims.N, cfg.mean_mode)
+                                        cfg.mean_mode, reference,
+                                        instance=inst))
+        sigma = reference[1]
         violations = sum(r["verdict"] == "violated" for r in n_rows)
         summary.append({
             "n": n,
@@ -291,22 +301,20 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
                               instances=1000, base_seed=0):
     """Recover depolarizing fidelities from pooled deviation of ergodicity.
 
-    The T-sample budget is spread evenly over many circuit instances (T
-    must be a positive multiple of ``instances``) and the correlation
-    estimates are pooled before inverting DE = (1-F)(i-1)!(i-1):
-    a single instance's self-correlation fluctuates by O(sigma_f/sqrt(N)),
-    which pooling averages away.  Reported SE comes from the scatter of
+    The T-sample budget is spread evenly over many Haar instances (T must
+    be a positive multiple of ``instances``) and the correlation estimates
+    are pooled before inverting DE = (1 - F)(E_H[f_i] - E_H[f_{i-1}]), the
+    exact relation at N = 2^n (``fidelity_from_de_depolarizing``): a single
+    instance's self-correlation fluctuates by O(sigma_f/sqrt(N)), which
+    pooling averages away.  Reported SE comes from the scatter of
     per-instance means (it covers both sampling and ensemble noise).
 
-    Instances run in chunks of rows, with at most 2^13 float64 in each
-    buffer (P, Q, the cumulative sums of Q, the uniforms): 8 rows at n = 10
-    with up to 1024 samples per instance, one row from n = 13 on.  Each
-    chunk checks its P and Q rows, draws through one inverse-CDF kernel
-    (``noise.inverse_cdf_rows``) and evaluates each scheme once.  Every
-    instance keeps its own PCG64 streams (P from ``member_probs(spec,
-    31_000 + inst)``, uniforms from ``mix64(base_seed, 62_000 + inst)``)
-    and draws its uniforms once for all fidelities, so the rows do not
-    depend on the chunk size.
+    No instance holds an N-vector: ``ensembles.haar_sample_values`` draws
+    its P only at the sampled bitstrings, exactly, so n runs from 1 to 62.
+    Instances run in chunks of max(1, 2^11 // (T / instances)), chunk c
+    from one PCG64 seeded ``mix64(base_seed, 62_000 + c)``.  Every fidelity
+    of an instance uses the same P and uniforms, and each scheme is
+    evaluated once per chunk and fidelity.
     """
     if not fidelities:
         raise ValueError("need at least one fidelity")
@@ -325,31 +333,24 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
         raise ValueError(
             f"T={T} must be a positive multiple of instances={instances}"
         )
-    noises = [NoiseModel.depolarizing(F) for F in fidelities]
+    if not 1 <= n <= MAX_RECOVERY_QUBITS:
+        raise ValueError(
+            f"qubit count {n} outside 1..{MAX_RECOVERY_QUBITS}"
+        )
+    fidelities = [NoiseModel.depolarizing(F).F for F in fidelities]
     per = T // instances
-    spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
-    N = spec.dims.N
+    N = 1 << n
     schemes = [SchemeFunction.monomial(i) for i in degrees]
-    chunk = max(1, min(instances, _CHUNK_FLOATS // max(N, per)))
-    P_buf, Q_buf, cdf_buf = (np.empty((chunk, N)) for _ in range(3))
-    u_buf = np.empty((chunk, per))
+    chunk = max(1, _CHUNK_DRAWS // per)
     # instance means of g(P(x)) per (fidelity, degree), instances last
-    inst_means = np.empty((len(noises), len(schemes), instances))
-    for start in range(0, instances, chunk):
+    inst_means = np.empty((len(fidelities), len(schemes), instances))
+    for c, start in enumerate(range(0, instances, chunk)):
         stop = min(start + chunk, instances)
-        P, u = P_buf[:stop - start], u_buf[:stop - start]
-        for row, inst in enumerate(range(start, stop)):
-            P[row] = member_probs(spec, 31_000 + inst)
-            rng = np.random.Generator(
-                np.random.PCG64(mix64(base_seed, 62_000 + inst)))
-            rng.random(out=u[row])
-        P = check_probability_rows(P)
-        for a, noise in enumerate(noises):
-            Q = depolarize(P, noise.F, out=Q_buf[:len(P)])
-            Q = check_probability_rows(Q)
-            draws = np.array(inverse_cdf_rows(Q, u.copy(), cdf_buf[:len(P)]))
-            check_bitstring_range(draws, N)
-            pvals = np.take_along_axis(P, draws, axis=1)
+        rng = np.random.Generator(
+            np.random.PCG64(mix64(base_seed, 62_000 + c)))
+        u, ps, pu = haar_sample_values(N, stop - start, per, rng)
+        for a, F in enumerate(fidelities):
+            pvals = np.where(u < F, ps, pu)
             for b, scheme in enumerate(schemes):
                 inst_means[a, b, start:stop] = scheme.g(pvals, N).mean(axis=1)
     rows = []
@@ -358,9 +359,9 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
             means = inst_means[a, b]
             pooled = float(means.mean())
             se = float(means.std(ddof=1) / math.sqrt(len(means)))
-            mean_ref = scheme.haar_mean(N, "exact")
-            deviation = abs(mean_ref - pooled)
-            est = fidelity_from_de_depolarizing(deviation, scheme, se)
+            deviation = abs(scheme.haar_mean(N, "exact") - pooled)
+            est = fidelity_from_de_depolarizing(deviation, scheme, N,
+                                                std_error=se)
             rows.append({
                 "fidelity": F,
                 "degree": scheme.degree,

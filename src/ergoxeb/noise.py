@@ -87,9 +87,9 @@ def check_bitstring_range(bitstrings, N):
         raise ValueError("bitstring index out of range")
 
 
-def depolarize(probs, F, out=None):
+def depolarize(probs, F):
     """Global depolarizing noise F * P + (1 - F) / N along the last axis."""
-    out = np.multiply(probs, F, out=out)
+    out = probs * F
     out += (1.0 - F) / probs.shape[-1]
     return out
 

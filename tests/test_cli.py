@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ergoxeb
-from ergoxeb import estimators
+from ergoxeb import cli, estimators
 from ergoxeb.cli import main
 from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
 from ergoxeb.estimators import linear_xeb, log_xeb
@@ -136,14 +136,35 @@ def test_xeb_estimates_each_scheme_once(tmp_path, capsys, monkeypatch):
     schemes = []
     estimate = estimators.estimate_C_f
 
-    def counting_estimate(P, samples, scheme):
+    def counting_estimate(P, samples, scheme, pvals=None):
         schemes.append(scheme.name)
-        return estimate(P, samples, scheme)
+        return estimate(P, samples, scheme, pvals)
 
     monkeypatch.setattr(estimators, "estimate_C_f", counting_estimate)
     assert main(["xeb", "--probs", str(probs_path),
                  "--samples", str(samples_path)]) == 0
     assert schemes == ["monomial2", "plogp"]
+
+
+def test_xeb_gathers_the_samples_once(tmp_path, capsys, monkeypatch):
+    # both schemes read P at the samples from one gather
+    probs_path, samples_path = _write_pair(tmp_path, seed=27)
+    assert main(["xeb", "--probs", str(probs_path),
+                 "--samples", str(samples_path)]) == 0
+    expected = capsys.readouterr().out
+    gathers = []
+    for owner in (cli, estimators):
+        original = owner.sampled_probabilities
+
+        def counting(P, samples, original=original):
+            gathers.append(samples.T)
+            return original(P, samples)
+
+        monkeypatch.setattr(owner, "sampled_probabilities", counting)
+    assert main(["xeb", "--probs", str(probs_path),
+                 "--samples", str(samples_path)]) == 0
+    assert gathers == [5000]
+    assert capsys.readouterr().out == expected
 
 
 def test_xeb_json_output(tmp_path, capsys):

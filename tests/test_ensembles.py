@@ -11,6 +11,7 @@ from ergoxeb.ensembles import (
     EnsembleSpec,
     design_moment_discrepancy,
     haar_moment_tensor,
+    haar_sample_values,
     haar_state_probs,
     member_probs,
     _moment_tensor,
@@ -20,6 +21,7 @@ from ergoxeb.ensembles import (
     sample_member,
 )
 from ergoxeb.estimators import SchemeFunction, correlation_C_f
+from ergoxeb.noise import inverse_cdf_rows
 from ergoxeb.statevector import (
     OutputDistribution,
     SystemDims,
@@ -115,6 +117,88 @@ def test_haar_state_probs_allocate_only_the_result():
         tracemalloc.stop()
     assert probs.shape == (N,)
     assert peak <= 1.1 * 8 * N
+
+
+def _sampled_g_means(N, u, ps, pu, F, i):
+    """Per-instance means of the monomial-i g at the draws of fidelity F."""
+    pvals = np.where(u < F, ps, pu)
+    return SchemeFunction.monomial(i).g(pvals, N).mean(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_haar_sample_values_exact_means(n):
+    # E[C_f] under depolarizing F is F E_H[f_i] + (1-F) E_H[f_{i-1}]; the
+    # pooled per-instance means of 20000 instances lie within 5 SE of it
+    N = 1 << n
+    u, ps, pu = haar_sample_values(N, 20_000, 30,
+                                   np.random.default_rng(100 + n))
+    haar = [SchemeFunction.monomial(i).haar_mean(N) for i in range(1, 5)]
+    for F in (0.0, 0.3, 0.8, 1.0):
+        for i in (2, 3, 4):
+            means = _sampled_g_means(N, u, ps, pu, F, i)
+            se = means.std(ddof=1) / math.sqrt(means.size)
+            expected = F * haar[i - 1] + (1.0 - F) * haar[i - 2]
+            assert abs(means.mean() - expected) <= 5 * se, (F, i)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_haar_sample_values_match_explicit_draws_ks(n):
+    # per-instance means against N-vector instances sampled by inverse CDF;
+    # rounding to 1e-10 keeps ulp-level differences out of the KS ties
+    N, instances, per, F = 1 << n, 3000, 20, 0.5
+    u, ps, pu = haar_sample_values(N, instances, per,
+                                   np.random.default_rng(200 + n))
+    rng = np.random.default_rng(300 + n)
+    P = haar_state_probs(N, rng, size=instances)
+    signal = np.array(inverse_cdf_rows(P, rng.random((instances, per))))
+    uniform = rng.integers(0, N, size=(instances, per))
+    ref = (np.take_along_axis(P, signal, axis=1),
+           np.take_along_axis(P, uniform, axis=1))
+    v = rng.random((instances, per))
+    for i in (2, 3):
+        lazy = np.round(_sampled_g_means(N, u, ps, pu, F, i), 10)
+        dense = np.round(_sampled_g_means(N, v, *ref, F, i), 10)
+        assert stats.ks_2samp(lazy, dense).pvalue > 1e-3, i
+
+
+def test_haar_sample_values_fidelity_only_switches_draws():
+    N = 1 << 5
+    u, ps, pu = haar_sample_values(N, 50, 40, np.random.default_rng(3))
+    assert u.shape == ps.shape == pu.shape == (50, 40)
+    assert np.array_equal(np.where(u < 1.0, ps, pu), ps)
+    assert np.array_equal(np.where(u < 0.0, ps, pu), pu)
+    previous = np.zeros(u.shape, dtype=bool)
+    for F in np.linspace(0.0, 1.0, 11):
+        signal = u < F
+        assert not (previous & ~signal).any()
+        previous = signal
+
+
+def test_haar_sample_values_repeat_and_normalize():
+    # equal seeds give equal rows; at N = 2 a row that visits both labels
+    # holds P(0) and P(1) = 1 - P(0), and no row holds more than two values
+    first, second = (haar_sample_values(2, 200, 10, np.random.default_rng(9))
+                     for _ in range(2))
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    _, ps, pu = first
+    for row in np.concatenate([ps, pu], axis=1):
+        values = np.unique(row)
+        assert values.size <= 2 and (values > 0.0).all()
+        if values.size == 2:
+            assert values.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+
+
+def test_haar_sample_values_beyond_the_dense_cap():
+    # N = 2^62: no N-vector, and N P at the uniform draws has mean 1
+    N = 1 << 62
+    u, ps, pu = haar_sample_values(N, 2000, 50, np.random.default_rng(5))
+    scaled = N * pu
+    se = scaled.std(ddof=1) / math.sqrt(scaled.size)
+    assert abs(scaled.mean() - 1.0) <= 5 * se
+    scaled = N * ps  # size-biased: E[N P] = 2N/(N+1) at the signal draws
+    se = scaled.mean(axis=1).std(ddof=1) / math.sqrt(2000)
+    assert abs(scaled.mean() - 2.0) <= 5 * se
 
 
 def test_haar_probs_beta_law_ks():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ergoxeb.estimators import (
     ZeroProbabilityError,
     chebyshev_violation_rate,
     correlation_C_f,
+    depolarizing_scale,
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
     estimate_C_f,
@@ -314,21 +316,50 @@ def test_log_xeb_empty_samples():
 
 def test_fidelity_inversion():
     mono = SchemeFunction.monomial
-    est = fidelity_from_de_depolarizing(0.0, mono(2))
+    pt = "porter_thomas"
+    est = fidelity_from_de_depolarizing(0.0, mono(2), 1024)
     assert est.F_hat == 1.0 and not est.out_of_range
-    # DE = (1-F)(i-1)!(i-1): i=3 norm is 4
-    est = fidelity_from_de_depolarizing(2.0, mono(3), std_error=0.4)
+    # Porter-Thomas: DE = (1-F)(i-1)!(i-1), so the i=3 scale is 4
+    est = fidelity_from_de_depolarizing(2.0, mono(3), 1024, pt,
+                                        std_error=0.4)
     assert est.F_hat == pytest.approx(0.5)
     assert est.std_error == pytest.approx(0.1)
-    # the normalized monomial's DE is 1 - F itself
+    # the normalized monomial's Porter-Thomas DE is 1 - F itself
     est = fidelity_from_de_depolarizing(
-        0.5, SchemeFunction.normalized_monomial(3), std_error=0.1
+        0.5, SchemeFunction.normalized_monomial(3), 1024, pt, std_error=0.1
     )
     assert (est.F_hat, est.std_error) == (0.5, 0.1)
-    est = fidelity_from_de_depolarizing(1.5, mono(2))
+    est = fidelity_from_de_depolarizing(1.5, mono(2), 1024, pt)
     assert est.out_of_range
     with pytest.raises(ValueError, match="vanishes"):
-        fidelity_from_de_depolarizing(0.1, mono(1))
+        fidelity_from_de_depolarizing(0.1, mono(1), 1024)
+    with pytest.raises(ValueError, match="vanishes"):
+        fidelity_from_de_depolarizing(0.1, mono(1), 1024, pt)
+    # the exact scales at N = 1024, against (i-1)!(i-1) = 1, 4, 18
+    scales = [depolarizing_scale(mono(i), 1024) for i in (2, 3, 4)]
+    assert scales == pytest.approx([0.99805, 3.98441, 17.87748],
+                                   rel=0, abs=5e-6)
+
+
+@pytest.mark.parametrize("N", [2, 16, 1024, 1 << 24])
+def test_fidelity_inversion_exact_scale(N):
+    # exact: DE = (1-F)(E_H[f_i] - E_H[f_{i-1}]), E_H[f_i] = N^i i!/(N)_i
+    means = [Fraction(N**i * math.factorial(i), math.prod(range(N, N + i)))
+             for i in range(5)]
+    for i in (2, 3, 4):
+        scale = float(means[i] - means[i - 1])
+        assert depolarizing_scale(SchemeFunction.monomial(i), N) == \
+            pytest.approx(scale, rel=1e-15, abs=0)
+        est = fidelity_from_de_depolarizing(0.7 * scale,
+                                            SchemeFunction.monomial(i), N,
+                                            "exact", std_error=scale)
+        assert est.F_hat == pytest.approx(0.3, rel=1e-14, abs=0)
+        assert est.std_error == pytest.approx(1.0, rel=1e-15, abs=0)
+        normed = SchemeFunction.normalized_monomial(i)
+        assert depolarizing_scale(normed, N) == pytest.approx(
+            scale / normed.norm, rel=1e-15, abs=0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        depolarizing_scale(SchemeFunction.monomial(2), N, "typo")
 
 
 def test_violation_rate_needs_100():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergoxeb import harness, noise
+from ergoxeb import analytic, harness
 from ergoxeb.estimators import SchemeFunction
 from ergoxeb.harness import (
     ScanConfig,
@@ -20,7 +20,6 @@ from ergoxeb.harness import (
 )
 from ergoxeb.noise import (
     NoiseModel,
-    experimental_distribution,
     sample_bitstrings,
     write_probabilities,
     write_samples,
@@ -28,8 +27,8 @@ from ergoxeb.noise import (
 from ergoxeb.statevector import OutputDistribution, SystemDims, save_programs
 from ergoxeb.ensembles import (
     EnsembleSpec,
+    haar_sample_values,
     haar_state_probs,
-    member_probs,
     mix64,
     sample_member,
 )
@@ -78,6 +77,32 @@ def test_scan_deterministic_outputs(tmp_path):
     paths_b = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "b")
     for pa, pb in zip(paths_a, paths_b):
         assert Path(pa).read_bytes() == Path(pb).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
+def test_scan_computes_haar_reference_once_per_n(monkeypatch, mode):
+    # the Haar mean and sigma depend only on (scheme, N, mode): one of each
+    # per qubit count, and 3 polygamma calls per exact neglog pair
+    calls = []
+    for name in ("polygamma", "haar_mean_of_scheme", "sigma_of_scheme"):
+        original = getattr(analytic, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(analytic, name, counting)
+    cfg = ScanConfig(n_range=(5, 6, 7), instances=4, T=0, base_seed=2,
+                     mean_mode=mode)
+    result = run_ergodicity_scan(cfg)
+    assert calls.count("haar_mean_of_scheme") == 3
+    assert calls.count("sigma_of_scheme") == 3
+    assert calls.count("polygamma") == (9 if mode == "exact" else 3)
+    for row in result.rows:
+        N = row["N"]
+        scheme = SchemeFunction.neglog()
+        assert row["haar_mean"] == scheme.haar_mean(N, mode)
+        assert row["threshold"] == 10.0 * scheme.sigma(N, mode) / np.sqrt(N)
 
 
 def test_config_hash_sensitivity():
@@ -171,23 +196,22 @@ def test_depolarizing_recovery_small():
 
 
 # Rows of run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
-# instances=37, base_seed=5) from the one-row-per-chunk path
-# (_CHUNK_FLOATS = 1024), with Haar instances drawn as normalized
-# exponentials: (fidelity, degree, c_f_pooled, std_error, deviation, f_hat,
-# f_hat_se).
+# instances=37, base_seed=5), with Haar values from the Dirichlet urn
+# (ensembles.haar_sample_values) in chunks of 20 instances: (fidelity,
+# degree, c_f_pooled, std_error, deviation, f_hat, f_hat_se).
 _RECOVERY_GOLDEN = [
-    (0.3, 2, 1.3022153530767557, 0.014932204777024151, 0.6958334274110491,
-     0.30416657258895086, 0.014932204777024151),
-    (0.3, 3, 3.233636147308398, 0.08227691784675775, 2.7488256983626904,
-     0.3127935754093274, 0.020569229461689438),
-    (0.9, 2, 1.9399904058413795, 0.024116770780699775, 0.05805837464642538,
-     0.9419416253535746, 0.024116770780699775),
-    (0.9, 3, 5.832703258038429, 0.14690554527171387, 0.14975858763265926,
-     0.9625603530918352, 0.03672638631792847),
+    (0.3, 2, 1.2909509678768267, 0.018952405112796302, 0.7070978126109781,
+     0.2915197869733601, 0.018989457713212327),
+    (0.3, 3, 3.12587302919656, 0.09076538150422371, 2.8565888164745283,
+     0.28305906798769, 0.022780113411772603),
+    (0.9, 2, 1.8981359881205213, 0.019561250202174835, 0.09991279236728356,
+     0.8998918747053122, 0.019599493115571073),
+    (0.9, 3, 5.543321853818856, 0.13803134463934263, 0.4391399918522323,
+     0.8897855255797803, 0.03464283004327343),
 ]
 
 
-def _assert_golden_recovery():
+def test_depolarizing_recovery_golden_rows():
     rows = run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
                                      instances=37, base_seed=5)
     keys = ("fidelity", "degree", "c_f_pooled", "std_error", "deviation",
@@ -197,64 +221,71 @@ def _assert_golden_recovery():
         assert (r["n"], r["T"], r["instances"]) == (10, 3700, 37)
 
 
-def test_depolarizing_recovery_golden_rows():
-    _assert_golden_recovery()
+def _chunk_means(N, per, sizes, base_seed, F, i):
+    """Per-instance means of the monomial-i g, chunk c drawn by
+    haar_sample_values from PCG64(mix64(base_seed, 62_000 + c))."""
+    means = []
+    for c, size in enumerate(sizes):
+        rng = np.random.Generator(
+            np.random.PCG64(mix64(base_seed, 62_000 + c)))
+        u, ps, pu = haar_sample_values(N, size, per, rng)
+        pvals = np.where(u < F, ps, pu)
+        means.append(SchemeFunction.monomial(i).g(pvals, N).mean(axis=1))
+    return np.concatenate(means)
 
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 3, 36, 37, 64])
-def test_depolarizing_recovery_independent_of_chunking(monkeypatch,
-                                                        rows_per_chunk):
+def test_depolarizing_recovery_pools_every_chunk(monkeypatch,
+                                                  rows_per_chunk):
     # 37 instances: one-row chunks, a short last chunk (37 = 12 * 3 + 1 and
     # 36 + 1), one full chunk, and a chunk larger than the run
-    monkeypatch.setattr(harness, "_CHUNK_FLOATS", rows_per_chunk * 1024)
-    _assert_golden_recovery()
+    monkeypatch.setattr(harness, "_CHUNK_DRAWS", rows_per_chunk * 100)
+    rows = run_depolarizing_recovery([0.3, 0.9], [2, 3], n=10, T=3700,
+                                     instances=37, base_seed=5)
+    full, last = divmod(37, rows_per_chunk)
+    sizes = [rows_per_chunk] * full + ([last] if last else [])
+    for r in rows:
+        means = _chunk_means(1024, 100, sizes, 5, r["fidelity"], r["degree"])
+        assert r["c_f_pooled"] == float(means.mean())
+        assert r["std_error"] == float(means.std(ddof=1) / np.sqrt(37))
 
 
 def test_depolarizing_recovery_matches_one_row_sampler():
-    # The last instance of a run opens a second 8-row chunk at n = 10.  Its
-    # mean g(P) from the one-row path (OutputDistribution, depolarizing
-    # noise, sample_bitstrings) is what it adds to the pooled sum.
-    N = 1 << 10
-    spec = EnsembleSpec("haar", SystemDims(10), base_seed=5)
-    P = OutputDistribution(spec.dims, member_probs(spec, 31_000 + 8))
-    Q = experimental_distribution(P, NoiseModel.depolarizing(0.9))
-    draws = sample_bitstrings(Q, 100, mix64(5, 62_000 + 8))
-    expected = np.mean(
-        SchemeFunction.monomial(3).g(P.probs[draws.bitstrings], N))
+    # The last instance of a run opens a second 20-instance chunk at 100
+    # draws per instance.  Its mean g(P) from a one-row sampler call is what
+    # it adds to the pooled sum.
+    (expected,) = _chunk_means(1024, 100, [20, 1], 5, 0.9, 3)[20:]
     more, fewer = (
         run_depolarizing_recovery([0.9], [3], n=10, T=100 * k, instances=k,
                                   base_seed=5)[0]["c_f_pooled"]
-        for k in (9, 8)
+        for k in (21, 20)
     )
-    assert 9 * more - 8 * fewer == pytest.approx(expected, rel=1e-12, abs=0)
+    assert 21 * more - 20 * fewer == pytest.approx(expected, rel=1e-12,
+                                                    abs=0)
 
 
 def test_depolarizing_recovery_every_fidelity_draws_the_same_uniforms(
         monkeypatch):
-    # each chunk's kernel call for every fidelity gets each instance's own
-    # uniforms, unscaled by an earlier call
+    # one sampler call per chunk serves every fidelity: F = 1 reads only
+    # the signal draws and F = 0.2 switches the draws with u < 0.2 to them
     calls = []
 
-    def recording(probs, uniforms, cdf=None):
-        calls.append(uniforms.copy())
-        return noise.inverse_cdf_rows(probs, uniforms, cdf)
+    def recording(N, instances, per, rng):
+        calls.append((N, instances, per))
+        return haar_sample_values(N, instances, per, rng)
 
-    monkeypatch.setattr(harness, "inverse_cdf_rows", recording)
-    run_depolarizing_recovery([0.2, 0.6, 1.0], [2], n=10, T=500,
-                              instances=10, base_seed=7)
-    expected = np.array([
-        np.random.Generator(np.random.PCG64(mix64(7, 62_000 + i))).random(50)
-        for i in range(10)
-    ])
-    assert len(calls) == 6  # chunks of 8 and 2 rows, three fidelities each
-    for k, uniforms in enumerate(calls):
-        first = 8 * (k // 3)
-        assert np.array_equal(uniforms, expected[first:first + 8])
+    monkeypatch.setattr(harness, "haar_sample_values", recording)
+    rows = run_depolarizing_recovery([0.2, 0.6, 1.0], [2], n=10, T=5000,
+                                     instances=50, base_seed=7)
+    assert calls == [(1024, 20, 100), (1024, 20, 100), (1024, 10, 100)]
+    for r in rows:
+        means = _chunk_means(1024, 100, [20, 20, 10], 7, r["fidelity"], 2)
+        assert r["c_f_pooled"] == float(means.mean())
 
 
 def test_depolarizing_recovery_buffers_stay_small():
-    # 20000 draws per instance make a chunk one row, so the driver works on
-    # about ten 160 kB rows at a time, not on a 40-row buffer of 6.4 MB
+    # 20000 draws per instance make a chunk one instance, so the driver
+    # works on a few 160-320 kB arrays at a time, not on 6.4 MB for all 40
     tracemalloc.start()
     try:
         run_depolarizing_recovery([0.5], [2], n=4, T=800_000, instances=40)
@@ -262,6 +293,14 @@ def test_depolarizing_recovery_buffers_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_depolarizing_recovery_at_40_qubits():
+    # far beyond any N-vector: each F_hat within 5 of its own SE of F
+    rows = run_depolarizing_recovery([0.3, 0.8], [2, 3], n=40, T=40_000,
+                                     instances=400, base_seed=3)
+    for r in rows:
+        assert abs(r["f_hat"] - r["fidelity"]) <= 5 * r["f_hat_se"], r
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -275,13 +314,15 @@ def test_depolarizing_recovery_buffers_stay_small():
     ({"T": 0}, "positive multiple of instances=10"),
     ({"T": 5}, "positive multiple of instances=10"),
     ({"T": 105}, "T=105 must be a positive multiple"),
+    ({"n": 0}, "qubit count 0 outside 1..62"),
+    ({"n": 63}, "qubit count 63 outside 1..62"),
 ])
 def test_depolarizing_recovery_rejects_bad_arguments(monkeypatch, kwargs,
                                                     message):
-    def no_draws(spec, index):
+    def no_draws(N, instances, per, rng):
         raise AssertionError("an instance was drawn before the check")
 
-    monkeypatch.setattr(harness, "member_probs", no_draws)
+    monkeypatch.setattr(harness, "haar_sample_values", no_draws)
     args = {"fidelities": [0.5], "degrees": [2], "n": 4, "T": 100,
             "instances": 10} | kwargs
     with pytest.raises(ValueError, match=message) as info:
