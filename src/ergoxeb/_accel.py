@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 # Terms per block: two float64 buffers of this size are the kernel's only
-# working memory, whatever the input length.
+# working memory, whatever the input length.  The estimators build their
+# terms in blocks of the same size.
 _BLOCK = 1 << 14
 
 

@@ -182,13 +182,15 @@ def haar_covariance(q1, q2, N):
     # log-convexity, so expm1 keeps the sign exact even when the two terms
     # nearly cancel
     delta = _mixed_difference(q1, q2, float(N))
-    joint = haar_joint_moment(q1, q2, N)
-    if delta < 709.0 and joint >= sys.float_info.min:
-        return -joint * math.expm1(delta)
-    # expm1 overflows or the joint term underflows: take the product term
-    # E[P^q1] E[P^q2] = joint * e^delta from its own log instead
-    product = math.exp(_log_moment(q1, 0.0, float(N))
-                       + _log_moment(q2, 0.0, float(N)))
+    if delta < 1.0:
+        joint = haar_joint_moment(q1, q2, N)
+        if joint >= sys.float_info.min:
+            return -joint * math.expm1(delta)
+    # a relative error e of delta becomes ~delta e in expm1(delta), but
+    # delta e / (e^delta - 1) <= 0.58 e in expm1(-delta) once delta >= 1:
+    # there, and where the joint term underflows, take the product term
+    # E[P^q1] E[P^q2] = joint * e^delta from the two moments instead
+    product = haar_joint_moment(q1, 0.0, N) * haar_joint_moment(q2, 0.0, N)
     return product * math.expm1(-delta)
 
 

@@ -190,25 +190,62 @@ class ErgodicityReport:
         return asdict(self)
 
 
+def _g_terms(p, N, scheme, weights=None):
+    """The terms g(p) * weights of the sites with weights > 0, or g(p) at
+    every site when ``weights`` is None, in index order in one array.
+
+    The terms are built one ``_accel._BLOCK`` of sites at a time, so every
+    temporary of ``scheme.g`` is a block long and stays in cache.  A block
+    whose weights have no zeros, and, for a logarithmic scheme, whose kept p
+    have none, is checked by one reduction each; only a block that fails
+    builds a mask or searches for the site.  Returns ``(terms, None)``, or
+    ``(None, zero)`` under a logarithmic scheme, with ``zero`` the index of
+    the first kept site where p = 0.
+    """
+    terms = np.empty(p.size)
+    filled = 0
+    for start in range(0, p.size, _accel._BLOCK):
+        block = slice(start, start + _accel._BLOCK)
+        pb, kept = p[block], None
+        if weights is not None:
+            wb = weights[block]
+            if not wb.min() > 0.0:
+                kept = np.flatnonzero(wb > 0.0)
+                pb, wb = pb[kept], wb[kept]
+        k = pb.size
+        if k == 0:
+            continue
+        if scheme.logarithmic and not pb.min() > 0.0:
+            zeros = np.flatnonzero(pb == 0.0)
+            if zeros.size:
+                first = zeros[0] if kept is None else kept[zeros[0]]
+                return None, start + int(first)
+        out = terms[filled:filled + k]
+        if weights is None:
+            out[:] = scheme.g(pb, N)
+        else:
+            np.multiply(scheme.g(pb, N), wb, out=out)
+        filled += k
+    return terms[:filled], None
+
+
 def correlation_C_f(P, Q, scheme):
     """Exact correlation (1/N) sum_x [f(P(x))/P(x)] Q(x), via closed-form g.
 
-    Sites with Q(x) = 0 contribute nothing regardless of P(x).
+    Sites with Q(x) = 0 contribute nothing regardless of P(x).  The terms
+    g(P(x)) Q(x) go into one array, filled and checked one cache-sized
+    block at a time (``_g_terms``), and ``_accel.neumaier_sum`` rounds
+    their sum once.
     """
     if P.dims != Q.dims:
         raise ValueError("P and Q dimensions differ")
-    N = P.dims.N
-    mask = Q.probs > 0.0
-    if scheme.logarithmic and np.any(mask & (P.probs == 0.0)):
-        bad = int(np.flatnonzero(mask & (P.probs == 0.0))[0])
+    terms, zero = _g_terms(P.probs, P.dims.N, scheme, Q.probs)
+    if zero is not None:
         raise ZeroProbabilityError(
-            f"Q({index_to_bitstring(bad, P.dims.n)}) > 0 but the ideal "
+            f"Q({index_to_bitstring(zero, P.dims.n)}) > 0 but the ideal "
             "probability vanishes there; the correlation is undefined"
         )
-    p, q = P.probs, Q.probs
-    if not mask.all():
-        p, q = p[mask], q[mask]
-    return float(_accel.neumaier_sum(scheme.g(p, N) * q))
+    return float(_accel.neumaier_sum(terms))
 
 
 def sampled_probabilities(P, samples):
@@ -229,13 +266,13 @@ def estimate_C_f(P, samples, scheme, pvals=None):
         pvals = sampled_probabilities(P, samples)
     if samples.T < 1:
         raise ValueError("need at least one sample")
-    if scheme.logarithmic and np.any(pvals == 0.0):
-        bad = int(samples.bitstrings[np.flatnonzero(pvals == 0.0)[0]])
+    gvals, zero = _g_terms(pvals, P.dims.N, scheme)
+    if zero is not None:
+        bad = int(samples.bitstrings[zero])
         raise ZeroProbabilityError(
             f"sampled bitstring {index_to_bitstring(bad, P.dims.n)} has zero "
             f"ideal probability; {scheme.name} estimator undefined"
         )
-    gvals = scheme.g(pvals, P.dims.N)
     value = float(_accel.neumaier_sum(gvals)) / samples.T
     if samples.T > 1:
         se = float(np.std(gvals, ddof=1)) / math.sqrt(samples.T)

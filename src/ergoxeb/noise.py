@@ -117,7 +117,7 @@ def experimental_distribution(P, noise):
     return OutputDistribution(P.dims, q)
 
 
-def inverse_cdf_rows(probs, uniforms, cdf=None):
+def inverse_cdf_rows(probs, uniforms):
     """Inverse-CDF draws from each row of a (rows, N) probability array.
 
     Row r takes the uniforms ``uniforms[r]`` in [0, 1] and returns, for each
@@ -128,11 +128,10 @@ def inverse_cdf_rows(probs, uniforms, cdf=None):
     otherwise land past the end.
 
     ``uniforms`` is scaled in place to the targets u * total, so that a
-    one-row draw holds no array of T floats beside them.  ``cdf``, if given,
-    is a (rows, N) float64 buffer that receives the cumulative sums.
-    Returns a list of one int64 index array per row.
+    one-row draw holds no array of T floats beside them.  Returns a list of
+    one int64 index array per row.
     """
-    cdf = np.cumsum(probs, axis=1, out=cdf)
+    cdf = np.cumsum(probs, axis=1)
     uniforms *= cdf[:, -1:]
     last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)
     draws = []

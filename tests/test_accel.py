@@ -100,3 +100,13 @@ def test_estimators_sum_through_the_module(monkeypatch):
     estimators.correlation_C_f(P, Q, scheme)
     estimators.estimate_C_f(P, SampleSet(dims, np.arange(5)), scheme)
     assert summed == [3, 5]
+    # one call with every term, however many blocks they fill or skip
+    N, block = 1 << 16, _accel._BLOCK
+    q = np.full(N, 1.0 / (N - block))
+    q[block:2 * block] = 0.0
+    P = OutputDistribution(SystemDims(16), np.full(N, 1.0 / N))
+    Q = OutputDistribution(SystemDims(16), q)
+    for scheme in (SchemeFunction.neglog(), SchemeFunction.monomial(3)):
+        estimators.correlation_C_f(P, P, scheme)
+        estimators.correlation_C_f(P, Q, scheme)
+    assert summed == [3, 5] + [N, N - block] * 2

@@ -279,6 +279,20 @@ def test_covariance_beyond_expm1_range_vs_mpmath(q1, q2, N):
     assert abs(value / ref - 1) <= 1e-12, (q1, q2, N, value)
 
 
+@pytest.mark.parametrize("q1, q2", [(409.0, 258.0), (409.5, 258.25),
+                                    (30.0, 700.5)])
+def test_covariance_large_delta_vs_mpmath(q1, q2):
+    # at N = 2 the moments are O(1/q), so the error of the log ratio delta
+    # (1 <= delta < 709) is what remains; -joint * expm1(delta) carried it
+    # in full, 3.4e-14 at (409, 258, 2); bound fixed before the run
+    N = 2
+    assert 1.0 <= analytic._mixed_difference(q1, q2, N) < 709.0
+    with mpmath.workdps(50):
+        ref = _covariance_reference(q1, q2, N)
+    value = analytic.haar_covariance(q1, q2, N)
+    assert abs(value / ref - 1) <= 1e-14, (q1, q2, N, value)
+
+
 def test_covariance_large_n_no_overflow():
     v = analytic.haar_covariance(3.0, 3.0, 1 << 24)
     assert v < 0.0

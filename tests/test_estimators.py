@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from ergoxeb.ensembles import haar_state_probs
 from ergoxeb.estimators import (
     SchemeFunction,
     ZeroProbabilityError,
+    _g_terms,
     chebyshev_violation_rate,
     correlation_C_f,
     depolarizing_scale,
@@ -188,6 +190,90 @@ def test_correlation_dims_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         correlation_C_f(_haar_P(2, 0), _haar_P(3, 0),
                         SchemeFunction.monomial(2))
+
+
+# -- the block fill of the terms ----------------------------------------------
+
+BLOCK = _accel._BLOCK
+# zeros of Q: none, a run across the first block boundary (or the middle
+# of a single partial or exact block), one whole block, or lone zeros at
+# the last site of the first block and the first site of the last block
+Q_ZERO_LAYOUTS = [
+    (n, layout)
+    for n in (12, 14, 16)  # one partial block, one exact block, four blocks
+    for layout in ("absent", "straddle", "whole_block", "lone")
+    if layout != "whole_block" or (1 << n) > BLOCK
+]
+
+
+def _Q_with_zeros(P, layout):
+    probs = experimental_distribution(P, NoiseModel.depolarizing(0.6)).probs
+    N = P.dims.N
+    if layout == "straddle":
+        edge = BLOCK if N > BLOCK else N // 2
+        probs[edge - 50:edge + 50] = 0.0
+    elif layout == "whole_block":
+        probs[BLOCK:2 * BLOCK] = 0.0
+    elif layout == "lone":
+        probs[[min(BLOCK, N) - 1, (N - 1) // BLOCK * BLOCK]] = 0.0
+    return OutputDistribution(P.dims, probs / probs.sum())
+
+
+@pytest.mark.parametrize("n, layout", Q_ZERO_LAYOUTS)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_block_fill_bit_identical_to_one_shot_terms(n, layout, scheme):
+    P = _haar_P(n, 50 + n)
+    Q = _Q_with_zeros(P, layout)
+    assert (Q.probs.min() == 0.0) == (layout != "absent")
+    mask = Q.probs > 0.0
+    one_shot = scheme.g(P.probs[mask], P.dims.N) * Q.probs[mask]
+    terms, zero = _g_terms(P.probs, P.dims.N, scheme, Q.probs)
+    assert zero is None
+    # bit for bit, sign of zero included
+    assert np.array_equal(terms.view(np.uint64), one_shot.view(np.uint64))
+    assert correlation_C_f(P, Q, scheme) == math.fsum(one_shot)
+
+
+@pytest.mark.parametrize("q_zeros", [False, True])
+def test_block_fill_names_zero_P_site_in_a_later_block(q_zeros):
+    P = _haar_P(16, 60)
+    probs, q = P.probs.copy(), P.probs.copy()
+    bad = BLOCK + 777  # in the second block
+    zero_P = [bad]
+    if q_zeros:
+        # Q zeros before the site, in both blocks, shift its index among
+        # the kept sites; a P = 0 site where Q = 0 is not an error
+        q[[3, 100, BLOCK, BLOCK + 10]] = 0.0
+        zero_P.append(100)
+    probs[5] += probs[zero_P].sum()
+    probs[zero_P] = 0.0
+    P0 = OutputDistribution(P.dims, probs)
+    Q = OutputDistribution(P.dims, q / q.sum())
+    with pytest.raises(ZeroProbabilityError,
+                       match=f"Q\\({bad:016b}\\) > 0"):
+        correlation_C_f(P0, Q, SchemeFunction.neglog())
+    assert np.isfinite(correlation_C_f(P0, Q, SchemeFunction.monomial(2)))
+    # the sampled estimator names the bitstring of the first zero draw,
+    # here in its third block
+    draws = np.flatnonzero(probs > 0.0)[:3 * BLOCK]
+    draws[2 * BLOCK + 1] = bad
+    with pytest.raises(ZeroProbabilityError,
+                       match=f"sampled bitstring {bad:016b} "):
+        estimate_C_f(P0, SampleSet(P.dims, draws), SchemeFunction.neglog())
+
+
+def test_correlation_peak_memory_one_terms_array():
+    # bound fixed before the run: the N-float terms array plus 1 MiB of
+    # block temporaries; four N-sized temporaries break it
+    P = _haar_P(18, 61)
+    N = P.dims.N
+    tracemalloc.start()
+    try:
+        correlation_C_f(P, P, SchemeFunction.neglog())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N + (1 << 20)
 
 
 # -- sampled estimator --------------------------------------------------------
