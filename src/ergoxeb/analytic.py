@@ -202,13 +202,15 @@ def pt_moment(i, N):
 
 
 def pt_sigma(i, N):
-    """Porter-Thomas standard deviation of P^i: sqrt((2i)! - (i!)^2)/N^i."""
+    """Porter-Thomas standard deviation of P^i: sqrt((2i)! - (i!)^2)/N^i,
+    the square root of the exact integer scaled by N^-i (exactly, for N a
+    power of two)."""
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     if i > 20:
         raise ValueError(f"factorial variance limited to i <= 20, got {i}")
     var = math.factorial(2 * i) - math.factorial(i) ** 2
-    return math.exp(0.5 * math.log(var) - i * math.log(N))
+    return math.sqrt(var) * float(N) ** -i
 
 
 def pt_pdf(p, N):
@@ -240,12 +242,15 @@ def _exact(mode):
     return mode == "exact"
 
 
+@functools.cache
 def haar_mean_of_scheme(scheme, N, mode="exact"):
     """Ensemble mean of a scheme function over Haar output probabilities.
 
     ``mode`` "exact" uses the Beta(1, N-1) law of P(x); "porter_thomas" its
     large-N limit, which replaces psi(N + k) by ln N, psi'(N + k) by 0 and
-    N + k by N.  A monomial's mean is divided by ``scheme.norm``.
+    N + k by N.  A monomial's mean is divided by ``scheme.norm``; its
+    Porter-Thomas mean i!/norm is a quotient of integers, correctly rounded.
+    Cached: the value depends on (scheme, N, mode) only.
     """
     exact = _exact(mode)
     if scheme.kind == "plogp":
@@ -258,13 +263,14 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
     if exact:
         mean = float(N) ** i * haar_joint_moment(i, 0.0, N)
     else:
-        mean = math.exp(math.lgamma(i + 1.0))
+        mean = math.factorial(i)
     return mean / scheme.norm
 
 
+@functools.cache
 def sigma_of_scheme(scheme, N, mode="exact"):
     """Ensemble standard deviation of a scheme function; see
-    ``haar_mean_of_scheme`` for ``mode``."""
+    ``haar_mean_of_scheme`` for ``mode`` and the cache."""
     exact = _exact(mode)
     if scheme.kind == "plogp":
         # second moment: the second q-derivative of the Beta moment at q = 2
@@ -284,22 +290,11 @@ def sigma_of_scheme(scheme, N, mode="exact"):
     if exact:
         m1 = haar_joint_moment(i, 0.0, N)
         m2 = haar_joint_moment(2.0 * i, 0.0, N)
-        spread = math.sqrt(m2 - m1 * m1)
+        spread = float(N) ** i * math.sqrt(m2 - m1 * m1)
     else:
-        spread = pt_sigma(i, N)
-    return float(N) ** i * spread / scheme.norm
-
-
-def pt_mean_quadrature(f, N):
-    """Mean of an arbitrary f(p) against the Porter-Thomas density.
-
-    Adaptive quadrature fallback for schemes without a closed form.
-    """
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda p: f(p) * N * math.exp(-N * p), 0.0, 1.0,
-                  epsabs=1e-10, limit=200)
-    return val
+        # the spread of (N P)^i, free of N: sqrt((2i)! - (i!)^2)
+        spread = pt_sigma(i, 1)
+    return spread / scheme.norm
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,9 @@ class SchemeFunction:
             if i == 1:
                 return np.ones_like(p)
             return self._over_norm(N ** (i - 1) * p ** (i - 1))
-        if np.any(p <= 0.0):
+        # one reduction for a clean p; a NaN fails it but passes the
+        # elementwise test, and is left to the log
+        if not p.min(initial=np.inf) > 0.0 and (p <= 0.0).any():
             raise ZeroProbabilityError(
                 f"scheme {self.name} is undefined at zero ideal probability"
             )
@@ -196,11 +198,11 @@ def _g_terms(p, N, scheme, weights=None):
 
     The terms are built one ``_accel._BLOCK`` of sites at a time, so every
     temporary of ``scheme.g`` is a block long and stays in cache.  A block
-    whose weights have no zeros, and, for a logarithmic scheme, whose kept p
-    have none, is checked by one reduction each; only a block that fails
-    builds a mask or searches for the site.  Returns ``(terms, None)``, or
-    ``(None, zero)`` under a logarithmic scheme, with ``zero`` the index of
-    the first kept site where p = 0.
+    whose weights have no zeros is checked by one reduction, and so are its
+    kept p, inside ``scheme.g``; only a block that fails builds a mask or
+    searches for the site.  Returns ``(terms, None)``, or ``(None, zero)``
+    under a logarithmic scheme, with ``zero`` the index of the first kept
+    site where p = 0.
     """
     terms = np.empty(p.size)
     filled = 0
@@ -215,16 +217,18 @@ def _g_terms(p, N, scheme, weights=None):
         k = pb.size
         if k == 0:
             continue
-        if scheme.logarithmic and not pb.min() > 0.0:
-            zeros = np.flatnonzero(pb == 0.0)
-            if zeros.size:
-                first = zeros[0] if kept is None else kept[zeros[0]]
-                return None, start + int(first)
         out = terms[filled:filled + k]
-        if weights is None:
-            out[:] = scheme.g(pb, N)
-        else:
-            np.multiply(scheme.g(pb, N), wb, out=out)
+        try:
+            if weights is None:
+                out[:] = scheme.g(pb, N)
+            else:
+                np.multiply(scheme.g(pb, N), wb, out=out)
+        except ZeroProbabilityError:
+            zeros = np.flatnonzero(pb == 0.0)
+            if not zeros.size:
+                raise
+            first = zeros[0] if kept is None else kept[zeros[0]]
+            return None, start + int(first)
         filled += k
     return terms[:filled], None
 
@@ -281,15 +285,10 @@ def estimate_C_f(P, samples, scheme, pvals=None):
     return CorrelationEstimate(value=value, std_error=se, T=samples.T)
 
 
-def haar_reference(scheme, N, mean_mode="exact"):
-    """(Haar mean, sigma) of ``scheme`` at dimension N: what an
-    ergodicity report compares an instance's C_f against."""
-    return scheme.haar_mean(N, mean_mode), scheme.sigma(N, mean_mode)
-
-
-def _build_report(P, estimate, scheme, alpha, mean_mode, reference):
+def _build_report(P, estimate, scheme, alpha, mean_mode):
+    # both cached in ``analytic``: they depend only on (scheme, N, mode)
     N = P.dims.N
-    mean, sigma = reference or haar_reference(scheme, N, mean_mode)
+    mean, sigma = scheme.haar_mean(N, mean_mode), scheme.sigma(N, mean_mode)
     deviation = abs(mean - estimate.value)
     threshold = alpha * sigma / math.sqrt(N)
     return ErgodicityReport(
@@ -309,24 +308,22 @@ def _build_report(P, estimate, scheme, alpha, mean_mode, reference):
 
 
 def deviation_of_ergodicity(P, samples, scheme, alpha=10.0,
-                            mean_mode="exact", reference=None, pvals=None):
+                            mean_mode="exact", pvals=None):
     """Sampled deviation-of-ergodicity report for one circuit instance.
 
-    ``reference`` is ``haar_reference(scheme, N, mean_mode)`` and ``pvals``
-    is ``sampled_probabilities(P, samples)``, for callers that already
-    hold them; both are computed here when None.
+    ``pvals`` is ``sampled_probabilities(P, samples)``, for callers that
+    already hold it; it is gathered here when None.
     """
     estimate = estimate_C_f(P, samples, scheme, pvals)
-    return _build_report(P, estimate, scheme, alpha, mean_mode, reference)
+    return _build_report(P, estimate, scheme, alpha, mean_mode)
 
 
 def deviation_of_ergodicity_exact(P, Q, scheme, alpha=10.0,
-                                  mean_mode="exact", reference=None):
-    """Exact-correlation variant (no sampling noise); reports T = 0.
-    ``reference`` is as for ``deviation_of_ergodicity``."""
+                                  mean_mode="exact"):
+    """Exact-correlation variant (no sampling noise); reports T = 0."""
     value = correlation_C_f(P, Q, scheme)
     est = CorrelationEstimate(value=value, std_error=0.0, T=0)
-    return _build_report(P, est, scheme, alpha, mean_mode, reference)
+    return _build_report(P, est, scheme, alpha, mean_mode)
 
 
 def depolarizing_scale(scheme, N, mode="exact"):

@@ -28,7 +28,6 @@ from .estimators import (
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
     fidelity_from_de_depolarizing,
-    haar_reference,
 )
 from .noise import (
     NoiseModel,
@@ -110,17 +109,13 @@ def _noisy_samples(P, noise, T, seed):
     return Q, sample_bitstrings(Q, T, seed=seed)
 
 
-def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, reference=None,
-                  **keys):
+def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, **keys):
     """Ergodicity report as a result row: ``report.to_dict()``, then
-    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None.
-    ``reference`` is as for ``deviation_of_ergodicity``."""
+    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None."""
     if samples is None:
-        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode,
-                                               reference)
+        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode)
     else:
-        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode,
-                                         reference)
+        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode)
     row = report.to_dict() | keys
     row["f_hat"] = _instance_fidelity(scheme, report)
     return row
@@ -139,8 +134,6 @@ def run_ergodicity_scan(cfg):
             base_seed=mix64(cfg.base_seed, n),
             source_path=cfg.source_path,
         )
-        # the Haar mean and sigma depend only on (scheme, N, mode)
-        reference = haar_reference(cfg.scheme, dims.N, cfg.mean_mode)
         n_rows = []
         for inst in range(cfg.instances):
             P = OutputDistribution(dims, member_probs(spec, inst))
@@ -148,9 +141,8 @@ def run_ergodicity_scan(cfg):
                 P, cfg.noise, cfg.T, mix64(spec.base_seed, 10_000 + inst)
             )
             n_rows.append(_estimate_row(P, Q, samples, cfg.scheme, cfg.alpha,
-                                        cfg.mean_mode, reference,
-                                        instance=inst))
-        sigma = reference[1]
+                                        cfg.mean_mode, instance=inst))
+        sigma = cfg.scheme.sigma(dims.N, cfg.mean_mode)
         violations = sum(r["verdict"] == "violated" for r in n_rows)
         summary.append({
             "n": n,

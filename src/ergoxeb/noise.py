@@ -117,38 +117,31 @@ def experimental_distribution(P, noise):
     return OutputDistribution(P.dims, q)
 
 
-def inverse_cdf_rows(probs, uniforms):
-    """Inverse-CDF draws from each row of a (rows, N) probability array.
+def inverse_cdf(probs, uniforms):
+    """Inverse-CDF draws from the probability vector ``probs``.
 
-    Row r takes the uniforms ``uniforms[r]`` in [0, 1] and returns, for each
-    u, the first index whose cumulative probability exceeds u times the row
-    total.  Zero-probability indices repeat the preceding cumulative value
-    and so are never chosen; the clamp to the row's last nonzero index
-    catches u * total equal to the total itself (u = 1), which would
-    otherwise land past the end.
-
-    ``uniforms`` is scaled in place to the targets u * total, so that a
-    one-row draw holds no array of T floats beside them.  Returns a list of
-    one int64 index array per row.
+    Returns, for each u of ``uniforms`` (in [0, 1]), the first index whose
+    cumulative probability exceeds u times the total, as an int64 array.
+    Zero-probability indices repeat the preceding cumulative value and so
+    are never chosen; the clamp to the last nonzero index catches u * total
+    equal to the total itself (u = 1), which would otherwise land past the
+    end.  ``uniforms`` is scaled in place to the targets u * total, so that
+    no array of T floats is held beside them.
     """
-    cdf = np.cumsum(probs, axis=1)
-    uniforms *= cdf[:, -1:]
-    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)
-    draws = []
-    for row_cdf, targets, top in zip(cdf, uniforms, last):
-        row = np.searchsorted(row_cdf, targets, side="right")
-        draws.append(np.minimum(row, top, out=row))
-    return draws
+    cdf = np.cumsum(probs)
+    uniforms *= cdf[-1]
+    last = probs.size - 1 - np.argmax(probs[::-1] != 0.0)
+    draws = np.searchsorted(cdf, uniforms, side="right")
+    return np.minimum(draws, last, out=draws)
 
 
 def sample_bitstrings(Q, T, seed):
-    """Draw T i.i.d. bitstrings from Q: the one-row case of
-    ``inverse_cdf_rows``, with T uniforms from PCG64(seed)."""
+    """Draw T i.i.d. bitstrings from Q by ``inverse_cdf``, with T uniforms
+    from PCG64(seed)."""
     if T < 0:
         raise ValueError(f"sample count must be >= 0, got {T}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    (draws,) = inverse_cdf_rows(Q.probs[None], rng.random((1, T)))
-    return SampleSet(Q.dims, draws)
+    return SampleSet(Q.dims, inverse_cdf(Q.probs, rng.random(T)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergoxeb import analytic
-from ergoxeb.estimators import SchemeFunction
+from ergoxeb.estimators import (
+    SchemeFunction,
+    depolarizing_norm,
+    depolarizing_scale,
+)
 
 mpmath.mp.dps = 40
 
@@ -397,11 +401,30 @@ def test_scheme_sigmas_vs_quadrature():
         assert scheme.sigma(N, "exact") == pytest.approx(ref, rel=1e-5, abs=0)
 
 
-def test_pt_mean_quadrature_matches_closed_form():
-    N = 128
-    val = analytic.pt_mean_quadrature(lambda p: -math.log(p), N)
-    assert val == pytest.approx(
-        SchemeFunction.neglog().haar_mean(N, "porter_thomas"), rel=1e-6, abs=0
+@pytest.mark.parametrize("i", range(1, 13))
+def test_pt_monomial_mean_and_sigma_are_exact(i):
+    # the mean i!/norm is a correctly rounded quotient of integers; the
+    # sigma is the square root of the integer (2i)! - (i!)^2 over norm,
+    # which mpmath puts within one ulp
+    var = math.factorial(2 * i) - math.factorial(i) ** 2
+    schemes = [SchemeFunction.monomial(i)]
+    if i >= 2:
+        schemes.append(SchemeFunction.normalized_monomial(i))
+    for scheme in schemes:
+        for N in (64, 1000, 1 << 24):
+            mean = scheme.haar_mean(N, "porter_thomas")
+            sigma = scheme.sigma(N, "porter_thomas")
+            assert mean == float(Fraction(math.factorial(i), scheme.norm))
+            assert sigma == math.sqrt(var) / scheme.norm
+            ref = mpmath.sqrt(var) / scheme.norm
+            assert abs(mpmath.mpf(sigma) - ref) <= math.ulp(sigma)
+            if i >= 2:
+                assert depolarizing_scale(scheme, N, "porter_thomas") == (
+                    depolarizing_norm(i) / scheme.norm
+                )
+    assert SchemeFunction.monomial(2).haar_mean(64, "porter_thomas") == 2.0
+    assert SchemeFunction.monomial(2).sigma(64, "porter_thomas") == (
+        4.47213595499958
     )
 
 

@@ -425,6 +425,44 @@ def test_benchmark_cli_paths_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_runtime_runs_without_scipy(tmp_path):
+    # the package declares numpy as its only dependency: with scipy made
+    # unimportable, every module imports and every command runs
+    probs_path, samples_path = _write_pair(tmp_path)
+    out = str(tmp_path)
+    runs = [
+        ["--out-dir", out, "scan", "--qubits", "4", "--instances", "2",
+         "--scheme", "neglog"],
+        ["--out-dir", out, "scan", "--qubits", "4", "--instances", "2",
+         "--ensemble", "brickwork", "--samples", "100",
+         "--noise", "depolarizing", "--fidelity", "0.5",
+         "--scheme", "monomial3", "--haar-mean-mode", "porter_thomas"],
+        ["xeb", "--probs", str(probs_path), "--samples", str(samples_path)],
+        ["oracle", "--moment", "1.5", "2.5", "1024"],
+        ["oracle", "--covariance", "0.5", "0.5", "1024"],
+        ["oracle", "--plogp-cov", "1024"],
+        ["oracle", "--haar-mean", "plogp", "1024"],
+    ]
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ergoxeb\n"
+        "for info in pkgutil.walk_packages(ergoxeb.__path__, 'ergoxeb.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "from ergoxeb.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(ergoxeb.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_scan_fixed_file_qubit_mismatch_names_file(tmp_path, capsys):
     spec = EnsembleSpec("brickwork", SystemDims(3), depth=2, base_seed=1)
     path = tmp_path / "p3.json"

@@ -21,7 +21,7 @@ from ergoxeb.ensembles import (
     sample_member,
 )
 from ergoxeb.estimators import SchemeFunction, correlation_C_f
-from ergoxeb.noise import inverse_cdf_rows
+from ergoxeb.noise import inverse_cdf
 from ergoxeb.statevector import (
     OutputDistribution,
     SystemDims,
@@ -150,7 +150,8 @@ def test_haar_sample_values_match_explicit_draws_ks(n):
                                    np.random.default_rng(200 + n))
     rng = np.random.default_rng(300 + n)
     P = haar_state_probs(N, rng, size=instances)
-    signal = np.array(inverse_cdf_rows(P, rng.random((instances, per))))
+    signal = np.array([inverse_cdf(row, u)
+                       for row, u in zip(P, rng.random((instances, per)))])
     uniform = rng.integers(0, N, size=(instances, per))
     ref = (np.take_along_axis(P, signal, axis=1),
            np.take_along_axis(P, uniform, axis=1))

@@ -81,23 +81,22 @@ def test_scan_deterministic_outputs(tmp_path):
 
 @pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
 def test_scan_computes_haar_reference_once_per_n(monkeypatch, mode):
-    # the Haar mean and sigma depend only on (scheme, N, mode): one of each
-    # per qubit count, and 3 polygamma calls per exact neglog pair
+    # the Haar mean and sigma depend only on (scheme, N, mode) and are
+    # cached: 3 polygamma calls per qubit count for an exact neglog pair
+    analytic.haar_mean_of_scheme.cache_clear()
+    analytic.sigma_of_scheme.cache_clear()
     calls = []
-    for name in ("polygamma", "haar_mean_of_scheme", "sigma_of_scheme"):
-        original = getattr(analytic, name)
+    original = analytic.polygamma
 
-        def counting(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(analytic, name, counting)
+    monkeypatch.setattr(analytic, "polygamma", counting)
     cfg = ScanConfig(n_range=(5, 6, 7), instances=4, T=0, base_seed=2,
                      mean_mode=mode)
     result = run_ergodicity_scan(cfg)
-    assert calls.count("haar_mean_of_scheme") == 3
-    assert calls.count("sigma_of_scheme") == 3
-    assert calls.count("polygamma") == (9 if mode == "exact" else 3)
+    assert len(calls) == (9 if mode == "exact" else 3)
     for row in result.rows:
         N = row["N"]
         scheme = SchemeFunction.neglog()

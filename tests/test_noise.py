@@ -18,7 +18,7 @@ from ergoxeb.noise import (
     chi_normalization_check,
     experimental_distribution,
     index_to_bitstring,
-    inverse_cdf_rows,
+    inverse_cdf,
     read_probabilities,
     read_samples,
     sample_bitstrings,
@@ -219,7 +219,7 @@ def test_row_kernel_matches_per_row_sampler(rows, T):
         [np.random.Generator(np.random.PCG64(s)).random(T) for s in seeds]
     ).reshape(rows, T)
     targets = uniforms.copy()
-    draws = inverse_cdf_rows(probs, targets)
+    draws = [inverse_cdf(p, t) for p, t in zip(probs, targets)]
     totals = np.cumsum(probs, axis=1)[:, -1:]
     assert np.array_equal(targets, uniforms * totals)
     assert len(draws) == rows
@@ -235,7 +235,7 @@ def test_row_kernel_clamps_to_last_nonzero_entry():
     # the trailing zero run, at index N
     probs = _rows_with_zeros(3, 5, seed=9)
     u = np.tile([0.0, 0.5, 1.0 - 2.0**-53, 1.0], (3, 1))
-    draws = inverse_cdf_rows(probs, u.copy())
+    draws = [inverse_cdf(p, u_row.copy()) for p, u_row in zip(probs, u)]
     for row, p, u_row in zip(draws, probs, u):
         assert np.array_equal(row, _per_row_draws(p, u_row))
         assert row[-1] == np.flatnonzero(p)[-1] and p[row].min() > 0.0
@@ -246,8 +246,8 @@ def test_row_kernel_fits_each_row_chi_squared():
     probs = _rows_with_zeros(4, 6, seed=31)
     T = 100_000
     uniforms = np.random.default_rng(32).random((4, T))
-    draws = inverse_cdf_rows(probs, uniforms)
-    for row, p in zip(draws, probs):
+    for p, u in zip(probs, uniforms):
+        row = inverse_cdf(p, u)
         nonzero = p > 0.0
         counts = np.bincount(row, minlength=p.size)
         assert not counts[~nonzero].any()
