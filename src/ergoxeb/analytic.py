@@ -195,10 +195,11 @@ def haar_covariance(q1, q2, N):
 
 
 def pt_moment(i, N):
-    """Porter-Thomas moment approximation E[P^i] ~ i!/N^i."""
+    """Porter-Thomas moment approximation E[P^i] ~ i!/N^i, correctly
+    rounded: the quotient of two integers."""
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    return math.exp(math.lgamma(i + 1.0) - i * math.log(N))
+    return math.factorial(i) / N**i
 
 
 def pt_sigma(i, N):

@@ -5,6 +5,7 @@ j = sum_k x_k 2^k, i.e. the rightmost character of the written string is the
 least significant bit.  All file formats in this package use this convention.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -184,32 +185,88 @@ def _contract(src, n, targets, block, out=None):
 
 
 def _fused_blocks(gates):
-    """Group ``gates`` in order into runs, yielded as (start, stop, run).
+    """Group ``gates`` into runs, yielded as (start, stop, run).
 
-    Consecutive gates whose targets fit together into FUSE_WIDTH contiguous
-    qubits form one run on the qubit window [start, stop).  A gate spanning
-    more qubits, or a global phase with no targets, is a run of its own
-    with start and stop None.
+    A run starts at the first gate not yet applied.  It then takes every
+    gate that is next on each of its qubits (all earlier gates on them are
+    applied) and keeps the run's window [start, stop) within FUSE_WIDTH
+    qubits; a window starting below _WIDEN_BELOW is counted from qubit 0,
+    as ``_apply_gates`` widens it there.  Such a gate shares no qubit with
+    the earlier gates it moves ahead of, so they commute and the product
+    is unchanged.  The next gates of the qubits are swept from low qubit
+    to high until a sweep takes none.  A run lists its gates in the order
+    they were taken, so each qubit sees its gates in list order.  A gate
+    spanning more than FUSE_WIDTH qubits, or a global phase with no
+    targets, is a run of its own with start and stop None.  The grouping
+    depends on the targets alone and is cached by them.
     """
-    run = []
-    for gate in gates:
-        targets = gate[0]
-        if not targets or max(targets) - min(targets) >= FUSE_WIDTH:
-            if run:
-                yield lo, hi, run
-                run = []
-            yield None, None, [gate]
-            continue
-        g_lo, g_hi = min(targets), max(targets) + 1
-        if run and max(hi, g_hi) - min(lo, g_lo) <= FUSE_WIDTH:
-            lo, hi = min(lo, g_lo), max(hi, g_hi)
-            run.append(gate)
-            continue
-        if run:
-            yield lo, hi, run
-        lo, hi, run = g_lo, g_hi, [gate]
-    if run:
-        yield lo, hi, run
+    for start, stop, positions in _schedule(tuple(t for t, _ in gates)):
+        yield start, stop, [gates[i] for i in positions]
+
+
+# The runs depend on the targets alone, and every member of a brickwork
+# ensemble has the same targets; a scan builds one ensemble at a time, so
+# a few entries suffice.
+@functools.lru_cache(maxsize=8)
+def _schedule(targets):
+    """The runs of ``_fused_blocks`` as (start, stop, gate positions), for
+    the per-gate target tuples ``targets``."""
+    spans = []
+    stacks = {}  # qubit -> positions of its gates not yet taken, next last
+    for i, qubits in enumerate(targets):
+        if qubits and max(qubits) - min(qubits) < FUSE_WIDTH:
+            spans.append((min(qubits), max(qubits) + 1))
+        else:
+            spans.append((None, None))
+        for q in qubits:
+            stacks.setdefault(q, []).append(i)
+    n = max(stacks, default=-1) + 1
+    stacks = [stacks.get(q, [])[::-1] for q in range(n)]
+    # per gate, the number of its qubits whose next gate is an earlier one
+    waits = [len(qubits) for qubits in targets]
+    for stack in stacks:
+        if stack:
+            waits[stack[-1]] -= 1
+    taken = [False] * len(targets)
+
+    def take(i):
+        taken[i] = True
+        for q in targets[i]:
+            stack = stacks[q]
+            stack.pop()
+            if stack:
+                waits[stack[-1]] -= 1
+
+    runs = []
+    first = 0
+    while True:
+        while first < len(targets) and taken[first]:
+            first += 1
+        if first == len(targets):
+            return tuple(runs)
+        lo, hi = spans[first]
+        run = [first]
+        take(first)
+        grew = lo is not None
+        while grew:
+            grew = False
+            # a gate on a qubit outside this range cannot fit the window
+            for q in range(max(0, hi - FUSE_WIDTH), min(n, lo + FUSE_WIDTH)):
+                stack = stacks[q]
+                if not stack or waits[stack[-1]]:
+                    continue
+                i = stack[-1]
+                g_lo, g_hi = spans[i]
+                if g_lo is None:
+                    continue
+                new_lo, new_hi = min(lo, g_lo), max(hi, g_hi)
+                if new_hi - (0 if new_lo < _WIDEN_BELOW else new_lo) \
+                        <= FUSE_WIDTH:
+                    lo, hi = new_lo, new_hi
+                    run.append(i)
+                    take(i)
+                    grew = True
+        runs.append((lo, hi, tuple(run)))
 
 
 def _window_matrix(start, stop, run):
@@ -259,7 +316,9 @@ def _apply_gates(amps, n, gates):
     ``amps`` has shape (N,) or (N, B); a trailing axis is a batch of B
     independent states.  Each run of ``_fused_blocks`` becomes one dense
     block on its qubit window, applied with one ``np.matmul(..., out=)`` on
-    a (hi, 2**w, lo) view, lo being 2**start times B.  Results go to a
+    a (hi, 2**w, lo) view, lo being 2**start times B.  A run may take gates
+    ahead of earlier gates on other qubits, which commute with them, so
+    the result is the list-order product up to rounding.  Results go to a
     second buffer; the two buffers swap roles after every step, so ``amps``
     itself is overwritten once there are two steps.
     """

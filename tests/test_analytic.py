@@ -316,6 +316,16 @@ def test_pt_moment_and_sigma():
     )
 
 
+@pytest.mark.parametrize("N", [1 << 10, 1 << 20])
+def test_pt_moment_is_correctly_rounded(N):
+    assert analytic.pt_moment(2, 64) == 2 / 64**2
+    for i in range(1, 13):
+        exact = Fraction(math.factorial(i), N**i)
+        assert analytic.pt_moment(i, N) == float(exact)
+    with pytest.raises(ValueError, match="i >= 1"):
+        analytic.pt_moment(0, N)
+
+
 def test_pdfs_normalized():
     N = 48
     for pdf in (analytic.pt_pdf, analytic.beta_pdf):

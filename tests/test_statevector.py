@@ -8,6 +8,8 @@ from scipy import stats
 
 from ergoxeb.ensembles import EnsembleSpec, sample_haar_unitary, sample_member
 from ergoxeb.statevector import (
+    FUSE_WIDTH,
+    _WIDEN_BELOW,
     GateProgram,
     OutputDistribution,
     PureState,
@@ -256,8 +258,9 @@ def _element_formula_product(n, gates):
 
 
 def test_brickwork_fused_windows_match_element_formula():
-    # n=8 brickwork: layers fuse into windows of up to FUSE_WIDTH qubits,
-    # and windows starting at qubits 1-2 are widened down to qubit 0
+    # n=8 brickwork: gates of several layers fuse into windows of up to
+    # FUSE_WIDTH qubits, and windows starting at qubits 1-2 are widened
+    # down to qubit 0 and count their width from there
     spec = EnsembleSpec("brickwork", SystemDims(8), depth=40, base_seed=17)
     prog = sample_member(spec, 2)
     expected = _element_formula_product(8, prog.gates)
@@ -268,8 +271,12 @@ def test_brickwork_fused_windows_match_element_formula():
 
 def test_wide_and_unordered_gates_match_element_formula():
     # (0, 7) spans 8 qubits, more than FUSE_WIDTH, and is contracted on
-    # the whole state; (3, 1, 2) fuses with (2,) on qubits [1, 4), and
-    # (6, 4) would stretch that run to 6 qubits, so it starts a new one
+    # the whole state.  (6, 4) shares no qubit with (0, 7) or (3, 1, 2), so
+    # it moves ahead of them into (5,)'s run on [4, 7); (3, 1, 2), widened
+    # to qubit 0, would stretch that run past FUSE_WIDTH.  (2,) and (1,)
+    # join (3, 1, 2) on [1, 4), (1,) ahead of the second (0, 7).  (7,) is
+    # next on its qubit after the first (0, 7), and would stretch [1, 4),
+    # widened, to 8 qubits.
     n = 8
     gates = [((5,), H), ((0, 7), sample_haar_unitary(4, seed=1)),
              ((3, 1, 2), sample_haar_unitary(8, seed=2)), ((2,), X),
@@ -277,12 +284,96 @@ def test_wide_and_unordered_gates_match_element_formula():
              ((0, 7), sample_haar_unitary(4, seed=4)), ((1,), H)]
     prog = GateProgram(SystemDims(n), gates=gates)
     windows = [(start, stop) for start, stop, _ in _fused_blocks(prog.gates)]
-    assert windows == [(5, 6), (None, None), (1, 4), (4, 8), (None, None),
-                       (1, 2)]
+    assert windows == [(4, 7), (None, None), (1, 4), (7, 8), (None, None)]
     expected = _element_formula_product(n, gates)
     np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
     np.testing.assert_allclose(output_distribution(prog).probs,
                                np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def _window_width(start, stop):
+    return stop - (0 if start < _WIDEN_BELOW else start)
+
+
+def _random_program(n, rng):
+    # local 1-3 qubit gates, gates spanning more than FUSE_WIDTH qubits
+    # (from n=6 on) and global phases, in random order
+    gates = []
+    for _ in range(rng.integers(1, 30)):
+        kind = rng.random()
+        if kind < 0.08:
+            gates.append(((), np.exp(2j * np.pi * rng.random()).reshape(1, 1)))
+            continue
+        if kind < 0.2 and n > FUSE_WIDTH:
+            a = int(rng.integers(0, n - FUSE_WIDTH))
+            b = int(rng.integers(a + FUSE_WIDTH, n))
+            targets = (a, b) if rng.random() < 0.5 else (b, a)
+        else:
+            k = int(rng.integers(1, min(3, n) + 1))
+            span = int(rng.integers(k, min(n, 4) + 1))
+            low = int(rng.integers(0, n - span + 1))
+            window = rng.permutation(np.arange(low, low + span))
+            targets = tuple(int(t) for t in window[:k])
+        gates.append((targets, sample_haar_unitary(1 << len(targets),
+                                                   rng=rng)))
+    return GateProgram(SystemDims(n), gates=gates)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fused_runs_keep_qubit_order_and_width(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(12):
+        prog = _random_program(n, rng)
+        gates = prog.gates
+        position = {id(block): i for i, (_, block) in enumerate(gates)}
+        runs = list(_fused_blocks(gates))
+        order = [position[id(block)] for _, _, run in runs
+                 for _, block in run]
+        assert sorted(order) == list(range(len(gates)))
+        for q in range(n):
+            on_q = [i for i in order if q in gates[i][0]]
+            assert on_q == sorted(on_q)
+        applied = set()
+        for start, stop, run in runs:
+            applied.update(position[id(block)] for _, block in run)
+            if start is None:
+                (targets, _), = run
+                assert not targets or max(targets) - min(targets) >= FUSE_WIDTH
+                continue
+            targets = [t for gate_targets, _ in run for t in gate_targets]
+            assert (start, stop) == (min(targets), max(targets) + 1)
+            assert len(run) == 1 or _window_width(start, stop) <= FUSE_WIDTH
+            # every gate left out is either behind a gate not yet applied
+            # on one of its qubits, or would widen the window too far
+            blocked = set()
+            for i, (targets, _) in enumerate(gates):
+                if i in applied:
+                    continue
+                if targets and blocked.isdisjoint(targets) \
+                        and max(targets) - min(targets) < FUSE_WIDTH:
+                    lo = min(start, min(targets))
+                    hi = max(stop, max(targets) + 1)
+                    assert _window_width(lo, hi) > FUSE_WIDTH
+                blocked.update(targets)
+        expected = _element_formula_product(n, gates)
+        np.testing.assert_allclose(program_unitary(prog), expected,
+                                   atol=1e-12)
+        np.testing.assert_allclose(output_distribution(prog).probs,
+                                   np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def test_brickwork_member_fuses_into_few_runs():
+    # gates move ahead of earlier ones on other qubits: a depth-80 member
+    # at n=16 (600 gates) is at most 100 runs, where merging only
+    # consecutive gates made 320.  Members share their targets, and so
+    # their grouping, but each run holds its own member's gates.
+    spec = EnsembleSpec("brickwork", SystemDims(16), depth=80, base_seed=3)
+    for index in range(2):
+        gates = sample_member(spec, index).gates
+        runs = list(_fused_blocks(gates))
+        assert len(runs) <= 100
+        assert sorted(id(block) for _, _, run in runs for _, block in run) \
+            == sorted(id(block) for _, block in gates)
 
 
 def test_brickwork_collision_probability_porter_thomas():
