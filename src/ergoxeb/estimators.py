@@ -279,7 +279,13 @@ def estimate_C_f(P, samples, scheme, pvals=None):
         )
     value = float(_accel.neumaier_sum(gvals)) / samples.T
     if samples.T > 1:
-        se = float(np.std(gvals, ddof=1)) / math.sqrt(samples.T)
+        # np.std(gvals, ddof=1) in place on the terms, which are not used
+        # again: its steps in its order, so the same bits, with no
+        # temporary of T floats
+        gvals -= np.add.reduce(gvals) / gvals.size
+        np.multiply(gvals, gvals, out=gvals)
+        var = float(np.add.reduce(gvals)) / (gvals.size - 1)
+        se = math.sqrt(var) / math.sqrt(samples.T)
     else:
         se = 0.0
     return CorrelationEstimate(value=value, std_error=se, T=samples.T)

@@ -109,15 +109,26 @@ class OutputDistribution:
         self.probs = check_probability_rows(probs)
 
 
-def _check_unitary(matrix):
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"gate block must be square, got shape {matrix.shape}")
-    m = matrix.shape[0]
-    err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(m)))
-    if not err <= UNITARY_TOL:  # NaN entries fail too
-        raise ValueError(f"gate block non-unitary: max |U^dag U - I| = {err:g}")
-    return matrix
+def _check_unitary(blocks):
+    """Raise unless every square complex128 matrix in ``blocks`` is unitary.
+
+    The blocks of each dimension are checked in one stacked matmul; the
+    error reported is that of the first failing block in list order.
+    """
+    errs = np.empty(len(blocks))
+    by_dim = {}
+    for i, block in enumerate(blocks):
+        by_dim.setdefault(block.shape[0], []).append(i)
+    for m, index in by_dim.items():
+        stack = np.stack([blocks[i] for i in index])
+        product = stack.conj().transpose(0, 2, 1) @ stack
+        product -= np.eye(m)
+        errs[index] = np.abs(product).max(axis=(1, 2))
+    bad = np.flatnonzero(~(errs <= UNITARY_TOL))  # NaN entries fail too
+    if bad.size:
+        raise ValueError(
+            f"gate block non-unitary: max |U^dag U - I| = {errs[bad[0]]:g}"
+        )
 
 
 @dataclass
@@ -127,6 +138,8 @@ class GateProgram:
     Each gate is (targets, block) where ``targets`` lists distinct qubit
     indices and ``block`` is a dense unitary of dimension 2**len(targets).
     Bit j of a block's row/column index is the value of qubit targets[j].
+    Every gate's targets and shape are checked before any block's
+    unitarity.
     """
 
     dims: SystemDims
@@ -143,13 +156,18 @@ class GateProgram:
                     raise ValueError(
                         f"target qubit {t} out of range for n={self.dims.n}"
                     )
-            block = _check_unitary(block)
+            block = np.asarray(block, dtype=np.complex128)
+            if block.ndim != 2 or block.shape[0] != block.shape[1]:
+                raise ValueError(
+                    f"gate block must be square, got shape {block.shape}"
+                )
             if block.shape[0] != 1 << len(targets):
                 raise ValueError(
                     f"block dimension {block.shape[0]} does not match "
                     f"{len(targets)} target qubits"
                 )
             checked.append((targets, block))
+        _check_unitary([block for _, block in checked])
         self.gates = checked
 
 

@@ -311,6 +311,33 @@ def test_estimator_se_tracks_scatter():
     assert 0.5 < scatter / reported < 2.0
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_estimator_se_is_numpy_std_bit_for_bit(scheme):
+    P = _haar_P(8, 62)
+    Q = experimental_distribution(P, NoiseModel.depolarizing(0.5))
+    for T in (2, 3, 1000, 70_001):
+        samples = sample_bitstrings(Q, T, seed=T)
+        est = estimate_C_f(P, samples, scheme)
+        terms, _ = _g_terms(P.probs[samples.bitstrings], P.dims.N, scheme)
+        assert est.std_error == float(np.std(terms, ddof=1)) / math.sqrt(T)
+
+
+def test_estimator_holds_one_array_of_terms():
+    # bound fixed before the run: the terms (8 T bytes) and 1 MiB for the
+    # blocks of g; np.std's temporary of T floats breaks it
+    P = _haar_P(12, 63)
+    T = 500_000
+    samples = sample_bitstrings(P, T, seed=64)
+    pvals = P.probs[samples.bitstrings]
+    tracemalloc.start()
+    try:
+        estimate_C_f(P, samples, SchemeFunction.monomial(2), pvals=pvals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * T + (1 << 20), peak
+
+
 def test_depolarizing_mean_shift():
     # E[<g>] under depolarizing Q: F * C(P,P) + (1-F) * C(P,uniform)
     P = _haar_P(10, 7)

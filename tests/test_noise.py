@@ -255,6 +255,77 @@ def test_row_kernel_fits_each_row_chi_squared():
         assert pvalue > 1e-3
 
 
+_BLOCK = noise._SEARCH_BLOCK
+
+
+def _check_draws(probs, u):
+    """inverse_cdf equals one unsorted search of all targets, bit for bit."""
+    draws = inverse_cdf(probs, u.copy())
+    assert draws.shape == u.shape and draws.dtype == np.int64
+    assert np.array_equal(draws, _per_row_draws(probs, u))
+    return draws
+
+
+@pytest.mark.parametrize("T", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               8191, 8192, 8193, 3 * 8192 + 5])
+def test_blocked_search_matches_one_search(T):
+    probs = _rows_with_zeros(1, 10, seed=T)[0]
+    _check_draws(probs, np.random.default_rng(T).random(T))
+
+
+def test_blocked_search_repeated_uniforms():
+    # few distinct values, repeated within and across blocks: equal
+    # targets end in whatever order the unstable argsort leaves them
+    probs = _rows_with_zeros(1, 8, seed=3)[0]
+    rng = np.random.default_rng(4)
+    u = rng.choice(rng.random(7), size=2 * _BLOCK + 77)
+    _check_draws(probs, u)
+
+
+def test_blocked_search_targets_on_cdf_entries():
+    # dyadic probabilities sum exactly to 1, so u = cdf[k] makes targets
+    # equal to CDF entries, among them the repeated entries of zero runs
+    counts = np.random.default_rng(5).integers(0, 4, 1 << 7)
+    counts[:3] = counts[-3:] = 0
+    counts[-4] += (1 << 10) - counts.sum()
+    probs = counts / 1024.0
+    cdf = np.cumsum(probs)
+    assert cdf[-1] == 1.0
+    u = np.random.default_rng(6).choice(np.append(cdf, 0.0),
+                                        size=_BLOCK + 300)
+    draws = _check_draws(probs, u)
+    assert probs[draws].min() > 0.0
+
+
+def test_blocked_search_clamps_u_one_in_every_block():
+    probs = _rows_with_zeros(3, 6, seed=7)
+    rng = np.random.default_rng(8)
+    for p in probs:
+        u = rng.random(2 * _BLOCK + 9)
+        u[rng.random(u.size) < 0.01] = 1.0
+        u[[0, _BLOCK - 1, _BLOCK, -1]] = 1.0
+        draws = _check_draws(p, u)
+        assert (draws[u == 1.0] == np.flatnonzero(p)[-1]).all()
+
+
+def test_blocked_search_holds_only_block_temporaries():
+    # bound fixed before the run: 256 KiB beyond the cdf and the draws.
+    # A block's three temporaries (3 x 32 KiB) fit it; those of 2^14
+    # blocks, or of one argsort of all T targets, do not.
+    N, T = 1 << 16, 1 << 18
+    probs = np.random.default_rng(9).dirichlet(np.ones(N))
+    u = np.random.default_rng(10).random(T)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draws = inverse_cdf(probs, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beyond = peak - base - probs.nbytes - draws.nbytes
+    assert beyond <= 256 << 10, beyond
+
+
 # -- file formats -------------------------------------------------------------
 
 def test_bitstring_codec():

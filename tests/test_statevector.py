@@ -75,6 +75,32 @@ def test_non_unitary_block_rejected():
         GateProgram(SystemDims(1), gates=[((0,), np.array([[1, 0], [0, 2.0]]))])
 
 
+def test_batched_unitarity_reports_first_failing_block():
+    # unitary blocks of three sizes, with two bad ones of different sizes;
+    # the error is that of the earlier bad block in list order
+    rng = np.random.default_rng(3)
+    sizes = [1, 2, 1, 3, 2, 1]
+    gates = [(tuple(range(k)), sample_haar_unitary(1 << k, rng=rng))
+             for k in sizes]
+    gates[3] = ((0, 1, 2), 1.5 * gates[3][1])  # U^dag U - I = 1.25 I
+    gates[4] = ((0, 1), 2.0 * gates[4][1])  # 3 I
+    with pytest.raises(ValueError, match=r"= 1\.25$"):
+        GateProgram(SystemDims(3), gates=gates)
+    gates[3] = ((0, 1, 2), np.full((8, 8), np.nan))
+    with pytest.raises(ValueError, match="non-unitary.* = nan$"):
+        GateProgram(SystemDims(3), gates=gates)
+    assert len(GateProgram(SystemDims(3), gates=gates[:3]).gates) == 3
+
+
+def test_malformed_gate_reported_before_non_unitary_block():
+    # targets and shapes are checked for every gate before unitarity
+    bad = np.array([[1, 0], [0, 2.0]])
+    with pytest.raises(ValueError, match="out of range"):
+        GateProgram(SystemDims(2), gates=[((0,), bad), ((2,), X)])
+    with pytest.raises(ValueError, match="must be square"):
+        GateProgram(SystemDims(2), gates=[((0,), bad), ((1,), X[:1])])
+
+
 def test_duplicate_targets_rejected():
     block = np.eye(4, dtype=np.complex128)
     with pytest.raises(ValueError, match="duplicate"):
