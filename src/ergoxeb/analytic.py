@@ -59,7 +59,9 @@ def polygamma(m, z):
         acc += np.where(small, -1.0 / z if m == 0 else 1.0 / (z * z), 0.0)
         z = np.where(small, z + 1.0, z)
     if m == 0:
-        inv2 = 1.0 / (z * z)
+        # z * z overflows to inf past z ~ 1.3e154, where 1 / inf = 0 is right
+        with np.errstate(over="ignore"):
+            inv2 = 1.0 / (z * z)
         head, power, tail = acc + np.log(z) - 0.5 / z, inv2, _DIGAMMA_TAIL
     else:
         inv = 1.0 / z

@@ -45,6 +45,12 @@ def _parse_qubits(text):
         raise ValueError(
             f"--qubits: expected N or LO..HI, got {text!r}"
         ) from None
+    # checked here, before any instance runs and before range() is built
+    if not 1 <= lo <= hi <= DEFAULT_QUBIT_CAP:
+        raise ValueError(
+            f"--qubits: expected 1 <= LO <= HI <= {DEFAULT_QUBIT_CAP}, "
+            f"got {text!r}"
+        )
     return tuple(range(lo, hi + 1))
 
 

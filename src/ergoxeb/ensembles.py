@@ -227,30 +227,6 @@ def pauli_ensemble_average(dims, f, x0):
     return total / 4**dims.n
 
 
-@dataclass(frozen=True)
-class DesignCheckConfig:
-    t: int
-    mc_samples: int = 2000
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("design order t must be >= 1")
-        if self.mc_samples < 20:
-            raise ValueError("need at least 20 Monte-Carlo samples")
-
-
-@dataclass(frozen=True)
-class DesignCheckReport:
-    discrepancy: float
-    std_error: float
-
-    @property
-    def z_score(self):
-        if self.std_error == 0.0:
-            return math.inf if self.discrepancy else 0.0
-        return self.discrepancy / self.std_error
-
-
 def _moment_tensor(u, t):
     a = u
     for _ in range(t - 1):
@@ -260,22 +236,6 @@ def _moment_tensor(u, t):
     for _ in range(t - 1):
         b = np.kron(b, udag)
     return np.kron(a, b)
-
-
-def _mc_moment_tensor(dims, t, samples, rng, unitary_source):
-    """Batch-mean estimate of E[U^t (x) Udag^t]; returns (mean, per-entry SE)."""
-    n_batches = 10
-    per = max(1, samples // n_batches)
-    dim = dims.N ** (2 * t)
-    batch_means = np.zeros((n_batches, dim, dim), dtype=np.complex128)
-    for b in range(n_batches):
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for _ in range(per):
-            acc += _moment_tensor(unitary_source(rng), t)
-        batch_means[b] = acc / per
-    mean = batch_means.mean(axis=0)
-    se = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return mean, se
 
 
 def haar_moment_tensor(N, t):
@@ -298,43 +258,32 @@ def haar_moment_tensor(N, t):
     return moment.reshape(d * d, d * d)
 
 
-def design_moment_discrepancy(spec, cfg):
-    """Max-entry gap between an ensemble's t-th moment tensor and Haar's.
+def design_moment_discrepancy(spec, t):
+    """Exact max-entry gap between an ensemble's t-th moment tensor and
+    Haar's (``haar_moment_tensor``).
 
-    The Haar side is exact (``haar_moment_tensor``), and so is the Pauli
-    side, a 4^n-term sum; other kinds are Monte-Carlo estimates.  Each
+    The Pauli and fixed ensembles are finite, so their side is the mean of
+    ``_moment_tensor`` over every member: all 4^n Paulis, or every program
+    of the file.  Haar's tensor is the reference, so its gap is 0.0.  A
     tensor has dim^2 entries, dim = N^(2t), at most 2^20.
     """
+    if t < 1:
+        raise ValueError(f"design order t must be >= 1, got {t}")
     dims = spec.dims
-    dim = dims.N ** (2 * cfg.t)
+    dim = dims.N ** (2 * t)
     if dim * dim > 1 << 20:
         raise ValueError(
             f"moment tensor of {dim}^2 entries exceeds the 2^20 cap"
         )
-    if spec.kind == "pauli":
-        count = 4**dims.n
-        ens_mean = sum(
-            _moment_tensor(program_unitary(_pauli_program(dims, i)), cfg.t)
-            for i in range(count)
-        ) / count
-        ens_se = np.zeros(ens_mean.shape)
-    else:
-        ens_rng = _rng(mix64(spec.base_seed, 0xE5EB))
-        if spec.kind == "haar":
-            source = lambda r: sample_haar_unitary(dims.N, rng=r)
-        elif spec.kind == "brickwork":
-            source = lambda r: program_unitary(
-                _brickwork_program(dims, spec.depth, r)
-            )
-        else:
-            programs = spec._programs
-            source = lambda r: program_unitary(
-                programs[r.integers(len(programs))]
-            )
-        ens_mean, ens_se = _mc_moment_tensor(
-            dims, cfg.t, cfg.mc_samples, ens_rng, source
-        )
-    gap = np.abs(ens_mean - haar_moment_tensor(dims.N, cfg.t))
-    flat = int(np.argmax(gap))
-    return DesignCheckReport(discrepancy=float(gap.flat[flat]),
-                             std_error=float(ens_se.flat[flat]))
+    if spec.kind == "haar":
+        return 0.0
+    if spec.kind == "brickwork":
+        raise ValueError("no exact moment tensor for the brickwork ensemble")
+    count = 4**dims.n if spec.kind == "pauli" else len(spec._programs)
+    if not count:
+        raise ValueError(f"{spec.source_path}: no gate programs")
+    ens_mean = sum(
+        _moment_tensor(program_unitary(sample_member(spec, i)), t)
+        for i in range(count)
+    ) / count
+    return float(np.abs(ens_mean - haar_moment_tensor(dims.N, t)).max())

@@ -121,9 +121,11 @@ def _check_unitary(blocks):
         by_dim.setdefault(block.shape[0], []).append(i)
     for m, index in by_dim.items():
         stack = np.stack([blocks[i] for i in index])
-        product = stack.conj().transpose(0, 2, 1) @ stack
-        product -= np.eye(m)
-        errs[index] = np.abs(product).max(axis=(1, 2))
+        # an inf entry makes NaN here, which fails the check below
+        with np.errstate(invalid="ignore", over="ignore"):
+            product = stack.conj().transpose(0, 2, 1) @ stack
+            product -= np.eye(m)
+            errs[index] = np.abs(product).max(axis=(1, 2))
     bad = np.flatnonzero(~(errs <= UNITARY_TOL))  # NaN entries fail too
     if bad.size:
         raise ValueError(
@@ -478,7 +480,10 @@ def save_programs(programs, path):
 def load_programs(path):
     """Gate programs of a JSON file; a malformed one is named by its index."""
     with open(path) as fh:
-        docs = json.load(fh)
+        try:
+            docs = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(docs, list):
         raise ValueError(f"{path}: expected a JSON list of gate programs")
     programs = []

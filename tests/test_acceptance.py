@@ -13,7 +13,6 @@ from scipy import stats
 
 from ergoxeb import analytic
 from ergoxeb.ensembles import (
-    DesignCheckConfig,
     EnsembleSpec,
     design_moment_discrepancy,
     haar_state_probs,
@@ -206,21 +205,17 @@ def test_criterion_09_pauli_counterexample(capsys):
     mean_p = pauli_ensemble_average(dims, lambda p: p, 0)
     mean_p2 = pauli_ensemble_average(dims, lambda p: p**2, 0)
     haar_p2 = analytic.haar_joint_moment(2.0, 0.0, 2)  # = 1/3
-    report = design_moment_discrepancy(
-        EnsembleSpec("pauli", dims),
-        DesignCheckConfig(t=2, mc_samples=2000),
-    )
+    gap = design_moment_discrepancy(EnsembleSpec("pauli", dims), 2)
     ok = (
         mean_p == 0.5
         and mean_p2 == 0.5
         and abs(haar_p2 - 1.0 / 3.0) < 1e-14
-        and abs(report.z_score) > 10.0
+        and abs(gap - 0.5) <= 1e-14
     )
     _verdict(
         capsys, 9, ok,
         f"Pauli n=1: E[P(0)]={mean_p}, E[P(0)^2]={mean_p2} != Haar 1/3; "
-        f"exact 2-design discrepancy {report.discrepancy:.3g}, "
-        f"z={report.z_score:.1f} > 10",
+        f"exact 2-design discrepancy {gap:.3g} = 1/2",
     )
 
 

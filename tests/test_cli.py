@@ -278,6 +278,11 @@ def _exit_code(argv):
     (["scan", "--qubits", "2", "--fixed-file", "g.json"], {"g.json": "[]"}),
     (["scan", "--qubits", "2", "--ensemble", "brickwork",
       "--fixed-file", "g.json"], {"g.json": "[]"}),
+    (["scan", "--qubits", "1..99999999999"], {}),
+    (["scan", "--qubits", "20..25", "--ensemble", "brickwork",
+      "--depth", "20", "--instances", "3"], {}),
+    (["scan", "--qubits", "1", "--ensemble", "fixed",
+      "--fixed-file", "g.json"], {"g.json": "[" * 200_000}),
 ])
 def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
                                           argv, files):
@@ -348,6 +353,15 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--covariance: expected Q1, Q2 > 0, got 0 1"),
     (["oracle", "--moment", "1", "-1", "4"],
      "--moment: expected Q1 > 0 and Q2 >= 0, got 1 -1"),
+    (["scan", "--qubits", "1..99999999999"],
+     "--qubits: expected 1 <= LO <= HI <= 24, got '1..99999999999'"),
+    (["scan", "--qubits", "20..25", "--ensemble", "brickwork",
+      "--depth", "20", "--instances", "3"],
+     "--qubits: expected 1 <= LO <= HI <= 24, got '20..25'"),
+    (["scan", "--qubits", "0"],
+     "--qubits: expected 1 <= LO <= HI <= 24, got '0'"),
+    (["scan", "--qubits", "5..3"],
+     "--qubits: expected 1 <= LO <= HI <= 24, got '5..3'"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
@@ -381,6 +395,15 @@ def test_scan_brickwork_depth_0_means_5n(tmp_path, capsys):
 def test_oracle_accepts_largest_dimension(capsys):
     assert main(["oracle", "--covariance", "1", "1", "16777216"]) == 0
     assert float(capsys.readouterr().out) < 0.0
+
+
+def test_oracle_moment_past_float_square_range_is_silent(capsys):
+    # z * z in polygamma's series overflows past z ~ 1.3e154; the printed
+    # 0 is right, and no numpy warning may reach stderr
+    assert main(["oracle", "--moment", "1e308", "1", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert float(out) == 0.0
+    assert err == ""
 
 
 def test_oracle_covariance_past_expm1_range(capsys):
@@ -503,12 +526,21 @@ _GOOD_PROGRAM = {"n": 2, "gates": [
     ({"n": 2, "gates": [{"targets": [2], "matrix": [[[1, 0], [0, 0]],
                                                     [[0, 0], [1, 0]]]}]},
      "target qubit 2 out of range for n=2"),
+    # JSON 1e400 reads as inf; the check's NaN must not leak a warning
+    pytest.param(
+        '{"n": 2, "gates": [{"targets": [0], "matrix": '
+        '[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]}]}',
+        "gate block non-unitary: max |U^dag U - I| = nan",
+        id="inf-entry",
+    ),
 ])
 def test_scan_fixed_file_malformed_program_exits_1(tmp_path, capsys, bad,
                                                    message):
     # the bad program follows a good one, so its index is 1
     path = tmp_path / "programs.json"
-    path.write_text(json.dumps([_GOOD_PROGRAM, bad]))
+    # a string is the bad program's raw JSON text
+    text = bad if isinstance(bad, str) else json.dumps(bad)
+    path.write_text(f"[{json.dumps(_GOOD_PROGRAM)}, {text}]")
     code = main(["--out-dir", str(tmp_path), "scan", "--ensemble", "fixed",
                  "--fixed-file", str(path), "--qubits", "2",
                  "--instances", "2"])

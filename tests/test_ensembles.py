@@ -7,7 +7,6 @@ from scipy import stats
 
 from ergoxeb import analytic
 from ergoxeb.ensembles import (
-    DesignCheckConfig,
     EnsembleSpec,
     design_moment_discrepancy,
     haar_moment_tensor,
@@ -380,38 +379,62 @@ def test_haar_moment_tensor_matches_monte_carlo(N, t):
 
 def test_pauli_is_exact_1_design():
     spec = EnsembleSpec("pauli", SystemDims(1))
-    report = design_moment_discrepancy(spec, DesignCheckConfig(t=1))
-    assert report.discrepancy <= 1e-14
+    assert design_moment_discrepancy(spec, 1) <= 1e-14
 
 
 def test_pauli_fails_2_design():
     spec = EnsembleSpec("pauli", SystemDims(1))
-    report = design_moment_discrepancy(
-        spec, DesignCheckConfig(t=2, mc_samples=2000)
-    )
-    assert abs(report.discrepancy - 0.5) <= 1e-14
-    assert report.z_score > 10.0
+    assert abs(design_moment_discrepancy(spec, 2) - 0.5) <= 1e-14
+    spec = EnsembleSpec("pauli", SystemDims(2))
+    assert design_moment_discrepancy(spec, 2) == 0.25
 
 
-def test_haar_self_consistency():
-    spec = EnsembleSpec("haar", SystemDims(1), base_seed=6)
-    report = design_moment_discrepancy(
-        spec, DesignCheckConfig(t=1, mc_samples=2000)
-    )
-    assert report.discrepancy <= 4.0 * report.std_error + 1e-12
+@pytest.mark.parametrize("t", [1, 2])
+def test_fixed_file_of_paulis_matches_pauli_bit_for_bit(tmp_path, t):
+    dims = SystemDims(2)
+    pauli = EnsembleSpec("pauli", dims)
+    path = tmp_path / "paulis.json"
+    save_programs([sample_member(pauli, i) for i in range(16)], path)
+    fixed = EnsembleSpec("fixed", dims, source_path=str(path))
+    gap = design_moment_discrepancy(fixed, t)
+    assert gap == design_moment_discrepancy(pauli, t)
+    if t == 2:
+        assert gap == 0.25
+    else:
+        assert gap <= 1e-14
+
+
+def test_haar_design_gap_is_exactly_zero():
+    for n, t in ((1, 1), (1, 2), (2, 2), (5, 1)):
+        spec = EnsembleSpec("haar", SystemDims(n))
+        assert design_moment_discrepancy(spec, t) == 0.0
+
+
+def test_design_check_refuses_brickwork_and_bad_order(tmp_path):
+    spec = EnsembleSpec("brickwork", SystemDims(2), depth=3)
+    with pytest.raises(ValueError, match="brickwork") as exc:
+        design_moment_discrepancy(spec, 2)
+    assert "\n" not in str(exc.value)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            design_moment_discrepancy(EnsembleSpec("pauli", SystemDims(1)), t)
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="no gate programs"):
+        design_moment_discrepancy(
+            EnsembleSpec("fixed", SystemDims(1), source_path=str(path)), 1
+        )
 
 
 def test_design_check_caps():
     # the cap counts the dim^2 entries of a moment tensor and raises before
     # allocating: at n = 3, t = 2, dim = 8^4 = 4096 passed a cap on dim, and
-    # the batch means alone would take 10 x 4096^2 complex128 (2.7 GB)
-    for n in (6, 3):
+    # one tensor alone would take 4096^2 complex128 (268 MB)
+    for kind, n in (("haar", 6), ("haar", 3), ("pauli", 3)):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
-                design_moment_discrepancy(
-                    EnsembleSpec("haar", SystemDims(n)), DesignCheckConfig(t=2)
-                )
+                design_moment_discrepancy(EnsembleSpec(kind, SystemDims(n)), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
