@@ -36,7 +36,7 @@ from .noise import (
     read_samples,
     sample_bitstrings,
 )
-from .statevector import OutputDistribution, SystemDims
+from .statevector import DEFAULT_QUBIT_CAP, OutputDistribution, SystemDims
 
 N_BATCHES = 10
 # sampled values per chunk of the recovery driver's instances
@@ -64,6 +64,10 @@ class ScanConfig:
             raise ValueError("need at least one instance per qubit count")
         if not self.n_range:
             raise ValueError("empty qubit range")
+        lo, hi = min(self.n_range), max(self.n_range)
+        if not 1 <= lo <= hi <= DEFAULT_QUBIT_CAP:
+            raise ValueError(f"n_range: expected 1 <= n <= {DEFAULT_QUBIT_CAP}"
+                             f" for every n, got {lo}..{hi}")
 
     def to_dict(self):
         return {

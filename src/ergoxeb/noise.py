@@ -203,39 +203,78 @@ def bitstring_to_index(s):
     return int(s, 2)
 
 
-# Rows per write chunk and bytes per read batch: each step runs whole-array
-# operations over many rows while its temporaries stay a few MiB.
-_CHUNK_ROWS = 1 << 16
-_BATCH_BYTES = 1 << 20
+# Rows per write chunk and bytes per read batch: whole-array steps whose
+# temporaries stay in cache.  1 MiB batches read no faster, and their
+# ~190 KiB temporaries fragment the heap that a read's N-vectors share.
+_CHUNK_ROWS = 1 << 14
+_BATCH_BYTES = 1 << 18
+#: bytes after a batch's last line that the kernels may read: each word
+#: they gather starts in a line and ends at most 17 bytes past its newline
+_SLACK = 32
 _HEADER = b"bitstring,probability"
+#: '0' in each byte of a word, and the low k bytes of a word set, k = 0..8
+_ZERO_CHARS = np.uint64(0x3030303030303030)
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: a multiply by it moves the low bit of each byte of a word into its top
+#: byte, the first (lowest) byte's bit highest
+_GATHER_BITS = np.uint64(0x8040201008040201)
+#: the eight '0'/'1' characters of each byte value, most significant bit
+#: first, as one little-endian word
+_BYTE_CHARS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+               + np.uint8(ord("0"))).view("<u8").ravel()
+
+
+def _bit_groups(n):
+    """(width, below), uint64: word k of an n-bit string's characters holds
+    ``width[k]`` of them, whose bits lie above the ``below[k]`` lower ones."""
+    width = np.minimum(n - 8 * np.arange(-(-n // 8)), 8).astype(np.uint64)
+    return width, np.uint64(n) - np.cumsum(width, dtype=np.uint64)
 
 
 def _bit_chars(indices, n):
-    """ASCII '0'/'1' characters of each index, most significant bit first.
-
-    Returns a ``(len(indices), n)`` uint8 array.
-    """
-    big_endian = indices.astype(">u8").view(np.uint8)
-    bits = np.unpackbits(big_endian.reshape(-1, 8), axis=1)[:, 64 - n:]
-    return bits + np.uint8(ord("0"))
-
-
-def _bit_values(chars):
-    """0/1 values of an array of ASCII '0'/'1' characters.
-
-    Returns None if any other character occurs, so that the caller can name
-    the offending line.
-    """
-    bits = chars - np.uint8(ord("0"))
-    return None if (bits > 1).any() else bits
+    """ASCII '0'/'1' characters of each index, most significant bit first,
+    in the first n columns of a ``(len(indices), 8 * ceil(n / 8))`` uint8
+    array: each group of up to eight bits is one word of ``_BYTE_CHARS``."""
+    indices = indices.astype(np.uint64)
+    width, below = _bit_groups(n)
+    words = np.empty((len(indices), len(width)), dtype=np.uint64)
+    for k in range(len(width)):
+        group = (indices >> below[k]) << (np.uint64(8) - width[k])
+        np.take(_BYTE_CHARS, group & np.uint64(0xFF), out=words[:, k],
+                mode="clip")
+    return words.view(np.uint8)
 
 
-def _bits_to_indices(bits):
-    """Integer indices of the rows of a ``(rows, n)`` array of 0/1 values,
-    most significant bit first, for n <= 32."""
-    words = np.zeros((len(bits), 32), dtype=np.uint8)
-    words[:, 32 - bits.shape[1]:] = bits
-    return np.packbits(words).view(">u4").astype(np.int64)
+def _bit_indices(words, n):
+    """int64 indices of n-character bitstrings, or None unless every
+    character is '0'/'1'.  Row k of the uint64 ``(ceil(n / 8), rows)``
+    array ``words`` holds characters 8k onwards, the first in the lowest
+    byte; bytes past the n-th are ignored.  One XOR-and-mask test checks
+    them all, and a multiply and shift packs each word's bits (the reverse
+    of ``_bit_chars``).  An n above 64, which fails the qubit cap, is only
+    checked."""
+    width, below = _bit_groups(n)
+    bits = words ^ _ZERO_CHARS
+    bits &= _LOW_BYTES[width][:, None]
+    if (bits & np.uint64(0xFEFEFEFEFEFEFEFE)).any():
+        return None
+    if n > 64:
+        return np.zeros(words.shape[1], dtype=np.int64)
+    bits *= _GATHER_BITS
+    bits >>= (np.uint64(64) - width)[:, None]
+    bits <<= below[:, None]
+    return bits.sum(axis=0, dtype=np.uint64).view(np.int64)
+
+
+def _gather(text, at, count, dtype="<u8"):
+    """The ``count`` consecutive little-endian words of ``dtype`` that start
+    at each byte offset ``at`` of the uint8 array ``text``, as a
+    ``(count, len(at))`` array: one gather from a view with a run of words
+    at every byte."""
+    size = count * np.dtype(dtype).itemsize
+    view = np.ndarray((text.size - size + 1,), dtype=f"V{size}", buffer=text,
+                      strides=(1,))
+    return np.ascontiguousarray(view[at].view(dtype).reshape(-1, count).T)
 
 
 def _text(raw):
@@ -247,52 +286,62 @@ def _batches(fh, lineno):
     """Yield (raw, first line number, text, newline offsets) per batch.
 
     A batch is the next ``_BATCH_BYTES`` read, cut after its last newline;
-    the rest opens the next batch, a line longer than a read extends its
-    batch, and a short read, which ends the file, is not cut.  ``raw``
-    holds the batch's whole lines, the file's last one with a newline
-    added.  ``text`` is ``raw`` with every line stripped and the blank
-    lines dropped, and ``ends`` the offset of each of its newlines.  A
-    batch with no whitespace but the newline that ends each line, and no
-    blank line, is its own ``text``; any other is rebuilt line by line.
+    the rest opens the next batch, and a short read, which ends the file,
+    is not cut.  A line longer than a read extends its batch, each further
+    read as long as the batch so far.  ``raw`` is the batch's whole lines
+    as uint8, the file's last one with a newline added; ``text`` is ``raw``
+    with every line stripped and the blank lines dropped, then ``_SLACK``
+    zero bytes, and ``ends`` the offset of each of its newlines.  A batch
+    with no whitespace but the newline ending each line is read straight
+    into its ``text``; any other is rebuilt.  A blank batch is skipped.
     """
-    tail = []
+    buf = np.empty(0, dtype=np.uint8)  # one for every batch of the file
+    held = 0  # bytes of a partial line at the front of buf
     while True:
-        chunk = fh.read(_BATCH_BYTES)
+        want = max(_BATCH_BYTES, held)
+        if buf.size < held + want + 1 + _SLACK:
+            buf = np.concatenate([buf[:held], np.empty(want + 1 + _SLACK,
+                                                       dtype=np.uint8)])
+        size = held + fh.readinto(memoryview(buf)[held:held + want])
         # a blocking read comes up short only at the end of the file
-        end = len(chunk) < _BATCH_BYTES
-        cut = len(chunk) if end else chunk.rfind(b"\n") + 1
-        if not cut and not end:
-            tail.append(chunk)  # part of a line longer than a read
+        end = size < held + want
+        ends = np.flatnonzero(buf[:size] == ord("\n"))
+        if not ends.size and not end:
+            held = size  # part of a line longer than a read
             continue
-        raw = b"".join([*tail, memoryview(chunk)[:cut]])
-        tail = [chunk[cut:]]
-        del chunk
-        if not raw:
+        cut = size if end else int(ends[-1]) + 1
+        if not cut:
             return
-        if not raw.endswith(b"\n"):
-            raw += b"\n"
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
+        carry = buf[cut:size].copy()
+        if buf[cut - 1] != ord("\n"):
+            buf[cut] = ord("\n")
+            ends = np.append(ends, cut)
+            cut += 1
+        buf[cut:cut + _SLACK] = 0
+        raw, text = buf[:cut], buf[:cut + _SLACK]
         lines = ends.size
-        text = raw
         # every whitespace byte sorts at or below b" "
         if (ends[0] == 0 or (ends[1:] - ends[:-1] == 1).any()
-                or np.count_nonzero(buf <= ord(" ")) != lines):
-            rows = [s for s in map(bytes.strip, raw.split(b"\n")) if s]
-            text = b"\n".join(rows) + b"\n" if rows else b""
-            ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
-                                  == ord("\n"))
-        yield raw, lineno, text, ends
+                or np.count_nonzero(raw <= ord(" ")) != lines):
+            text = b"".join(s + b"\n" for s in map(
+                bytes.strip, raw.tobytes().split(b"\n")) if s)
+            text = np.frombuffer(text + bytes(_SLACK), dtype=np.uint8)
+            ends = np.flatnonzero(text == ord("\n"))
+        if ends.size:
+            yield raw, lineno, text, ends
         lineno += lines
+        held = carry.size
+        buf[:held] = carry
 
 
-def _dims_at(path, text, lineno, n):
+def _dims_at(path, raw, lineno, n):
     """SystemDims(n), with an error naming the first nonblank line of a
-    batch that starts at line ``lineno``."""
+    batch ``raw`` that starts at line ``lineno``."""
     try:
         return SystemDims(n)
     except ValueError as exc:
-        lineno += text.count(b"\n", 0, len(text) - len(text.lstrip()))
+        raw = raw.tobytes()
+        lineno += raw.count(b"\n", 0, len(raw) - len(raw.lstrip()))
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
@@ -302,9 +351,9 @@ def write_samples(samples, path):
         for start in range(0, samples.T, _CHUNK_ROWS):
             chunk = samples.bitstrings[start:start + _CHUNK_ROWS]
             rows = np.empty((chunk.size, n + 1), dtype=np.uint8)
-            rows[:, :n] = _bit_chars(chunk, n)
+            rows[:, :n] = _bit_chars(chunk, n)[:, :n]
             rows[:, n] = ord("\n")
-            fh.write(rows.tobytes())
+            fh.write(rows)
 
 
 def _check_bits(path, lineno, bits, n):
@@ -312,32 +361,30 @@ def _check_bits(path, lineno, bits, n):
     if not bits or bits.translate(None, b"01"):
         raise ValueError(f"{path}:{lineno}: invalid bitstring {_text(bits)}")
     if len(bits) != n:
-        raise ValueError(
-            f"{path}:{lineno}: bitstring length {len(bits)} != {n}"
-        )
+        raise ValueError(f"{path}:{lineno}: bitstring length "
+                         f"{len(bits)} != {n}")
 
 
-def _scan_samples(path, lines, lineno, n):
+def _scan_samples(path, raw, lineno, n):
     """Raise the error of the first malformed line in a batch."""
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(raw.tobytes().split(b"\n"), start=lineno):
         s = line.strip()
         if s:
             _check_bits(path, lineno, s, n)
     raise AssertionError("batch failed its checks but every line parses")
 
 
-def _sample_bits(text, rows, n):
-    """``(rows, n)`` 0/1 bits of a batch's stripped lines; None unless every
-    line is n '0'/'1' characters."""
-    # The lines hold no other newline, so with the size right and a newline
-    # ending every n + 1 bytes, each line is n long.
-    buf = np.frombuffer(text, dtype=np.uint8)
-    if buf.size != rows * (n + 1):
+def _sample_indices(text, ends, n):
+    """Indices of the stripped lines of ``text`` that end at the offsets
+    ``ends``; None unless every line is n '0'/'1' characters."""
+    # With the size right, n '0'/'1' characters from each multiple of n + 1
+    # leave the newlines only after them: each line is n long.
+    rows = ends.size
+    if ends[-1] + 1 != rows * (n + 1):
         return None
-    chars = buf.reshape(rows, n + 1)
-    if (chars[:, n] != ord("\n")).any():
-        return None
-    return _bit_values(chars[:, :n])
+    words = np.ndarray((-(-n // 8), rows), dtype="<u8", buffer=text,
+                       strides=(8, n + 1))
+    return _bit_indices(words.copy(), n)
 
 
 def read_samples(path, dims=None):
@@ -349,20 +396,18 @@ def read_samples(path, dims=None):
     parts = [np.empty(0, dtype=np.int64)]
     with open(path, "rb") as fh:
         for raw, lineno, text, ends in _batches(fh, 1):
-            if not ends.size:
-                continue
             if dims is None:
                 n = int(ends[0])
                 # a well-formed first line that sets n above the cap is the
                 # first offending line, whatever follows it in the batch
-                if _sample_bits(text[:n + 1], 1, n) is not None:
+                if _sample_indices(text, ends[:1], n) is not None:
                     dims = _dims_at(path, raw, lineno, n)
             else:
                 n = dims.n
-            bits = _sample_bits(text, ends.size, n)
-            if bits is None:
-                _scan_samples(path, raw.split(b"\n"), lineno, n)
-            parts.append(_bits_to_indices(bits))
+            indices = _sample_indices(text, ends, n)
+            if indices is None:
+                _scan_samples(path, raw, lineno, n)
+            parts.append(indices)
     if dims is None:
         raise ValueError(f"{path}: no bitstrings found")
     return SampleSet(dims, np.concatenate(parts))
@@ -373,9 +418,13 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])
 #: Veltkamp's splitting constant 2**27 + 1
 _SPLIT = 134217729.0
 #: '0000' .. '9999' as 4-byte words, so that a lookup copies one group
-_DIGIT_GROUPS = np.frombuffer(
-    "".join(f"{k:04d}" for k in range(10**4)).encode("ascii"), dtype=np.uint32
-)
+_DIGIT_GROUPS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
+).view(np.uint32).ravel()
+#: trailing zeros of each of '0000' .. '9999'
+_TRAILING_ZEROS = np.logical_and.accumulate(
+    _DIGIT_GROUPS.view(np.uint8).reshape(-1, 4)[:, ::-1] == ord("0"), axis=1
+).sum(axis=1, dtype=np.uint8)
 #: 'e-00' .. 'e-99' as 4-byte words
 _EXPONENTS = np.frombuffer(
     "".join(f"e-{k:02d}" for k in range(100)).encode("ascii"), dtype=np.uint32
@@ -385,12 +434,12 @@ _FIELD = 24
 #: The writer's and reader's kernels take the values whose '%.17g' is
 #: d.ddd...e-XX with XX from 5 to 26, those of [1e-26, 1e-4): a Haar file
 #: at n = 20 holds next to no entry from 1e-4 up.  No double below 1e-4
-#: rounds up to 1e-04 in 17 digits (the one below it prints
-#: 9.9999999999999991e-05).
+#: rounds up to 1e-04 in 17 digits (the one below prints 9.99...91e-05).
 _KERNEL_X = (5, 26)
 _KERNEL_RANGE = (float(f"1e-{_KERNEL_X[1]}"), float(f"1e-{_KERNEL_X[0] - 1}"))
-#: row k keeps the first k + 1 characters of a field
+#: row k keeps the first k + 1 characters of a field and 'e-XX' after them
 _PREFIXES = np.tri(_FIELD, dtype=bool)
+_PREFIXES[:, 18:22] = True
 
 
 def _tenth(s):
@@ -442,11 +491,10 @@ def _scaled(p, s):
     return h2.astype(np.int64) + whole.astype(np.int64), r - whole
 
 
-def _format_g17(values):
-    """The text of ``'%.17g' % x`` for each float64 x of a 1-D array.
-
-    Returns ``(chars, keep)``, two ``(len(values), _FIELD)`` arrays: row i
-    of ``chars[keep]`` is the ASCII of ``'%.17g' % values[i]``.
+def _format_g17(values, chars, keep):
+    """Fill the ``(len(values), _FIELD)`` uint8 and bool arrays (or views)
+    ``chars`` and ``keep`` so that row i of ``chars[keep]`` is the ASCII of
+    ``'%.17g' % values[i]``, for a 1-D float64 array ``values``.
 
     Every x in ``_KERNEL_RANGE`` is formatted by whole-array operations:
     with s = 16 - floor(log10 x), its 17 significant digits are
@@ -457,13 +505,11 @@ def _format_g17(values):
     power of ten (the double nearest 1e-6 is 9.9999999999999995e-07, and
     its rounded D = 10**16 would print 1e-06); a possible tie, whose
     fraction lies within 1e-9 of 1/2; and every x outside the range:
-    zeros, -0.0, subnormals and every x from 1e-4 up.
-
-    The kernel's layout is %g's ``d.dddddddddddddddde-XX``, with trailing
-    zeros dropped, and the '.' when no digit follows it.
+    zeros, -0.0, subnormals and every x from 1e-4 up.  The kernel's layout
+    is %g's ``d.dddddddddddddddde-XX``, less trailing zeros (counted per
+    4-digit group by lookup), and the '.' when no digit follows it.
     """
     x = np.asarray(values, dtype=np.float64)
-    rows = x.size
     low, high = _KERNEL_RANGE
     fast = (x >= low) & (x < high)
     p = np.where(fast, x, 0.5)  # a stand-in, so that log10 sees no zero
@@ -478,22 +524,25 @@ def _format_g17(values):
     decade = s - 16 - carry  # -X, the exponent's magnitude
 
     # the 16 digits after the first as four 4-digit groups, looked up
-    groups = np.empty((rows, 4), dtype=np.int64)
-    head, tail = np.divmod(digits, 10**8)
-    head, groups[:, 1] = np.divmod(head, 10**4)
-    first, groups[:, 0] = np.divmod(head, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(tail, 10**4)
-
-    chars = np.empty((rows, _FIELD), dtype=np.uint8)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    groups = [high // 10**4, 0, low // 10**4, 0]
+    groups[1] = high - groups[0] * 10**4
+    groups[3] = low - groups[2] * 10**4
     chars[:, 0] = first + ord("0")
     chars[:, 1] = ord(".")
-    chars[:, 2:18] = _DIGIT_GROUPS[groups].view(np.uint8)
-    chars[:, 18:22] = np.take(_EXPONENTS, decade)[:, None].view(np.uint8)
-    # index of the last nonzero digit of the 17; the '.' stops the search
-    last = 16 - np.argmax(chars[:, 17::-1] != ord("0"), axis=1)
-    end = np.where(last > 0, last + 1, 0)  # last character kept
-    keep = np.take(_PREFIXES, end, axis=0)
-    keep[:, 18:22] = True
+    chars[:, 2:18].view(np.uint32)[...] = _DIGIT_GROUPS[np.stack(groups, 1)]
+    np.take(_EXPONENTS, decade, out=chars[:, 18:22].view(np.uint32)[:, 0],
+            mode="clip")
+    # trailing zeros of the 16 digits: a group of four adds the previous's
+    trail = _TRAILING_ZEROS[groups[0]]
+    for group in groups[1:]:
+        zeros = _TRAILING_ZEROS[group]
+        trail = zeros + (zeros == 4) * trail
+    last = 16 - trail  # digits kept after the '.', which goes with none
+    keep[...] = _PREFIXES[last + (last > 0)]
     slow = np.flatnonzero(~fast)
     if slow.size:
         # '%.17g' has no spaces, so the padding marks the end of the text
@@ -501,26 +550,34 @@ def _format_g17(values):
         chars[slow] = np.frombuffer(text.encode("ascii"), dtype=np.uint8
                                     ).reshape(slow.size, _FIELD)
         keep[slow] = chars[slow] != ord(" ")
-    return chars, keep
 
 
 def write_probabilities(P, path):
-    """Write the header, then ``bits,p`` with p as ``'%.17g'`` per row."""
-    n = P.dims.n
+    """Write the header, then ``bits,p`` with p as ``'%.17g'`` per row.
+
+    Each chunk of ``_CHUNK_ROWS`` rows is one byte array, written through a
+    keep mask.  Chunks start at multiples of their size, so the low
+    min(n, 14) bit characters, the comma and the newline are set once; a
+    chunk fills in its constant high bits and its values.
+    """
+    n, N = P.dims.n, P.dims.N
+    low = min(n, _CHUNK_ROWS.bit_length() - 1)
+    rows = np.empty((min(N, _CHUNK_ROWS), n + _FIELD + 2), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    rows[:, n - low:n] = _bit_chars(np.arange(len(rows)), low)[:, :low]
+    rows[:, n] = ord(",")
+    rows[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(_HEADER + b"\n")
-        for start in range(0, P.dims.N, _CHUNK_ROWS):
-            chunk = P.probs[start:start + _CHUNK_ROWS]
-            rows = np.empty((chunk.size, n + _FIELD + 2), dtype=np.uint8)
-            keep = np.ones(rows.shape, dtype=bool)
-            rows[:, :n] = _bit_chars(np.arange(start, start + chunk.size), n)
-            rows[:, n] = ord(",")
-            rows[:, n + 1:-1], keep[:, n + 1:-1] = _format_g17(chunk)
-            rows[:, -1] = ord("\n")
+        for start in range(0, N, len(rows)):
+            # the high bits, those of the chunk's first index
+            rows[:, :n - low] = _bit_chars(np.array([start]), n)[:, :n - low]
+            _format_g17(P.probs[start:start + len(rows)], rows[:, n + 1:-1],
+                        keep[:, n + 1:-1])
             fh.write(rows[keep])
 
 
-def _scan_probabilities(path, lines, lineno, n, filled):
+def _scan_probabilities(path, raw, lineno, n, filled):
     """Raise the error of the first malformed line in a batch.
 
     ``filled`` marks the indices of the rows before the batch, so that a
@@ -528,7 +585,7 @@ def _scan_probabilities(path, lines, lineno, n, filled):
     until the first good batch sets the dimensions.
     """
     seen = set()
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(raw.tobytes().split(b"\n"), start=lineno):
         s = line.strip()
         if not s:
             continue
@@ -540,14 +597,11 @@ def _scan_probabilities(path, lines, lineno, n, filled):
         _check_bits(path, lineno, bits, n)
         j = int(bits, 2)
         if j in seen or (j < filled.size and filled[j]):
-            raise ValueError(
-                f"{path}:{lineno}: duplicate bitstring {_text(bits)}"
-            )
+            raise ValueError(f"{path}:{lineno}: duplicate bitstring "
+                             f"{_text(bits)}")
         seen.add(j)
         if not (math.isfinite(p) and p >= -NEGATIVE_TOL):
-            raise ValueError(
-                f"{path}:{lineno}: bad probability {_text(val)}"
-            )
+            raise ValueError(f"{path}:{lineno}: bad probability {_text(val)}")
     raise AssertionError("batch failed its checks but every line parses")
 
 
@@ -571,50 +625,6 @@ def _eight_digits(words):
     return w >> np.uint64(32), ok
 
 
-def _decimal_tokens(padded, first, lengths):
-    """(M, s, ok) for the value tokens that start at column ``first`` of
-    the rows of a zero-padded C-ordered uint8 array ``padded``.
-
-    ``lengths`` holds each token's length.  ``ok`` marks the tokens in
-    the layout ``'%.17g'`` prints for ``_KERNEL_RANGE``, ``d.ddd...e-XX``
-    (no '.' after a lone digit), with X in ``_KERNEL_X`` and at most 17
-    digits.  Each such token is exactly M * 10**-s, with M its 17
-    significant digits (the dropped trailing zeros put back) as an integer
-    and s = 16 + X.
-    Elsewhere M is 10**16 and s is 17, stand-ins that keep later
-    arithmetic in range.
-    """
-    rows, width = padded.shape
-    tokens = padded[:, first:]
-    # the scientific layout ends in 'e-XX'
-    flat = padded.reshape(-1)
-    at = (np.arange(rows) * width + (first - 4)
-          + np.clip(lengths, 4, _FIELD))
-    e, minus, tens, units = (flat[at + k] for k in range(4))
-    tens -= np.uint8(ord("0"))
-    units -= np.uint8(ord("0"))
-    ok = ((e == ord("e")) & (minus == ord("-")) & (tens <= 9) & (units <= 9)
-          & (lengths >= 5) & ((tokens[:, 1] == ord(".")) | (lengths == 5)))
-    X = tens.astype(np.int64) * 10 + units
-    more = lengths - 6  # digits after the first
-    # the 17 digits, after seven '0's that fill three 8-byte words
-    digits = np.empty((rows, 24), dtype=np.uint8)
-    digits[:, :7] = ord("0")
-    digits[:, 7] = tokens[:, 0]
-    digits[:, 8:] = tokens[:, 2:18]
-    ok &= (X >= _KERNEL_X[0]) & (X <= _KERNEL_X[1]) & (more <= 16)
-    # the trailing zeros that '%.17g' drops
-    short = np.flatnonzero(more < 16)
-    digits[short, 8:] = np.where(np.arange(16) < more[short, None],
-                                 digits[short, 8:], np.uint8(ord("0")))
-    groups, digit_words = _eight_digits(digits.view("<u8"))
-    ok &= digit_words.all(axis=1)
-    M = (groups[:, 0] * np.uint64(10**16) + groups[:, 1] * np.uint64(10**8)
-         + groups[:, 2]).astype(np.int64)
-    M[~ok] = 10**16
-    return M, np.where(ok, 16 + X, 17), ok
-
-
 def _times_tenth(M, s):
     """M * 10**-s for int64 M below 2**63, rounded from a double-double
     product; within an ulp or so, and nearly always the nearest double."""
@@ -626,91 +636,88 @@ def _times_tenth(M, s):
     return z
 
 
-def _parse_values(padded, first, lengths):
-    """(values, fast) for the value tokens that start at column ``first``
-    of the rows of a zero-padded C-ordered uint8 array ``padded``.
+def _decimal_values(text, first, ends):
+    """(values, fast) for the value tokens ``text[first:ends]`` of a uint8
+    array with ``_SLACK`` bytes after its last line; ``fast`` marks the
+    values parsed here, which equal ``float(token)``.
 
-    ``lengths`` holds each token's length.  ``fast`` marks the tokens
-    parsed here, whose values equal ``float(token)``; the other values are
-    meaningless and left to the caller.
-
-    The tokens are those of ``_decimal_tokens``, exactly M * 10**-s.  The
-    candidate z = ``_times_tenth(M, s)`` is kept only where
-    ``_scaled(z, s)``, the writer's own scaling, rounds z * 10**s to M: a
-    floor in [10**16, 10**17), a fraction at least 1e-9 from 1/2, and
+    A token is read from gathered words: its first digit and '.', the 16
+    digits after them as two 8-byte words, the bytes past the token set to
+    '0' (the zeros '%.17g' drops), and 'e-XX' at its end.  In the layout
+    '%.17g' prints for ``_KERNEL_RANGE``, ``d.ddd...e-XX`` (no '.' after a
+    lone digit), with X in ``_KERNEL_X`` and at most 17 digits, it is
+    exactly M * 10**-s, with M its 17 significant digits as an integer and
+    s = 16 + X.  The candidate z = ``_times_tenth(M, s)`` is kept only
+    where ``_scaled(z, s)``, the writer's own scaling, rounds z * 10**s to
+    M: a floor in [10**16, 10**17), a fraction at least 1e-9 from 1/2, and
     floor + (fraction > 1/2) == M.  The token then lies within half a unit
     in its 17th digit of z, at most 5e-17 * z, which is less than half the
     spacing of doubles next to z (2**-54 * z or more), so the double
     nearest the token, ``float(token)``, is z.
     """
-    M, s, fast = _decimal_tokens(padded, first, lengths)
+    lengths = ends - first
+    more = lengths - 6  # digits after the first
+    head = text[first] - np.uint8(ord("0"))
+    # 'e-XX'; an offset below 0 (a token too short) wraps into the slack
+    exponent = _gather(text, ends - 4, 1, "<u4")[0]
+    tens = ((exponent >> np.uint32(16)) & np.uint32(0xFF)) - np.uint32(48)
+    units = (exponent >> np.uint32(24)) - np.uint32(48)
+    X = (tens * np.uint32(10) + units).astype(np.int64)
+    ok = ((exponent & np.uint32(0xFFFF) == int.from_bytes(b"e-", "little"))
+          & (tens <= 9) & (units <= 9) & (head <= 9) & (lengths >= 5)
+          & ((text[first + 1] == ord(".")) | (lengths == 5))
+          & (X >= _KERNEL_X[0]) & (X <= _KERNEL_X[1]) & (more <= 16))
+    words = _gather(text, first + 2, 2)
+    digits = _LOW_BYTES[np.clip(more - [[0], [8]], 0, 8)]
+    words &= digits
+    words |= _ZERO_CHARS & ~digits
+    groups, digit_words = _eight_digits(words)
+    ok &= digit_words[0] & digit_words[1]
+    M = (head.astype(np.uint64) * np.uint64(10**16)
+         + groups[0] * np.uint64(10**8) + groups[1]).astype(np.int64)
+    M[~ok] = 10**16  # with s = 17, stand-ins that keep the arithmetic in range
+    s = np.where(ok, 16 + X, 17)
     z = _times_tenth(M, s)
     floor, frac = _scaled(z, s)
-    fast &= (floor >= 10**16) & (floor < 10**17)
-    fast &= np.abs(frac - 0.5) >= 1e-9
-    fast &= floor + (frac > 0.5) == M
-    return z, fast
-
-
-def _padded_rows(text, starts, lengths, width):
-    """The lines of ``text`` as the rows of a zero-padded ``(lines, width)``
-    uint8 array, newline included, scattered with one mask: the reverse of
-    the writer's ``rows[keep]``.  A longer line keeps its first ``width``
-    bytes."""
-    buf = np.frombuffer(text, dtype=np.uint8)
-    keep = np.arange(width) <= np.minimum(lengths, width - 1)[:, None]
-    long = np.flatnonzero(lengths >= width)
-    if long.size:
-        # drop the bytes past each long line's row; +1 and -1 bound each cut
-        cut = np.zeros(buf.size + 1, dtype=np.int8)
-        cut[starts[long] + width] = 1
-        cut[starts[long] + lengths[long] + 1] = -1
-        buf = buf[np.cumsum(cut[:-1], dtype=np.int8) == 0]
-    padded = np.zeros(keep.shape, dtype=np.uint8)
-    padded[keep] = buf
-    return padded
+    ok &= (floor >= 10**16) & (floor < 10**17)
+    ok &= np.abs(frac - 0.5) >= 1e-9
+    ok &= floor + (frac > 0.5) == M
+    return z, ok
 
 
 def _parse_probability_rows(text, ends, n):
-    """(bits, values) of a batch's stripped nonblank lines ``bits,value``,
-    each ending at its offset in ``ends``; None if any is malformed.
+    """(indices, values) of the stripped nonblank lines ``bits,value`` of
+    the uint8 array ``text`` that end at the offsets ``ends``, with
+    ``_SLACK`` bytes after the last; None if any is malformed.
 
     A line is well formed when its only comma sits at column n after n
     '0'/'1' characters and its value is a finite float >= -NEGATIVE_TOL.
-    ``bits`` is a ``(lines, n)`` array of 0/1 values.  The lines become the
-    rows of a padded array, so that each column group is checked and
-    parsed at once; ``_parse_values`` reads the values, and each token it
-    leaves goes to ``float``.
+    The bitstrings are words gathered at the line starts; each value token
+    that ``_decimal_values`` leaves goes to ``float``.
     """
-    if n < 1:
-        return None
-    buf = np.frombuffer(text, dtype=np.uint8)
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts
-    if (lengths <= n).any():
+    if (n < 1 or (ends - starts <= n).any()
+            or np.count_nonzero(text[:ends[-1]] == ord(",")) != ends.size
+            or (text[starts + n] != ord(",")).any()):
         return None
-    if np.count_nonzero(buf == ord(",")) != ends.size:
+    indices = _bit_indices(_gather(text, starts, -(-n // 8)), n)
+    if indices is None:
         return None
-    if (buf[starts + n] != ord(",")).any():
-        return None
-    padded = _padded_rows(text, starts, lengths, n + 2 + _FIELD)
-    bits = _bit_values(padded[:, :n])
-    if bits is None:
-        return None
-    values, fast = _parse_values(padded, n + 1, lengths - (n + 1))
+    first = starts + (n + 1)
+    values, fast = _decimal_values(text, first, ends)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        firsts = (starts[slow] + n + 1).tolist()
+        tokens = memoryview(text)
         try:
-            values[slow] = [float(text[a:b]) for a, b
-                            in zip(firsts, ends[slow].tolist())]
+            values[slow] = [float(tokens[a:b]) for a, b
+                            in zip(first[slow].tolist(), ends[slow].tolist())]
         except ValueError:
             return None
     if not (np.isfinite(values).all() and values.min() >= -NEGATIVE_TOL):
         return None
-    return bits, values
+    return indices, values
 
 
 def read_probabilities(path):
@@ -726,20 +733,14 @@ def read_probabilities(path):
     with open(path, "rb") as fh:
         header = fh.readline().strip()
         if header != _HEADER:
-            raise ValueError(
-                f"{path}: expected header 'bitstring,probability', "
-                f"got {_text(header)}"
-            )
+            raise ValueError(f"{path}: expected header "
+                             f"'bitstring,probability', got {_text(header)}")
         for raw, lineno, text, ends in _batches(fh, 2):
-            if not ends.size:
-                continue
             if dims is None:
-                n = text.find(b",", 0, ends[0])
+                n = text[:ends[0]].tobytes().find(b",")
                 # a well-formed first row that sets n above the cap is the
                 # first offending line, whatever follows it in the batch
-                first = ends[:1]
-                if _parse_probability_rows(text[:first[0] + 1], first,
-                                           n) is not None:
+                if _parse_probability_rows(text, ends[:1], n) is not None:
                     dims = _dims_at(path, raw, lineno, n)
                     probs = np.empty(dims.N)
                     filled = np.zeros(dims.N, dtype=bool)
@@ -747,26 +748,25 @@ def read_probabilities(path):
                 n = dims.n
             parsed = _parse_probability_rows(text, ends, n)
             if parsed is not None:
-                bits, values = parsed
-                indices = _bits_to_indices(bits)
-                # a sort finds in-batch repeats far faster than np.unique
-                ordered = np.sort(indices)
-                repeats = (ordered[1:] == ordered[:-1]).any()
+                indices, values = parsed
+                # rows in file order cannot repeat each other; in any other
+                # order a sort finds repeats far faster than np.unique
+                repeats = False
+                if not (indices[1:] > indices[:-1]).all():
+                    ordered = np.sort(indices)
+                    repeats = (ordered[1:] == ordered[:-1]).any()
                 if repeats or filled[indices].any():
                     parsed = None
             if parsed is None:
-                _scan_probabilities(path, raw.split(b"\n"), lineno, n,
-                                    filled)
+                _scan_probabilities(path, raw, lineno, n, filled)
             filled[indices] = True
             probs[indices] = values
     if dims is None:
         raise ValueError(f"{path}: no probability rows found")
     count = np.count_nonzero(filled)
     if count != dims.N:
-        raise ValueError(
-            f"{path}: expected {dims.N} rows covering all bitstrings, "
-            f"got {count}"
-        )
+        raise ValueError(f"{path}: expected {dims.N} rows covering all "
+                         f"bitstrings, got {count}")
     try:
         return OutputDistribution(dims, probs)
     except ValueError as exc:

@@ -118,6 +118,17 @@ def test_scan_config_validation():
         ScanConfig(n_range=())
 
 
+@pytest.mark.parametrize("n_range", [(20, 21, 22, 23, 24, 25), (0, 1),
+                                     (-3,), (30,)])
+def test_scan_config_refuses_qubit_counts_outside_1_to_the_cap(n_range):
+    # refused on construction, before any instance is simulated
+    with pytest.raises(ValueError) as exc:
+        ScanConfig(n_range=n_range, ensemble="brickwork", depth=20)
+    assert str(exc.value) == (f"n_range: expected 1 <= n <= 24 for every n, "
+                              f"got {min(n_range)}..{max(n_range)}")
+    assert ScanConfig(n_range=(1, 24)).n_range == (1, 24)
+
+
 def test_violation_rate_wrapper():
     cfg = ScanConfig(n_range=(5,), instances=120, T=0, alpha=10.0,
                      base_seed=4)

@@ -396,10 +396,11 @@ def test_read_probabilities_errors(tmp_path):
         with pytest.raises(ValueError,
                            match=r"probs\.csv:4: bad probability"):
             read_probabilities(p)
-    # near misses of '%.17g': a byte on either side of the digits, and a
-    # trailing character
+    # near misses of '%.17g': a byte on either side of the digits, in place
+    # of the 'e' or the '-', and a trailing character
     for value in ("1.234567890123456:e-07", "1.2345678901234567e-0/",
-                  "0.000123456789012345/", "1.2345678901234567e-07x"):
+                  "0.000123456789012345/", "1.2345678901234567e-07x",
+                  "1.2345678901234567x-07", "1.2345678901234567e_07"):
         p.write_text("bitstring,probability\n"
                      f"00,0.25\n01,0.25\n10,{value}\n11,0.25\n")
         with pytest.raises(ValueError, match=r"probs\.csv:4: bad row"):
@@ -411,6 +412,11 @@ def test_read_probabilities_errors(tmp_path):
     p.write_text("bitstring,probability\n"
                  "00,0.25\n01,0.125\n10,0.25\n11,0.25\n01,0.25\n")
     with pytest.raises(ValueError, match=r"probs\.csv:6: duplicate"):
+        read_probabilities(p)
+    # a repeat right after its row, in a batch otherwise in order
+    p.write_text("bitstring,probability\n"
+                 "00,0.25\n01,0.25\n01,0.25\n10,0.25\n11,0.25\n")
+    with pytest.raises(ValueError, match=r"probs\.csv:4: duplicate"):
         read_probabilities(p)
     # a repeat ahead of a malformed row is the first error
     p.write_text("bitstring,probability\n00,0.25\n00,0.25\n0x,0.25\n")
@@ -480,7 +486,9 @@ def test_samples_round_trip_and_format(tmp_path_factory, n, data):
 
 def _g17_lines(values):
     """Kernel output for a float64 array, one '%.17g' text per line."""
-    chars, keep = noise._format_g17(values)
+    chars = np.empty((values.size, noise._FIELD), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    noise._format_g17(values, chars, keep)
     newline = np.full((values.size, 1), ord("\n"), dtype=np.uint8)
     lines = np.hstack([chars, newline])
     return lines[np.hstack([keep, newline > 0])].tobytes()
@@ -669,18 +677,115 @@ def test_reader_reads_writer_files_bit_for_bit(tmp_path):
         assert back.tobytes() == P.probs.tobytes(), v
 
 
+def _slack_text(text):
+    """``text`` as a uint8 array followed by the readers' slack bytes."""
+    return np.frombuffer(text + bytes(noise._SLACK), dtype=np.uint8)
+
+
 def test_value_kernel_takes_every_writer_token_in_its_range():
     rng = np.random.default_rng(46)
     x = _bit_patterns(rng, 1e-26, 1e-4, 100_000)
     text = b"".join(b"0," + line + b"\n"
                     for line in _g17_lines(x).split(b"\n")[:-1])
-    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    text = _slack_text(text)
+    ends = np.flatnonzero(text == ord("\n"))
     starts = np.append(0, ends[:-1] + 1)
-    padded = noise._padded_rows(text, starts, ends - starts,
-                                3 + noise._FIELD)
-    values, fast = noise._parse_values(padded, 2, ends - starts - 2)
+    values, fast = noise._decimal_values(text, starts + 2, ends)
     assert fast.all()
     assert values.tobytes() == x.tobytes()
+
+
+_ROW_KERNEL_NS = [1, 7, 8, 9, 16, 17, 24]
+
+
+def _kernel_tokens(rng):
+    """Value tokens for the row kernel: every length from 5 to 22 in the
+    ``d.ddd...e-XX`` layout with random digits and exponents in and out of
+    the kernel's (and 'E-' or 'e+' in place of 'e-'), the '%.17g' of
+    doubles from below 1e-26 to above 1e-4 (where it prints '0.000...'),
+    and tokens of 25 characters or more."""
+    tokens = []
+    for length in range(5, 23):
+        for _ in range(20):
+            after = max(length - 6, 0)  # digits after the '.'
+            digits = "".join(map(str, rng.integers(0, 10, after)))
+            mantissa = str(rng.integers(1, 10)) + ("." + digits
+                                                   if length > 5 else "")
+            sign = rng.choice(["e-", "e-", "e-", "E-", "e+"])
+            tokens.append(f"{mantissa}{sign}{rng.integers(1, 40):02d}")
+    x = _bit_patterns(rng, 1e-30, 1.5, 300)
+    tokens += ["%.17g" % v for v in x]
+    tokens += ["%.17g" % v for v in _bit_patterns(rng, 1e-4, 1e-3, 50)]
+    tokens += ["%.40f" % v for v in x[:30]] + ["%.30e" % v for v in x[30:60]]
+    assert {len(t) for t in tokens} >= set(range(5, 23)) | {42}
+    return [t.encode() for t in tokens]
+
+
+@pytest.mark.parametrize("n", _ROW_KERNEL_NS)
+def test_row_kernel_matches_a_per_line_parse(n):
+    rng = np.random.default_rng(50 + n)
+    tokens = _kernel_tokens(rng)
+    rng.shuffle(tokens)
+    indices = rng.integers(0, 1 << n, len(tokens))
+    indices[:2] = 0, (1 << n) - 1
+    lines = [index_to_bitstring(j, n).encode() + b"," + t
+             for j, t in zip(indices, tokens)]
+    # the lines end at the end of the data, the readers' slack after it
+    text = _slack_text(b"\n".join(lines) + b"\n")
+    ends = np.flatnonzero(text == ord("\n"))
+    got_indices, values = noise._parse_probability_rows(text, ends, n)
+    assert got_indices.tolist() == [int(line[:n], 2) for line in lines]
+    expected = np.array([float(t) for t in tokens])
+    assert values.tobytes() == expected.tobytes()
+    # both the word kernel and float took tokens
+    starts = np.append(0, ends[:-1] + 1)
+    _, fast = noise._decimal_values(text, starts + n + 1, ends)
+    assert 0 < np.count_nonzero(fast) < fast.size
+    # a byte other than '0'/'1' anywhere in a bitstring fails the batch
+    for k in range(n):
+        bad = text.copy()
+        bad[starts[1] + k] = ord("2") if k % 2 else ord("/")
+        assert noise._parse_probability_rows(bad, ends, n) is None
+
+
+@pytest.mark.parametrize("n", _ROW_KERNEL_NS)
+def test_bit_codec_matches_format_both_ways(n):
+    rng = np.random.default_rng(60 + n)
+    indices = rng.integers(0, 1 << n, 500)
+    indices[:2] = 0, (1 << n) - 1
+    chars = noise._bit_chars(indices, n)[:, :n]
+    lines = [index_to_bitstring(j, n).encode() for j in indices]
+    assert chars.tobytes() == b"".join(lines)
+    text = _slack_text(b"".join(line + b"\n" for line in lines))
+    ends = np.flatnonzero(text == ord("\n"))
+    assert noise._sample_indices(text, ends, n).tolist() == indices.tolist()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9])
+def test_readers_match_a_per_line_parse_to_the_last_byte(tmp_path, n,
+                                                          newline):
+    # the file's last line has no newline and no byte after it
+    rng = np.random.default_rng(70 + n)
+    N = 1 << n
+    probs = rng.exponential(size=N)
+    probs /= probs.sum()
+    formats = ["%.17g", "%r", "%.40f", "%.30e"]
+    lines = [index_to_bitstring(j, n).encode() + b","
+             + (formats[k % 4] % float(probs[j])).encode()
+             for k, j in enumerate(rng.permutation(N))]
+    path = tmp_path / "p.csv"
+    path.write_bytes(newline.join([b"bitstring,probability"] + lines))
+    expected = np.empty(N)
+    for line in lines:
+        bits, token = line.split(b",")
+        expected[int(bits, 2)] = float(token)
+    assert read_probabilities(path).probs.tobytes() == expected.tobytes()
+    draws = rng.integers(0, N, 300)
+    path = tmp_path / "s.txt"
+    path.write_bytes(newline.join(index_to_bitstring(j, n).encode()
+                                  for j in draws))
+    assert read_samples(path).bitstrings.tolist() == draws.tolist()
 
 
 # forms '%.17g' never writes: other exponent and mantissa spellings, signs,
@@ -697,7 +802,8 @@ def test_hand_written_tokens_equal_float_bit_for_bit(tmp_path):
     # all of them in one batch, beside tokens the fast path takes
     text = b"".join(b"0," + t + b"\n0,1.2345678901234567e-07\n"
                     for t in _HAND_TOKENS)
-    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    text = _slack_text(text)
+    ends = np.flatnonzero(text == ord("\n"))
     _, values = noise._parse_probability_rows(text, ends, 1)
     assert values[::2].tobytes() == expected.tobytes()
     assert (values[1::2] == 1.2345678901234567e-07).all()
