@@ -238,6 +238,45 @@ def beta_pdf(p, N):
 # scheme means under the exact Beta law and the Porter-Thomas limit
 # ---------------------------------------------------------------------------
 
+#: E[(N P)^i] >= 2^i / (i + 1) at every N >= 2, and its standard deviation
+#: is larger still from i = 3: past this degree both are past the float range
+_MAX_FINITE_DEGREE = 1100
+
+
+def _sqrt_ratio(num, den):
+    """sqrt(num / den) for positive integers, as sqrt(float(num / den)),
+    scaled by a power of four where num / den is itself past the float
+    range."""
+    k = max(0, (num.bit_length() - den.bit_length()) // 2 - 500)
+    return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
+
+
+def _monomial_statistic(scheme, N, spread):
+    """Mean (or, with ``spread``, standard deviation) of (N P)^i under the
+    exact Beta law: the mean an integer ratio rounded once, the deviation
+    the square root of one.
+
+    E[(N P)^i] = N^i i! / A and Var = N^2i ((2i)! A - (i!)^2 C) / (A^2 C),
+    with A the product of N + k over k < i and C over i <= k < 2i.
+    """
+    i, N = scheme.degree, int(N)
+    if i <= _MAX_FINITE_DEGREE:
+        try:
+            A = math.prod(range(N, N + i))
+            if not spread:
+                return N**i * math.factorial(i) / A
+            C = math.prod(range(N + i, N + 2 * i))
+            var = math.factorial(2 * i) * A - math.factorial(i) ** 2 * C
+            return _sqrt_ratio(N ** (2 * i) * var, A * A * C)
+        except OverflowError:
+            pass
+    what = (f"the standard deviation of (N P)^{i}" if spread
+            else f"E[(N P)^{i}]")
+    raise OverflowError(
+        f"{scheme.name} at N={N}: {what} is past the float range"
+    )
+
+
 def _exact(mode):
     """True for the exact Beta law, False for its Porter-Thomas limit."""
     if mode not in ("exact", "porter_thomas"):
@@ -262,11 +301,10 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
         return (polygamma(0, 2.0) - tail) / N
     if scheme.kind == "neglog":
         return (polygamma(0, float(N)) if exact else math.log(N)) + EULER_GAMMA
-    i = scheme.degree
     if exact:
-        mean = float(N) ** i * haar_joint_moment(i, 0.0, N)
+        mean = _monomial_statistic(scheme, N, spread=False)
     else:
-        mean = math.factorial(i)
+        mean = math.factorial(scheme.degree)
     return mean / scheme.norm
 
 
@@ -289,14 +327,11 @@ def sigma_of_scheme(scheme, N, mode="exact"):
     if scheme.kind == "neglog":
         tail = polygamma(1, float(N)) if exact else 0.0
         return math.sqrt(polygamma(1, 1.0) - tail)
-    i = scheme.degree
     if exact:
-        m1 = haar_joint_moment(i, 0.0, N)
-        m2 = haar_joint_moment(2.0 * i, 0.0, N)
-        spread = float(N) ** i * math.sqrt(m2 - m1 * m1)
+        spread = _monomial_statistic(scheme, N, spread=True)
     else:
         # the spread of (N P)^i, free of N: sqrt((2i)! - (i!)^2)
-        spread = pt_sigma(i, 1)
+        spread = pt_sigma(scheme.degree, 1)
     return spread / scheme.norm
 
 

@@ -32,8 +32,6 @@ from .estimators import (
 from .noise import (
     NoiseModel,
     experimental_distribution,
-    read_probabilities,
-    read_samples,
     sample_bitstrings,
 )
 from .statevector import DEFAULT_QUBIT_CAP, OutputDistribution, SystemDims
@@ -215,81 +213,6 @@ def run_moment_scaling(n_range, mc_samples=100_000, base_seed=0):
             "cov_mc": cov_mc,
             "cov_se": cov_se,
         })
-    return rows
-
-
-def run_covariance_verification(N, queries, mc_samples=1_000_000,
-                                base_seed=0):
-    """MC covariance vs the Gamma/polygamma closed forms, with z-scores.
-
-    ``queries`` mixes (q1, q2) pairs and the string "plogp".
-    """
-    if N > 256:
-        raise ValueError("covariance verification limited to N <= 256")
-    rng = np.random.Generator(np.random.PCG64(mix64(base_seed, N)))
-    probs = haar_state_probs(N, rng, size=mc_samples)
-    u, v = probs[:, 0], probs[:, 1]
-    rows = []
-    for query in queries:
-        if query == "plogp":
-            a, b = u * np.log(u), v * np.log(v)
-            expected = analytic.plogp_covariance(N)
-            q1 = q2 = "plogp"
-        else:
-            q1, q2 = query
-            a, b = u**q1, v**q2
-            expected = analytic.haar_covariance(q1, q2, N)
-        cov_mc, cov_se = _batched(np.stack([a, b], axis=1), _batch_covariance)
-        rows.append({
-            "N": N,
-            "q1": q1,
-            "q2": q2,
-            "cov_analytic": expected,
-            "cov_mc": cov_mc,
-            "cov_se": cov_se,
-            "z": (cov_mc - expected) / cov_se if cov_se else math.inf,
-        })
-    return rows
-
-
-_NORMALIZED_DE_KEYS = ("n", "degree", "T", "deviation", "std_error",
-                       "f_hat", "verdict")
-
-
-def run_normalized_de(n_range, degrees, noise=None, T=50_000, base_seed=0,
-                      alpha=10.0, ingest=None):
-    """Normalized deviation of ergodicity per (n, degree).
-
-    Simulated mode draws Haar instances and samples T bitstrings from the
-    noisy distribution (T = 0 gives the exact correlation).  Ingest mode
-    takes ``ingest`` as a list of (probability_csv, sample_file) pairs, one
-    per entry of ``n_range``.
-    """
-    for i in degrees:
-        if i < 2:
-            raise ValueError("normalized deviation needs degrees >= 2")
-    rows = []
-    for pos, n in enumerate(n_range):
-        if ingest is not None:
-            probs_path, samples_path = ingest[pos]
-            P = read_probabilities(probs_path)
-            if P.dims.n != n:
-                raise ValueError(
-                    f"{probs_path}: file has n={P.dims.n}, expected {n}"
-                )
-            Q, samples = None, read_samples(samples_path, dims=P.dims)
-        else:
-            spec = EnsembleSpec("haar", SystemDims(n), base_seed=base_seed)
-            P = OutputDistribution(spec.dims, member_probs(spec, n))
-            Q, samples = _noisy_samples(
-                P, noise or NoiseModel.noiseless(), T,
-                mix64(base_seed, 777 + n),
-            )
-        for i in degrees:
-            scheme = SchemeFunction.normalized_monomial(i)
-            row = _estimate_row(P, Q, samples, scheme, alpha, "exact",
-                                degree=i)
-            rows.append({key: row[key] for key in _NORMALIZED_DE_KEYS})
     return rows
 
 

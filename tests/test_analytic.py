@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergoxeb import analytic
+from ergoxeb.ensembles import haar_state_probs, mix64
 from ergoxeb.estimators import (
     SchemeFunction,
     depolarizing_norm,
@@ -377,6 +378,40 @@ def test_monomial_means_match_exact_fractions(i, log2_N):
     assert abs(Fraction(mean) - exact) <= 4 * math.ulp(float(exact))
 
 
+@pytest.mark.parametrize("log2_N", [16, 20, 24])
+def test_exact_monomial_mean_and_sigma_match_fractions(log2_N):
+    # every degree whose E[(N P)^i] or standard deviation is a finite float
+    # lies within 1 ulp of the exact value; past the float range, it fails
+    # with a message naming the scheme and N
+    N = 1 << log2_N
+
+    def moment(k):
+        return Fraction(math.factorial(k) * N**k, math.prod(range(N, N + k)))
+
+    top = Fraction(sys.float_info.max)
+    for i in range(1, 200):
+        scheme = SchemeFunction.monomial(i)
+        mean = moment(i)
+        var = moment(2 * i) - mean * mean
+        if mean < top:
+            value = scheme.haar_mean(N, "exact")
+            assert abs(Fraction(value) - mean) <= math.ulp(value)
+        else:
+            with pytest.raises(OverflowError,
+                               match=f"^monomial{i} at N={N}: E"):
+                scheme.haar_mean(N, "exact")
+        if var < top * top:
+            value = scheme.sigma(N, "exact")
+            ref = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+            assert abs(mpmath.mpf(value) - ref) <= math.ulp(value)
+        else:
+            with pytest.raises(OverflowError,
+                               match=f"^monomial{i} at N={N}: the standard"):
+                scheme.sigma(N, "exact")
+    # the loop reaches degrees past the float range
+    assert mean >= top and var >= top * top
+
+
 def test_scheme_means_vs_quadrature():
     # every closed form against brute-force Beta(1, N-1) integration
     N = 64
@@ -482,6 +517,28 @@ def test_plogp_covariance_vs_mpmath_limit():
         assert analytic.plogp_covariance(N) == pytest.approx(
             ref, rel=1e-9, abs=0
         )
+
+
+def test_covariance_vs_haar_draws():
+    # z-scores of 10 batch means of 200 000 Haar draws at N = 16 against
+    # the closed forms, plogp_covariance's only draw-based check
+    N = 16
+    rng = np.random.Generator(np.random.PCG64(mix64(6, N)))
+    probs = haar_state_probs(N, rng, size=200_000)
+    u, v = probs[:, 0], probs[:, 1]
+    queries = [
+        (u, v, analytic.haar_covariance(1.0, 1.0, N)),
+        (u**2.0, v**2.0, analytic.haar_covariance(2.0, 2.0, N)),
+        (u * np.log(u), v * np.log(v), analytic.plogp_covariance(N)),
+    ]
+    for a, b, expected in queries:
+        batches = np.array_split(np.stack([a, b], axis=1), 10)
+        covs = np.array([np.mean(x[:, 0] * x[:, 1])
+                         - np.mean(x[:, 0]) * np.mean(x[:, 1])
+                         for x in batches])
+        z = (covs.mean() - expected) / (covs.std(ddof=1) / math.sqrt(10))
+        assert expected < 0.0
+        assert abs(z) < 5.0
 
 
 def test_plogp_covariance_asymptotic_agreement():

@@ -100,6 +100,15 @@ def test_oracle_values(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.6)
     assert main(["oracle", "--plogp-cov", "64"]) == 0
     assert float(capsys.readouterr().out) < 0.0
+    # E[(N P)^50] at N = 2^24 is a float, though N^50 is not;
+    # E[(N P)^300] at N = 1024 is past the float range itself
+    assert main(["oracle", "--haar-mean", "monomial50", "16777216"]) == 0
+    assert capsys.readouterr().out == "3.0411872578972163e+64\n"
+    assert main(["oracle", "--haar-mean", "monomial300", "1024"]) == 1
+    assert capsys.readouterr().err == (
+        "ergoxeb: error: monomial300 at N=1024: E[(N P)^300] is past the "
+        "float range\n"
+    )
 
 
 def _write_pair(tmp_path, n=6, T=5000, seed=21):

@@ -10,25 +10,17 @@ from ergoxeb.estimators import SchemeFunction
 from ergoxeb.harness import (
     ScanConfig,
     config_hash,
-    run_covariance_verification,
     run_depolarizing_recovery,
     run_ergodicity_scan,
     run_moment_scaling,
-    run_normalized_de,
     scan_violation_rate,
     write_scan_result,
 )
-from ergoxeb.noise import (
-    NoiseModel,
-    sample_bitstrings,
-    write_probabilities,
-    write_samples,
-)
-from ergoxeb.statevector import OutputDistribution, SystemDims, save_programs
+from ergoxeb.noise import NoiseModel
+from ergoxeb.statevector import SystemDims, save_programs
 from ergoxeb.ensembles import (
     EnsembleSpec,
     haar_sample_values,
-    haar_state_probs,
     mix64,
     sample_member,
 )
@@ -146,56 +138,6 @@ def test_moment_scaling_consistency():
         )
     with pytest.raises(ValueError, match="n <= 10"):
         run_moment_scaling([11])
-
-
-def test_covariance_verification_z_scores():
-    rows = run_covariance_verification(
-        16, [(1.0, 1.0), (2.0, 2.0), "plogp"], mc_samples=200_000,
-        base_seed=6,
-    )
-    for row in rows:
-        assert row["cov_analytic"] < 0.0
-        assert abs(row["z"]) < 5.0
-    with pytest.raises(ValueError, match="N <= 256"):
-        run_covariance_verification(512, [(1.0, 1.0)])
-
-
-def test_normalized_de_simulated_noiseless():
-    rows = run_normalized_de([8], [2, 3], T=20_000, base_seed=7)
-    for row in rows:
-        # noiseless: f_hat near 1 up to sampling + ensemble fluctuation
-        assert abs(row["f_hat"] - 1.0) < 0.2
-    with pytest.raises(ValueError, match="degrees >= 2"):
-        run_normalized_de([4], [1])
-
-
-def test_normalized_de_ingest_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    dims = SystemDims(6)
-    P = OutputDistribution(dims, haar_state_probs(64, rng))
-    samples = sample_bitstrings(P, 30_000, seed=9)
-    probs_path = tmp_path / "p.csv"
-    samples_path = tmp_path / "s.txt"
-    write_probabilities(P, probs_path)
-    write_samples(samples, samples_path)
-    rows = run_normalized_de(
-        [6], [2], ingest=[(str(probs_path), str(samples_path))]
-    )
-    assert rows[0]["T"] == 30_000
-    assert abs(rows[0]["f_hat"] - 1.0) < 0.3
-
-
-def test_normalized_de_ingest_n_mismatch(tmp_path):
-    rng = np.random.default_rng(10)
-    dims = SystemDims(4)
-    P = OutputDistribution(dims, haar_state_probs(16, rng))
-    probs_path = tmp_path / "p.csv"
-    samples_path = tmp_path / "s.txt"
-    write_probabilities(P, probs_path)
-    write_samples(sample_bitstrings(P, 10, seed=11), samples_path)
-    with pytest.raises(ValueError, match="n=4"):
-        run_normalized_de([5], [2],
-                          ingest=[(str(probs_path), str(samples_path))])
 
 
 def test_depolarizing_recovery_small():
