@@ -11,9 +11,11 @@ relative of mpmath up to N = 2^24, the largest N the ``oracle`` command
 accepts.
 """
 
+import contextlib
 import functools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -204,18 +206,6 @@ def pt_moment(i, N):
     return math.factorial(i) / N**i
 
 
-def pt_sigma(i, N):
-    """Porter-Thomas standard deviation of P^i: sqrt((2i)! - (i!)^2)/N^i,
-    the square root of the exact integer scaled by N^-i (exactly, for N a
-    power of two)."""
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
-    if i > 20:
-        raise ValueError(f"factorial variance limited to i <= 20, got {i}")
-    var = math.factorial(2 * i) - math.factorial(i) ** 2
-    return math.sqrt(var) * float(N) ** -i
-
-
 def pt_pdf(p, N):
     """Porter-Thomas density N exp(-N p) on [0, 1]."""
     p = np.asarray(p, dtype=np.float64)
@@ -243,45 +233,38 @@ def beta_pdf(p, N):
 _MAX_FINITE_DEGREE = 1100
 
 
-def _sqrt_ratio(num, den):
-    """sqrt(num / den) for positive integers, as sqrt(float(num / den)),
-    scaled by a power of four where num / den is itself past the float
-    range."""
-    k = max(0, (num.bit_length() - den.bit_length()) // 2 - 500)
-    return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
-
-
-def _monomial_statistic(scheme, N, spread):
-    """Mean (or, with ``spread``, standard deviation) of (N P)^i under the
-    exact Beta law: the mean an integer ratio rounded once, the deviation
-    the square root of one.
-
-    E[(N P)^i] = N^i i! / A and Var = N^2i ((2i)! A - (i!)^2 C) / (A^2 C),
-    with A the product of N + k over k < i and C over i <= k < 2i.
-    """
-    i, N = scheme.degree, int(N)
-    if i <= _MAX_FINITE_DEGREE:
-        try:
-            A = math.prod(range(N, N + i))
-            if not spread:
-                return N**i * math.factorial(i) / A
-            C = math.prod(range(N + i, N + 2 * i))
-            var = math.factorial(2 * i) * A - math.factorial(i) ** 2 * C
-            return _sqrt_ratio(N ** (2 * i) * var, A * A * C)
-        except OverflowError:
-            pass
-    what = (f"the standard deviation of (N P)^{i}" if spread
-            else f"E[(N P)^{i}]")
-    raise OverflowError(
-        f"{scheme.name} at N={N}: {what} is past the float range"
-    )
-
-
 def _exact(mode):
     """True for the exact Beta law, False for its Porter-Thomas limit."""
     if mode not in ("exact", "porter_thomas"):
         raise ValueError(f"unknown mode {mode!r}")
     return mode == "exact"
+
+
+def _moment(k, N, exact):
+    """E[(N P)^k], exactly: N^k k! / prod_{j<k} (N + j) under the Beta law,
+    k! in its Porter-Thomas limit."""
+    N = int(N)
+    return Fraction(math.factorial(k) * (N**k if exact else 1),
+                    math.prod(range(N, N + k)) if exact else 1)
+
+
+def _in_float_range(scheme, N, statistic, value):
+    """``value(D, terms)`` of ``scheme.integer_form``, or one line naming
+    the scheme and N where the ``statistic`` is past the float range."""
+    D, terms = scheme.integer_form
+    if scheme.degree <= _MAX_FINITE_DEGREE:
+        with contextlib.suppress(OverflowError):
+            return value(D, terms)
+    form = f"(N P)^{scheme.degree}" if terms == ((scheme.degree, 1),) else "f"
+    raise OverflowError(f"{scheme.name} at N={int(N)}: "
+                        f"{statistic.format(form)} is past the float range")
+
+
+def moment_sum(scheme, N, mode="exact", lag=0):
+    """sum_i a_i E[(N P)^(i-lag)] of ``scheme.integer_form``, rounded once."""
+    exact = _exact(mode)
+    return _in_float_range(scheme, N, "E[{}]", lambda D, terms: float(
+        sum(a * _moment(i - lag, N, exact) for i, a in terms)))
 
 
 @functools.cache
@@ -290,9 +273,8 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
 
     ``mode`` "exact" uses the Beta(1, N-1) law of P(x); "porter_thomas" its
     large-N limit, which replaces psi(N + k) by ln N, psi'(N + k) by 0 and
-    N + k by N.  A monomial's mean is divided by ``scheme.norm``; its
-    Porter-Thomas mean i!/norm is a quotient of integers, correctly rounded.
-    Cached: the value depends on (scheme, N, mode) only.
+    N + k by N; a polynomial's mean is ``moment_sum`` over its D.  Cached:
+    the value depends on (scheme, N, mode) only.
     """
     exact = _exact(mode)
     if scheme.kind == "plogp":
@@ -301,17 +283,14 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
         return (polygamma(0, 2.0) - tail) / N
     if scheme.kind == "neglog":
         return (polygamma(0, float(N)) if exact else math.log(N)) + EULER_GAMMA
-    if exact:
-        mean = _monomial_statistic(scheme, N, spread=False)
-    else:
-        mean = math.factorial(scheme.degree)
-    return mean / scheme.norm
+    return moment_sum(scheme, N, mode) / scheme.integer_form[0]
 
 
 @functools.cache
 def sigma_of_scheme(scheme, N, mode="exact"):
     """Ensemble standard deviation of a scheme function; see
-    ``haar_mean_of_scheme`` for ``mode`` and the cache."""
+    ``haar_mean_of_scheme`` for ``mode`` and the cache.  A polynomial's is
+    the square root of the exact variance of sum_i a_i (N P)^i over D."""
     exact = _exact(mode)
     if scheme.kind == "plogp":
         # second moment: the second q-derivative of the Beta moment at q = 2
@@ -327,12 +306,16 @@ def sigma_of_scheme(scheme, N, mode="exact"):
     if scheme.kind == "neglog":
         tail = polygamma(1, float(N)) if exact else 0.0
         return math.sqrt(polygamma(1, 1.0) - tail)
-    if exact:
-        spread = _monomial_statistic(scheme, N, spread=True)
-    else:
-        # the spread of (N P)^i, free of N: sqrt((2i)! - (i!)^2)
-        spread = pt_sigma(scheme.degree, 1)
-    return spread / scheme.norm
+
+    def value(D, terms):
+        var = (sum(a * b * _moment(i + j, N, exact)
+                   for i, a in terms for j, b in terms)
+               - sum(a * _moment(i, N, exact) for i, a in terms) ** 2)
+        # sqrt(num / den) rounded once, scaled by 4^k where num / den overflows
+        num, den = var.numerator, var.denominator
+        k = max(0, (num.bit_length() - den.bit_length()) // 2 - 500)
+        return math.ldexp(math.sqrt(num / (den << 2 * k)), k) / D
+    return _in_float_range(scheme, N, "the standard deviation of {}", value)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ def _build_parser():
         help="run an ergodicity scan over qubit counts and instances",
         description=(
             "Schemes: neglog, plogp, monomial<i> (f = N^i p^i), "
-            "normalized-monomial<i>. Ensembles: haar, brickwork, pauli, "
-            "fixed. Noise: noiseless, depolarizing (needs --fidelity), "
-            "completely-noisy."
+            "normalized-monomial<i> (the monomial over (i-1)!(i-1)), "
+            "poly:c1,c2,... (f = sum_i c_i N^i p^i; integers, decimals or "
+            "a/b). Ensembles: haar, brickwork, pauli, fixed. Noise: "
+            "noiseless, depolarizing (needs --fidelity), completely-noisy."
         ),
     )
     scan.add_argument("--ensemble", default="haar", choices=ENSEMBLE_KINDS)
@@ -126,7 +127,7 @@ def _build_parser():
     scan.add_argument("--instances", type=int, default=10)
     scan.add_argument("--scheme", default="neglog",
                       help="neglog | plogp | monomial<i> | "
-                           "normalized-monomial<i>")
+                           "normalized-monomial<i> | poly:c1,c2,...")
     scan.add_argument("--alpha", type=float, default=10.0)
     scan.add_argument("--noise", default="noiseless", choices=NOISE_KINDS)
     scan.add_argument("--fidelity", type=float, default=None,

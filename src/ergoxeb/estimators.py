@@ -7,8 +7,11 @@ explicit error instead of silent garbage.
 """
 
 import difflib
+import functools
 import math
-from dataclasses import asdict, dataclass
+import re
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,52 +23,54 @@ class ZeroProbabilityError(ValueError):
     """A logarithmic scheme met weight on a bitstring with P(x) = 0."""
 
 
-SCHEME_NAMES = (
-    "monomial<i>", "normalized-monomial<i>", "plogp", "neglog",
-)
-
-
-def depolarizing_norm(i):
-    """(i-1)!(i-1): DE of monomial i is (1-F) times this under global
-    depolarizing noise of fidelity F."""
-    if i < 2:
-        raise ValueError(
-            "degree must be >= 2: the depolarizing normalization "
-            "(i-1)!(i-1) vanishes at i = 1"
-        )
-    return math.factorial(i - 1) * (i - 1)
+SCHEME_NAMES = ("monomial<i>", "normalized-monomial<i>", "poly:c1,c2,...",
+                "plogp", "neglog")
+#: a poly: coefficient: an integer, a decimal, or a/b with b > 0
+_COEFFICIENT = re.compile(r"[+-]?(\d+/0*[1-9]\d*|\d+\.?\d*|\.\d+)")
 
 
 @dataclass(frozen=True)
 class SchemeFunction:
     """Benchmarking post-processing function f(p) and companion g(p).
 
-    kinds: monomial (f = N^i p^i), normalized_monomial (the monomial
-    divided by ``norm`` = (i-1)!(i-1)), plogp (f = p ln p), neglog
-    (f = -ln p).
+    kinds: polynomial (f = sum_i c_i (N p)^i; ``terms``: its nonzero (i, c_i)
+    by increasing i, c_i a Fraction), plogp (f = p ln p), neglog (f = -ln p).
+    ``name`` defaults to monomial<i> for e_i, normalized-monomial<i> for
+    e_i/((i-1)!(i-1)), else poly:c1,...; equality ignores it.
     """
 
     kind: str
-    degree: int = 0
+    terms: tuple = ()
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.kind == "monomial":
-            if self.degree < 1:
-                raise ValueError("monomial scheme needs degree >= 1")
-        elif self.kind == "normalized_monomial":
-            if self.degree < 2:
-                raise ValueError("normalized monomial needs degree >= 2")
-        elif self.kind not in ("plogp", "neglog"):
+        if self.kind not in ("polynomial", "plogp", "neglog"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        if self.kind == "polynomial" and min(dict(self.terms), default=0) < 1:
+            raise ValueError("polynomial scheme needs a nonzero coefficient "
+                             f"of a power i >= 1, got {self.terms}")
+        if not self.name:
+            object.__setattr__(self, "name", self._spelling())
 
     # -- constructors -------------------------------------------------------
     @classmethod
+    def polynomial(cls, coeffs):
+        """f = sum_i c_i (N p)^i for ``coeffs`` c_1, c_2, ... (Fractions)."""
+        coeffs = enumerate(map(Fraction, coeffs), 1)
+        return cls("polynomial", tuple((i, c) for i, c in coeffs if c))
+
+    @classmethod
     def monomial(cls, i):
-        return cls("monomial", i)
+        return cls("polynomial", ((i, Fraction(1)),))
 
     @classmethod
     def normalized_monomial(cls, i):
-        return cls("normalized_monomial", i)
+        """e_i / ((i-1)!(i-1)), whose DE under depolarizing noise of
+        fidelity F tends to 1 - F."""
+        if i < 2:
+            raise ValueError("normalized monomial needs degree >= 2")
+        c = Fraction(1, math.factorial(i - 1) * (i - 1))
+        return cls("polynomial", ((i, c),), f"normalized-monomial{i}")
 
     @classmethod
     def plogp(cls):
@@ -75,29 +80,53 @@ class SchemeFunction:
     def neglog(cls):
         return cls("neglog")
 
-    @property
-    def name(self):
+    def _spelling(self):
         if self.logarithmic:
             return self.kind
-        return f"{self.kind.replace('_', '-')}{self.degree}"
+        i, c = self.terms[-1]
+        if len(self.terms) == 1 and c == 1:
+            return f"monomial{i}"
+        if len(self.terms) == 1 and c * math.factorial(i - 1) * (i - 1) == 1:
+            return f"normalized-monomial{i}"
+        c = dict(self.terms)
+        return "poly:" + ",".join(str(c.get(k, 0)) for k in range(1, i + 1))
 
     @property
     def logarithmic(self):
         return self.kind in ("plogp", "neglog")
 
     @property
-    def norm(self):
-        """Divisor of the monomial: (i-1)!(i-1) when normalized, else 1."""
-        if self.kind == "normalized_monomial":
-            return depolarizing_norm(self.degree)
-        return 1
+    def degree(self):
+        """The highest power with a nonzero coefficient; 0 if logarithmic."""
+        return self.terms[-1][0] if self.terms else 0
 
-    def _over_norm(self, values):
-        # no array operation for the plain monomial
-        norm = self.norm
-        return values if norm == 1 else values / norm
+    @functools.cached_property
+    def integer_form(self):
+        """(D, ((i, a_i), ...)): c_i = a_i / D, D the least common one."""
+        D = math.lcm(*(c.denominator for _, c in self.terms))
+        if D.bit_length() > 1023:
+            raise ValueError(f"{self.name}: the common denominator of its "
+                             "coefficients is past the float range")
+        return D, tuple((i, int(c * D)) for i, c in self.terms)
 
     # -- pointwise forms ----------------------------------------------------
+    def _power_sum(self, p, N, lag):
+        """sum_i a_i N^k p^k / D, k = i - lag (f at lag 0, g at lag 1): a
+        monomial's is the bare N^k p^k, with no further array operation."""
+        D, terms = self.integer_form
+        parts = []
+        try:
+            for i, a in terms:
+                k = i - lag
+                scale = a * float(N) ** k
+                parts.append(scale * p**k if k else np.full_like(p, scale))
+        except OverflowError:
+            a = "" if a == 1 else f"{a} "
+            raise OverflowError(f"{self.name} at N={int(N)}: {a}N^{k} is "
+                                "past the float range") from None
+        total = sum(parts[1:], parts[0])
+        return total if D == 1 else total / D
+
     def f(self, p, N=None):
         p = np.asarray(p, dtype=np.float64)
         if self.kind == "plogp":
@@ -106,16 +135,12 @@ class SchemeFunction:
         if self.kind == "neglog":
             with np.errstate(divide="ignore"):
                 return -np.log(p)
-        return self._over_norm(float(N) ** self.degree * p**self.degree)
+        return self._power_sum(p, N, 0)
 
     def g(self, p, N):
         p = np.asarray(p, dtype=np.float64)
-        N = float(N)
-        i = self.degree
         if not self.logarithmic:
-            if i == 1:
-                return np.ones_like(p)
-            return self._over_norm(N ** (i - 1) * p ** (i - 1))
+            return self._power_sum(p, N, 1)
         # one reduction for a clean p; a NaN fails it but passes the
         # elementwise test, and is left to the log
         if not p.min(initial=np.inf) > 0.0 and (p <= 0.0).any():
@@ -123,8 +148,8 @@ class SchemeFunction:
                 f"scheme {self.name} is undefined at zero ideal probability"
             )
         if self.kind == "plogp":
-            return np.log(p) / N
-        return -np.log(p) / (N * p)
+            return np.log(p) / float(N)
+        return -np.log(p) / (float(N) * p)
 
     # -- analytic companions ------------------------------------------------
     def haar_mean(self, N, mode="exact"):
@@ -135,20 +160,22 @@ class SchemeFunction:
 
 
 def parse_scheme(name):
-    """Parse a scheme name like 'monomial2', 'plogp'; suggest on typos."""
+    """Parse 'monomial2', 'poly:0,1,-1/5', 'plogp', ...; suggest on typos."""
     key = name.strip().lower().replace("_", "-")
-    if key == "plogp":
-        return SchemeFunction.plogp()
-    if key == "neglog":
-        return SchemeFunction.neglog()
-    for prefix, ctor in (
-        ("normalized-monomial", SchemeFunction.normalized_monomial),
-        ("monomial", SchemeFunction.monomial),
-    ):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            return ctor(int(key[len(prefix):]))
+    if key in ("plogp", "neglog"):
+        return SchemeFunction(key)
+    if key.startswith("poly:"):
+        items = [item.strip() for item in key[5:].split(",")]
+        for item in items:
+            if not _COEFFICIENT.fullmatch(item):
+                raise ValueError(f"scheme {name!r}: coefficient {item!r} is "
+                                 "not an integer, a decimal or a ratio a/b")
+        return SchemeFunction.polynomial(items)
+    if match := re.fullmatch(r"(normalized-)?monomial(\d+)", key):
+        return (SchemeFunction.normalized_monomial if match[1]
+                else SchemeFunction.monomial)(int(match[2]))
     candidates = ["plogp", "neglog", "monomial2", "monomial3",
-                  "normalized-monomial2", "normalized-monomial3"]
+                  "normalized-monomial2", "normalized-monomial3", "poly:0,1"]
     close = difflib.get_close_matches(key, candidates, n=3)
     hint = f"; did you mean {', '.join(close)}?" if close else ""
     raise ValueError(f"unknown scheme {name!r} (known: {SCHEME_NAMES}){hint}")
@@ -164,7 +191,6 @@ class CorrelationEstimate:
 @dataclass(frozen=True)
 class FidelityEstimate:
     F_hat: float
-    method: str
     std_error: float = 0.0
 
     @property
@@ -332,22 +358,14 @@ def deviation_of_ergodicity_exact(P, Q, scheme, alpha=10.0,
     return _build_report(P, est, scheme, alpha, mean_mode)
 
 
+@functools.cache
 def depolarizing_scale(scheme, N, mode="exact"):
-    """DE / (1 - F) of a (normalized) monomial ``scheme`` of degree i under
-    global depolarizing noise of fidelity F.
-
-    C_f then averages to F E_H[f_i] + (1 - F) E_H[f_{i-1}] over the Haar
-    law, so the scale is E_H[f_i] - E_H[f_{i-1}] at dimension N, divided by
-    ``scheme.norm``.  Its Porter-Thomas limit ("porter_thomas" ``mode``) is
-    the depolarizing norm (i-1)!(i-1) over ``scheme.norm``.
-    """
-    i = scheme.degree
-    asymptotic = depolarizing_norm(i) / scheme.norm
-    if mode == "porter_thomas":
-        return asymptotic
-    exact = (SchemeFunction.monomial(i).haar_mean(N, mode)
-             - SchemeFunction.monomial(i - 1).haar_mean(N, mode))
-    return exact / scheme.norm
+    """DE / (1 - F) of a polynomial ``scheme`` under depolarizing noise of
+    fidelity F, cached: sum_i c_i (E_H[f_i] - E_H[f_{i-1}]), f_i = (N p)^i,
+    as the numerators' moment sums at lags 0 and 1, each rounded once, over
+    D.  It is 0 at degree <= 1; (i-1)!(i-1) for monomial i in Porter-Thomas."""
+    sums = [analytic.moment_sum(scheme, N, mode, lag) for lag in (0, 1)]
+    return (sums[0] - sums[1]) / scheme.integer_form[0]
 
 
 def fidelity_from_de_depolarizing(deviation, scheme, N, mode="exact",
@@ -356,11 +374,11 @@ def fidelity_from_de_depolarizing(deviation, scheme, N, mode="exact",
     with the deviation measured from the Haar mean of the same N and
     ``mode``."""
     scale = depolarizing_scale(scheme, N, mode)
-    return FidelityEstimate(
-        F_hat=1.0 - deviation / scale,
-        method="depolarizing_inversion",
-        std_error=std_error / scale,
-    )
+    if scale == 0.0:
+        raise ValueError(f"{scheme.name}: the depolarizing scale vanishes "
+                         "(degree <= 1), so DE carries no fidelity")
+    return FidelityEstimate(F_hat=1.0 - deviation / scale,
+                            std_error=std_error / scale)
 
 
 def linear_xeb(P, samples):
@@ -370,9 +388,7 @@ def linear_xeb(P, samples):
     identity linear_xeb + 1 == estimate_C_f(monomial2) holds bit-exactly.
     """
     est = estimate_C_f(P, samples, SchemeFunction.monomial(2))
-    return FidelityEstimate(
-        F_hat=est.value - 1.0, method="xeb_linear", std_error=est.std_error
-    )
+    return FidelityEstimate(F_hat=est.value - 1.0, std_error=est.std_error)
 
 
 def log_xeb(P, samples):

@@ -25,6 +25,7 @@ from .ensembles import (
 from .estimators import (
     SchemeFunction,
     chebyshev_violation_rate,
+    depolarizing_scale,
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
     fidelity_from_de_depolarizing,
@@ -93,8 +94,10 @@ class ScanResult:
 
 def _instance_fidelity(scheme, report):
     """Depolarizing-inversion F of one report; None for the logarithmic
-    schemes and monomial 1, which carry no fidelity."""
-    if scheme.logarithmic or scheme.degree < 2:
+    schemes and where the depolarizing scale vanishes (degree <= 1), which
+    carry no fidelity."""
+    if scheme.logarithmic or not depolarizing_scale(
+            scheme, report.N, report.haar_mean_mode):
         return None
     return fidelity_from_de_depolarizing(
         report.deviation, scheme, report.N, report.haar_mean_mode,
@@ -310,7 +313,11 @@ def _fmt_cell(value):
         return format(value, ".12g")
     if value is None:
         return ""
-    return str(value)
+    text = str(value)
+    # a poly: scheme name holds commas: quote it as RFC 4180 does
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_rows_csv(rows, path):

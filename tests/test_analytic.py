@@ -11,11 +11,7 @@ from scipy.integrate import quad
 
 from ergoxeb import analytic
 from ergoxeb.ensembles import haar_state_probs, mix64
-from ergoxeb.estimators import (
-    SchemeFunction,
-    depolarizing_norm,
-    depolarizing_scale,
-)
+from ergoxeb.estimators import SchemeFunction, depolarizing_scale
 
 mpmath.mp.dps = 40
 
@@ -311,10 +307,6 @@ def test_pt_moment_and_sigma():
     assert analytic.pt_moment(2, N) == pytest.approx(
         2.0 / N**2, rel=1e-13, abs=0
     )
-    assert analytic.pt_sigma(1, N) == pytest.approx(1.0 / N, rel=1e-13, abs=0)
-    assert analytic.pt_sigma(2, N) == pytest.approx(
-        math.sqrt(24 - 4) / N**2, rel=1e-13, abs=0
-    )
 
 
 @pytest.mark.parametrize("N", [1 << 10, 1 << 20])
@@ -378,38 +370,79 @@ def test_monomial_means_match_exact_fractions(i, log2_N):
     assert abs(Fraction(mean) - exact) <= 4 * math.ulp(float(exact))
 
 
-@pytest.mark.parametrize("log2_N", [16, 20, 24])
-def test_exact_monomial_mean_and_sigma_match_fractions(log2_N):
+def _check_monomials_against_fractions(N, mode, moment):
     # every degree whose E[(N P)^i] or standard deviation is a finite float
     # lies within 1 ulp of the exact value; past the float range, it fails
     # with a message naming the scheme and N
-    N = 1 << log2_N
-
-    def moment(k):
-        return Fraction(math.factorial(k) * N**k, math.prod(range(N, N + k)))
-
     top = Fraction(sys.float_info.max)
     for i in range(1, 200):
         scheme = SchemeFunction.monomial(i)
         mean = moment(i)
         var = moment(2 * i) - mean * mean
         if mean < top:
-            value = scheme.haar_mean(N, "exact")
+            value = scheme.haar_mean(N, mode)
             assert abs(Fraction(value) - mean) <= math.ulp(value)
         else:
             with pytest.raises(OverflowError,
                                match=f"^monomial{i} at N={N}: E"):
-                scheme.haar_mean(N, "exact")
+                scheme.haar_mean(N, mode)
         if var < top * top:
-            value = scheme.sigma(N, "exact")
+            value = scheme.sigma(N, mode)
             ref = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
             assert abs(mpmath.mpf(value) - ref) <= math.ulp(value)
         else:
             with pytest.raises(OverflowError,
                                match=f"^monomial{i} at N={N}: the standard"):
-                scheme.sigma(N, "exact")
+                scheme.sigma(N, mode)
     # the loop reaches degrees past the float range
     assert mean >= top and var >= top * top
+
+
+@pytest.mark.parametrize("log2_N", [16, 20, 24])
+def test_exact_monomial_mean_and_sigma_match_fractions(log2_N):
+    N = 1 << log2_N
+    _check_monomials_against_fractions(
+        N, "exact",
+        lambda k: Fraction(math.factorial(k) * N**k,
+                           math.prod(range(N, N + k))))
+
+
+def test_pt_monomial_mean_and_sigma_match_fractions():
+    # E[(N P)^i] -> i! at every N: the mean is finite to degree 170 and
+    # the standard deviation sqrt((2i)! - (i!)^2) to degree 150
+    _check_monomials_against_fractions(
+        1024, "porter_thomas", lambda k: Fraction(math.factorial(k)))
+    assert SchemeFunction.monomial(150).sigma(2, "porter_thomas") > 1e307
+
+
+def _haar_moment(k, N, mode):
+    if mode == "porter_thomas":
+        return Fraction(math.factorial(k))
+    return Fraction(math.factorial(k) * N**k, math.prod(range(N, N + k)))
+
+
+@pytest.mark.parametrize("N", [2, 16, 1024])
+@pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
+def test_polynomial_statistics_match_fractions(N, mode):
+    # f = (N p) - (N p)^2 + (N p)^3 / 2, so D = 2; the mean and sigma are
+    # rounded, divided by D and rounded again: within 2 ulp.  The scale is
+    # a difference of two rounded sums over D: within their ulps over D
+    # plus 2 ulp of itself
+    scheme = SchemeFunction.polynomial([1, -1, Fraction(1, 2)])
+    c = dict(scheme.terms)
+    m = {k: _haar_moment(k, N, mode) for k in range(7)}
+    mean = sum(c[i] * m[i] for i in c)
+    var = sum(c[i] * c[j] * (m[i + j] - m[i] * m[j]) for i in c for j in c)
+    lagged = sum(c[i] * m[i - 1] for i in c)
+
+    value = scheme.haar_mean(N, mode)
+    assert abs(Fraction(value) - mean) <= 2 * math.ulp(value)
+    value = scheme.sigma(N, mode)
+    ref = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+    assert abs(mpmath.mpf(value) - ref) <= 2 * math.ulp(value)
+    value = depolarizing_scale(scheme, N, mode)
+    tol = (math.ulp(float(2 * mean)) + math.ulp(float(2 * lagged))) / 2
+    assert abs(Fraction(value) - (mean - lagged)) <= tol + 2 * math.ulp(value)
 
 
 def test_scheme_means_vs_quadrature():
@@ -452,20 +485,22 @@ def test_pt_monomial_mean_and_sigma_are_exact(i):
     # sigma is the square root of the integer (2i)! - (i!)^2 over norm,
     # which mpmath puts within one ulp
     var = math.factorial(2 * i) - math.factorial(i) ** 2
-    schemes = [SchemeFunction.monomial(i)]
+    depolarizing_norm = math.factorial(i - 1) * (i - 1)
+    schemes = [(SchemeFunction.monomial(i), 1)]
     if i >= 2:
-        schemes.append(SchemeFunction.normalized_monomial(i))
-    for scheme in schemes:
+        schemes.append((SchemeFunction.normalized_monomial(i),
+                        depolarizing_norm))
+    for scheme, norm in schemes:
         for N in (64, 1000, 1 << 24):
             mean = scheme.haar_mean(N, "porter_thomas")
             sigma = scheme.sigma(N, "porter_thomas")
-            assert mean == float(Fraction(math.factorial(i), scheme.norm))
-            assert sigma == math.sqrt(var) / scheme.norm
-            ref = mpmath.sqrt(var) / scheme.norm
+            assert mean == float(Fraction(math.factorial(i), norm))
+            assert sigma == math.sqrt(var) / norm
+            ref = mpmath.sqrt(var) / norm
             assert abs(mpmath.mpf(sigma) - ref) <= math.ulp(sigma)
             if i >= 2:
                 assert depolarizing_scale(scheme, N, "porter_thomas") == (
-                    depolarizing_norm(i) / scheme.norm
+                    depolarizing_norm / norm
                 )
     assert SchemeFunction.monomial(2).haar_mean(64, "porter_thomas") == 2.0
     assert SchemeFunction.monomial(2).sigma(64, "porter_thomas") == (

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,80 @@ def test_oracle_values(capsys):
         "ergoxeb: error: monomial300 at N=1024: E[(N P)^300] is past the "
         "float range\n"
     )
+
+
+def test_oracle_polynomial_haar_mean(capsys):
+    # E[(N P)^k] = k! N^k / (N (N+1) ... (N+k-1)) at N = 1024; the
+    # numerators of (N p)^2 - (N p)^3 / 5 summed exactly, rounded, then / 5
+    N = 1024
+
+    def moment(k):
+        return Fraction(math.factorial(k) * N**k, math.prod(range(N, N + k)))
+
+    assert main(["oracle", "--haar-mean", "poly:0,1,-1/5", str(N)]) == 0
+    value = float(capsys.readouterr().out)
+    assert value == float(5 * moment(2) - moment(3)) / 5
+    assert main(["oracle", "--haar-mean", "normalized-monomial4",
+                 str(N)]) == 0
+    assert float(capsys.readouterr().out) == float(moment(4)) / 18
+
+
+def test_scan_past_the_float_range_names_scheme_and_N(tmp_path, capsys):
+    # E[(N P)^70] at N = 2^16 is a float, but the factor N^69 of its g is
+    # not
+    argv = ["--out-dir", str(tmp_path), "scan", "--qubits", "16",
+            "--instances", "1", "--scheme", "monomial70"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "ergoxeb: error: monomial70 at N=65536: N^69 is past the float "
+        "range\n"
+    )
+
+
+def test_porter_thomas_scan_past_degree_20(tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path), "scan", "--qubits", "4",
+            "--instances", "2", "--scheme", "monomial21",
+            "--haar-mean-mode", "porter_thomas"]
+    assert main(argv) == 0
+    (csv_path,) = tmp_path.glob("*.csv")
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert [r["haar_mean"] for r in rows] == [
+        format(float(math.factorial(21)), ".12g")] * 2
+
+
+def test_polynomial_scan_rows(tmp_path, capsys):
+    # the poly: name holds commas, so its CSV cell is quoted; a vector of
+    # degree <= 1 has a vanishing depolarizing scale and no f_hat
+    for name, has_f_hat in (("poly:0,1,-1/5", True), ("poly:3/2", False)):
+        out = tmp_path / name.replace("/", "_")
+        argv = ["--out-dir", str(out), "scan", "--qubits", "3",
+                "--instances", "2", "--scheme", name, "--noise",
+                "depolarizing", "--fidelity", "0.4"]
+        assert main(argv) == 0
+        (csv_path,) = out.glob("*.csv")
+        rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+        assert [r["scheme"] for r in rows] == [name] * 2
+        assert all(bool(r["f_hat"]) == has_f_hat for r in rows)
+
+
+@pytest.mark.parametrize("spelling, message", [
+    ("poly:", "coefficient '' is not an integer, a decimal or a ratio a/b"),
+    ("poly:0,0", "polynomial scheme needs a nonzero coefficient"),
+    ("poly:x", "coefficient 'x' is not an integer"),
+    ("poly:1/0", "coefficient '1/0' is not an integer"),
+    ("poly:nan", "coefficient 'nan' is not an integer"),
+    ("poly:0." + "0" * 400 + "1",
+     "the common denominator of its coefficients is past the float range"),
+])
+def test_malformed_polynomial_exits_1_with_one_line(tmp_path, capsys,
+                                                    spelling, message):
+    for argv in (["scan", "--qubits", "2", "--scheme", spelling],
+                 ["oracle", "--haar-mean", spelling, "16"]):
+        assert main(["--out-dir", str(tmp_path)] + argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ergoxeb: error: ") and message in err
+    assert not list(tmp_path.iterdir())
 
 
 def _write_pair(tmp_path, n=6, T=5000, seed=21):
@@ -474,6 +551,7 @@ def test_runtime_runs_without_scipy(tmp_path):
         ["oracle", "--covariance", "0.5", "0.5", "1024"],
         ["oracle", "--plogp-cov", "1024"],
         ["oracle", "--haar-mean", "plogp", "1024"],
+        ["oracle", "--haar-mean", "poly:0,1,-1/5", "1024"],
     ]
     script = (
         "import importlib, pkgutil, sys\n"

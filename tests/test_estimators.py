@@ -37,6 +37,7 @@ ALL_SCHEMES = [
     SchemeFunction.normalized_monomial(3),
     SchemeFunction.plogp(),
     SchemeFunction.neglog(),
+    SchemeFunction.polynomial([1, -1, Fraction(1, 2)]),
 ]
 
 
@@ -63,7 +64,8 @@ def test_normalized_monomial_is_monomial_over_norm_bit_exact(i, mode):
     plain = SchemeFunction.monomial(i)
     normed = SchemeFunction.normalized_monomial(i)
     norm = math.factorial(i - 1) * (i - 1)
-    assert normed.norm == norm and plain.norm == 1
+    assert normed.terms == ((i, Fraction(1, norm)),)
+    assert plain.terms == ((i, 1),)
     N = 64
     p = np.random.default_rng(i).dirichlet(np.ones(N))
     assert np.array_equal(normed.f(p, N), plain.f(p, N) / norm)
@@ -97,6 +99,73 @@ def test_parse_scheme():
     assert parse_scheme("PLogP") == SchemeFunction.plogp()
     with pytest.raises(ValueError, match="did you mean"):
         parse_scheme("monomal2")
+
+
+def test_polynomial_names_round_trip():
+    # a one-term vector takes its monomial spelling; any other is poly:
+    assert parse_scheme("poly:0,1") == SchemeFunction.monomial(2)
+    assert parse_scheme("poly:0,1").name == "monomial2"
+    assert parse_scheme("poly:0,0,1/4").name == "normalized-monomial3"
+    assert parse_scheme("poly:0,0,0.25") == (
+        SchemeFunction.normalized_monomial(3)
+    )
+    # normalized-monomial2 is the vector e_2, under its own spelling
+    normed = SchemeFunction.normalized_monomial(2)
+    assert normed == SchemeFunction.monomial(2)
+    assert normed.name == "normalized-monomial2"
+    assert parse_scheme(" Poly: 1.5, 0, -2/6 ").name == "poly:3/2,0,-1/3"
+    schemes = ALL_SCHEMES + [
+        normed, SchemeFunction.normalized_monomial(5),
+        SchemeFunction.polynomial([0, 0, Fraction(-7, 3)]),
+        SchemeFunction.polynomial([2]),
+    ]
+    for scheme in schemes:
+        parsed = parse_scheme(scheme.name)
+        assert parsed == scheme and parsed.name == scheme.name
+    assert [s.name for s in schemes[-3:]] == [
+        "normalized-monomial5", "poly:0,0,-7/3", "poly:2"]
+
+
+def test_polynomial_f_and_g_sum_their_terms():
+    # f = (N p) - (N p)^2 + (N p)^3 / 2 term by term: D = 2 is divided
+    # last, and a term with a_i = 1 is the monomial's own array
+    N = 64
+    p = np.random.default_rng(9).dirichlet(np.ones(N))
+    scheme = SchemeFunction.polynomial([1, -1, Fraction(1, 2)])
+    mono = [SchemeFunction.monomial(i) for i in (1, 2, 3)]
+    f = (2 * mono[0].f(p, N) - 2 * mono[1].f(p, N) + mono[2].f(p, N)) / 2
+    g = (2 * mono[0].g(p, N) - 2 * mono[1].g(p, N) + mono[2].g(p, N)) / 2
+    assert np.array_equal(scheme.f(p, N), f)
+    assert np.array_equal(scheme.g(p, N), g)
+
+
+def test_polynomial_f_past_the_float_range():
+    scheme = SchemeFunction.monomial(70)
+    p = np.full(4, 1 / 65536)
+    with pytest.raises(OverflowError,
+                       match="^monomial70 at N=65536: N\\^69 is past"):
+        scheme.g(p, 65536)
+    assert scheme.g(p, 1024).shape == (4,)
+    scheme = SchemeFunction.polynomial([0] * 199 + [3])
+    with pytest.raises(OverflowError,
+                       match="^poly:(0,){199}3 at N=256: 3 N\\^200 is past"):
+        scheme.f(p, 256)
+
+
+def test_polynomial_exact_C_f_averages_to_haar_mean():
+    # 2000 Haar instances at n = 6: the mean exact C_f of a mixed-sign
+    # vector lies within 5 standard errors of its exact Haar mean
+    n, instances = 6, 2000
+    scheme = SchemeFunction.polynomial([Fraction(1, 2), -3, Fraction(2, 3)])
+    rng = np.random.Generator(np.random.PCG64(2024))
+    dims = SystemDims(n)
+    values = np.array([
+        correlation_C_f(OutputDistribution(dims, probs),
+                        OutputDistribution(dims, probs), scheme)
+        for probs in haar_state_probs(dims.N, rng, size=instances)
+    ])
+    se = values.std(ddof=1) / math.sqrt(instances)
+    assert abs(values.mean() - scheme.haar_mean(dims.N)) <= 5.0 * se
 
 
 def test_plogp_f_finite_at_zero():
@@ -448,6 +517,12 @@ def test_fidelity_inversion():
         fidelity_from_de_depolarizing(0.1, mono(1), 1024)
     with pytest.raises(ValueError, match="vanishes"):
         fidelity_from_de_depolarizing(0.1, mono(1), 1024, pt)
+    # every vector of degree <= 1 has a vanishing scale
+    linear = SchemeFunction.polynomial([Fraction(3, 2)])
+    for mode in ("exact", pt):
+        assert depolarizing_scale(linear, 1024, mode) == 0.0
+        with pytest.raises(ValueError, match="^poly:3/2: .* vanishes"):
+            fidelity_from_de_depolarizing(0.1, linear, 1024, mode)
     # the exact scales at N = 1024, against (i-1)!(i-1) = 1, 4, 18
     scales = [depolarizing_scale(mono(i), 1024) for i in (2, 3, 4)]
     assert scales == pytest.approx([0.99805, 3.98441, 17.87748],
@@ -469,8 +544,9 @@ def test_fidelity_inversion_exact_scale(N):
         assert est.F_hat == pytest.approx(0.3, rel=1e-14, abs=0)
         assert est.std_error == pytest.approx(1.0, rel=1e-15, abs=0)
         normed = SchemeFunction.normalized_monomial(i)
+        norm = math.factorial(i - 1) * (i - 1)
         assert depolarizing_scale(normed, N) == pytest.approx(
-            scale / normed.norm, rel=1e-15, abs=0)
+            scale / norm, rel=1e-15, abs=0)
     with pytest.raises(ValueError, match="unknown mode"):
         depolarizing_scale(SchemeFunction.monomial(2), N, "typo")
 
