@@ -202,8 +202,9 @@ def _cmd_scan(args):
         T=_at_least("--samples", args.samples, 0),
         noise=_make_noise(args),
         base_seed=args.seed,
-        # 0 means the default depth 5n
-        depth=_at_least("--depth", args.depth or 0, 0),
+        # ScanConfig's 0 is the default depth 5n
+        depth=(0 if args.depth is None
+               else _at_least("--depth", args.depth, 1)),
         source_path=args.fixed_file,
         mean_mode=args.haar_mean_mode,
     )

@@ -6,6 +6,7 @@ least significant bit.  All file formats in this package use this convention.
 """
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -109,28 +110,69 @@ class OutputDistribution:
         self.probs = check_probability_rows(probs)
 
 
-def _check_unitary(blocks):
-    """Raise unless every square complex128 matrix in ``blocks`` is unitary.
-
-    The blocks of each dimension are checked in one stacked matmul; the
-    error reported is that of the first failing block in list order.
-    """
-    errs = np.empty(len(blocks))
-    by_dim = {}
-    for i, block in enumerate(blocks):
-        by_dim.setdefault(block.shape[0], []).append(i)
-    for m, index in by_dim.items():
-        stack = np.stack([blocks[i] for i in index])
-        # an inf entry makes NaN here, which fails the check below
-        with np.errstate(invalid="ignore", over="ignore"):
-            product = stack.conj().transpose(0, 2, 1) @ stack
-            product -= np.eye(m)
-            errs[index] = np.abs(product).max(axis=(1, 2))
-    bad = np.flatnonzero(~(errs <= UNITARY_TOL))  # NaN entries fail too
-    if bad.size:
+def _check_gate(n, targets, block):
+    """One gate's (targets, block) as ints and complex128; ValueError if its
+    targets or its block's shape are malformed."""
+    targets = tuple(int(t) for t in targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target qubits: {targets}")
+    for t in targets:
+        if not 0 <= t < n:
+            raise ValueError(f"target qubit {t} out of range for n={n}")
+    block = np.asarray(block, dtype=np.complex128)
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise ValueError(f"gate block must be square, got shape {block.shape}")
+    if block.shape[0] != 1 << len(targets):
         raise ValueError(
-            f"gate block non-unitary: max |U^dag U - I| = {errs[bad[0]]:g}"
+            f"block dimension {block.shape[0]} does not match "
+            f"{len(targets)} target qubits"
         )
+    return targets, block
+
+
+def _stack_gates(n, gates):
+    """``_check_gate`` for every gate, in whole-array steps per width.
+
+    Returns (targets, by_width, stacks): each gate's targets as a tuple of
+    ints, the positions of the gates on k qubits under key k, and their
+    blocks as one (G, 2**k, 2**k) complex128 array under key k.  Returns
+    None if some gate fails ``_check_gate``.
+    """
+    try:
+        targets = [tuple(map(int, qubits)) for qubits, _ in gates]
+        blocks = [np.asarray(block, dtype=np.complex128) for _, block in gates]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    by_width = {}
+    for i, qubits in enumerate(targets):
+        by_width.setdefault(len(qubits), []).append(i)
+    stacks = {}
+    for k, index in by_width.items():
+        d = 1 << k
+        if any(blocks[i].shape != (d, d) for i in index):
+            return None
+        try:
+            qubits = np.fromiter(
+                itertools.chain.from_iterable(targets[i] for i in index),
+                dtype=np.int64, count=len(index) * k,
+            ).reshape(len(index), k)
+        except OverflowError:  # a target past int64 is out of range
+            return None
+        ordered = np.sort(qubits, axis=1)
+        if ((qubits < 0) | (qubits >= n)).any() \
+                or (ordered[:, 1:] == ordered[:, :-1]).any():
+            return None
+        stacks[k] = np.array([blocks[i] for i in index])
+    return targets, by_width, stacks
+
+
+def _unitarity_errors(stack):
+    """max |U^dag U - I| of each matrix of a (G, m, m) stack."""
+    # an inf entry makes NaN here, which fails the caller's check
+    with np.errstate(invalid="ignore", over="ignore"):
+        product = stack.conj().transpose(0, 2, 1) @ stack
+        product -= np.eye(stack.shape[1])
+        return np.abs(product).max(axis=(1, 2))
 
 
 @dataclass
@@ -141,43 +183,47 @@ class GateProgram:
     indices and ``block`` is a dense unitary of dimension 2**len(targets).
     Bit j of a block's row/column index is the value of qubit targets[j].
     Every gate's targets and shape are checked before any block's
-    unitarity.
+    unitarity, and the first failing gate in list order is reported.  The
+    blocks of the gates on k qubits are copied into one (G, 2**k, 2**k)
+    stack, in list order, and ``gates`` holds views of it.
     """
 
     dims: SystemDims
     gates: list = field(default_factory=list)
+    # k -> the stacked blocks of the gates on k qubits, which the kernel
+    # gathers from
+    _stacks: dict = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
-        checked = []
-        for targets, block in self.gates:
-            targets = tuple(int(t) for t in targets)
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"duplicate target qubits: {targets}")
-            for t in targets:
-                if not 0 <= t < self.dims.n:
-                    raise ValueError(
-                        f"target qubit {t} out of range for n={self.dims.n}"
-                    )
-            block = np.asarray(block, dtype=np.complex128)
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise ValueError(
-                    f"gate block must be square, got shape {block.shape}"
-                )
-            if block.shape[0] != 1 << len(targets):
-                raise ValueError(
-                    f"block dimension {block.shape[0]} does not match "
-                    f"{len(targets)} target qubits"
-                )
-            checked.append((targets, block))
-        _check_unitary([block for _, block in checked])
-        self.gates = checked
+        n = self.dims.n
+        checked = _stack_gates(n, self.gates)
+        if checked is None:
+            # _check_gate raises for the first malformed gate
+            checked = _stack_gates(n, [_check_gate(n, targets, block)
+                                       for targets, block in self.gates])
+        targets, by_width, stacks = checked
+        errs = np.empty(len(targets))
+        for k, index in by_width.items():
+            errs[index] = _unitarity_errors(stacks[k])
+        bad = np.flatnonzero(~(errs <= UNITARY_TOL))  # NaN entries fail too
+        if bad.size:
+            raise ValueError(
+                f"gate block non-unitary: max |U^dag U - I| = {errs[bad[0]]:g}"
+            )
+        blocks = [None] * len(targets)
+        for k, index in by_width.items():
+            for i, block in zip(index, stacks[k]):
+                blocks[i] = block
+        self.gates = list(zip(targets, blocks))
+        self._stacks = stacks
 
 
 def apply_block(state, targets, block):
     """Apply a dense unitary block to the target qubits of ``state``."""
     dims = state.dims
-    gates = GateProgram(dims, gates=[(targets, block)]).gates
-    return PureState(dims, _apply_gates(state.amplitudes, dims.n, gates))
+    program = GateProgram(dims, gates=[(targets, block)])
+    return PureState(dims, _apply_gates(state.amplitudes, program))
 
 
 FUSE_WIDTH = 5  # widest qubit window merged into one dense block
@@ -204,8 +250,9 @@ def _contract(src, n, targets, block, out=None):
                      out_labels, out=out)
 
 
-def _fused_blocks(gates):
-    """Group ``gates`` into runs, yielded as (start, stop, run).
+def _runs(targets):
+    """Group the gates with per-gate target tuples ``targets`` into runs,
+    returned as (start, stop, gate positions).
 
     A run starts at the first gate not yet applied.  It then takes every
     gate that is next on each of its qubits (all earlier gates on them are
@@ -217,20 +264,8 @@ def _fused_blocks(gates):
     to high until a sweep takes none.  A run lists its gates in the order
     they were taken, so each qubit sees its gates in list order.  A gate
     spanning more than FUSE_WIDTH qubits, or a global phase with no
-    targets, is a run of its own with start and stop None.  The grouping
-    depends on the targets alone and is cached by them.
+    targets, is a run of its own with start and stop None.
     """
-    for start, stop, positions in _schedule(tuple(t for t, _ in gates)):
-        yield start, stop, [gates[i] for i in positions]
-
-
-# The runs depend on the targets alone, and every member of a brickwork
-# ensemble has the same targets; a scan builds one ensemble at a time, so
-# a few entries suffice.
-@functools.lru_cache(maxsize=8)
-def _schedule(targets):
-    """The runs of ``_fused_blocks`` as (start, stop, gate positions), for
-    the per-gate target tuples ``targets``."""
     spans = []
     stacks = {}  # qubit -> positions of its gates not yet taken, next last
     for i, qubits in enumerate(targets):
@@ -289,78 +324,171 @@ def _schedule(targets):
         runs.append((lo, hi, tuple(run)))
 
 
-def _window_matrix(start, stop, run):
-    """Dense unitary of ``run`` on the qubit window [start, stop).
+# The plan depends on the targets alone, and every member of a brickwork
+# ensemble has the same targets; a scan builds one ensemble at a time, so
+# a few entries suffice.
+@functools.lru_cache(maxsize=8)
+def _schedule(targets):
+    """The runs of ``_runs(targets)`` and the plan that builds their
+    blocks.
 
-    Bit i of its row/column index is qubit start + i.  The run is applied
-    to the identity on the window, whose columns are the batch axis.
+    Returns (runs, layouts, windows).  ``runs`` holds each run as (start,
+    stop, gate positions).  The window runs are grouped by layout: the
+    window's width, counted from qubit 0 below _WIDEN_BELOW, and the
+    window-relative targets of its gates in run order.  ``layouts`` holds
+    each layout as (width, window count, steps), a step per gate position
+    as ``_layout_step`` makes it; ``windows`` holds each run's (window
+    start, layout, slot among the layout's windows), or None for a run of
+    its own.
     """
-    width = stop - start
-    d = 1 << width
-    matrix = np.eye(d, dtype=np.complex128).reshape((2,) * width + (d,))
-    for targets, block in run:
-        matrix = _contract(matrix, width, [t - start for t in targets], block)
-    return matrix.reshape(d, d)
+    runs = _runs(targets)
+    rows = []  # per gate, its row in the stack of the gates of its width
+    seen = {}
+    for qubits in targets:
+        rows.append(seen.get(len(qubits), 0))
+        seen[len(qubits)] = rows[-1] + 1
+    groups = {}  # layout -> (its number, the gate positions of its windows)
+    windows = []
+    for start, stop, positions in runs:
+        if start is None:
+            windows.append(None)
+            continue
+        low = 0 if start < _WIDEN_BELOW else start
+        layout = (stop - low, tuple(tuple(t - low for t in targets[i])
+                                    for i in positions))
+        number, members = groups.setdefault(layout, (len(groups), []))
+        windows.append((low, number, len(members)))
+        members.append(positions)
+    layouts = tuple(
+        (width, len(members), tuple(
+            _layout_step(qubits, np.array([rows[p[j]] for p in members]))
+            for j, qubits in enumerate(relative)))
+        for (width, relative), (_, members) in groups.items()
+    )
+    return runs, layouts, tuple(windows)
+
+
+def _layout_step(qubits, rows):
+    """(low, k, rows, gather) for one gate position of a layout.
+
+    The gate acts on window qubits ``qubits`` (bit j of its block index is
+    qubit qubits[j]); ``rows`` locate its blocks in the stack of k-qubit
+    gates.  If the qubits ascend without a gap from ``low``, gather is
+    None.  Otherwise gather = (index, agree) expands each block to the
+    span [low, low + s) of its qubits: entry (x, y) is block[m(x), m(y)]
+    with m(x) = sum_j bit(x, qubits[j] - low) << j where x and y agree on
+    the span's other qubits, and 0 elsewhere.
+    """
+    k = len(qubits)
+    low = min(qubits)
+    if qubits == tuple(range(low, low + k)):
+        return low, k, rows, None
+    x = np.arange(1 << (max(qubits) + 1 - low))
+    m = np.zeros_like(x)
+    rest = x.copy()
+    for j, q in enumerate(qubits):
+        m |= ((x >> (q - low)) & 1) << j
+        rest &= ~(1 << (q - low))
+    index = (m[:, None] << k) | m[None, :]
+    return low, k, rows, (index, rest[:, None] == rest[None, :])
+
+
+def _build_windows(layouts, stacks):
+    """The dense blocks of the fused windows: per layout of ``_schedule``,
+    a (B, 2**w, 2**w) stack, one block per window.
+
+    Bit i of a block's row/column index is qubit i of its window.  The B
+    blocks start as identities, whose columns are the batch axis; each
+    gate position of the layout is then applied to all B at once by
+    ``_apply_window``, its B gate blocks gathered from ``stacks`` by one
+    index (and expanded to their span by ``_layout_step``'s gather).
+    """
+    built = []
+    for width, count, steps in layouts:
+        d = 1 << width
+        cur = np.zeros((count, d, d), dtype=np.complex128)
+        cur[:, np.arange(d), np.arange(d)] = 1.0
+        nxt = np.empty_like(cur)
+        for low, k, rows, gather in steps:
+            blocks = stacks[k][rows]
+            if gather is not None:
+                index, agree = gather
+                blocks = np.where(agree, blocks.reshape(count, -1)[:, index],
+                                  0.0)
+            _apply_window(cur, nxt, low, d, blocks)
+            cur, nxt = nxt, cur
+        built.append(cur)
+    return built
 
 
 def _apply_window(src, dst, start, batch, matrix):
     """Write ``matrix`` applied to qubits [start, start + w) of src to dst.
 
-    ``src`` and ``dst`` are flat C-ordered buffers of N states times a
-    trailing batch of ``batch`` columns; ``matrix`` is 2**w square.
+    ``src`` and ``dst`` are C-ordered buffers of states times a trailing
+    batch of ``batch`` columns; ``matrix`` is 2**w square.  A (B, 2**w,
+    2**w) stack of matrices applies its b-th matrix to the b-th of B equal
+    parts of the buffers.
     """
-    d = matrix.shape[0]
+    d = matrix.shape[-1]
+    stack = matrix.shape[:-2]
     lo = (1 << start) * batch
     per_item = max(1, _ITEM_MACS // (d * d))
     # Batch items of at most _ITEM_MACS multiply-adds run on the calling
     # thread: OpenBLAS hands a complex product to its worker threads once
-    # M*N*K reaches 2**16 (window blocks are built by einsum, which calls
-    # no BLAS).  Threaded, these small products gain ~10% on an idle
-    # 2-CPU machine, but a worker then spins after every call, and a
-    # brickwork pass at n=16 ran ~2.6x slower while one other process kept
-    # a CPU busy.  Small items also keep BLAS's pack buffers small.
+    # M*N*K reaches 2**16, and window blocks are built here too.  Threaded,
+    # these small products gain ~10% on an idle 2-CPU machine, but a
+    # worker then spins after every call, and a brickwork pass at n=16 ran
+    # ~2.6x slower while one other process kept a CPU busy.  Small items
+    # also keep BLAS's pack buffers small.
     if lo == 1:
-        rows = min(src.size // d, per_item)
-        np.matmul(src.reshape(-1, rows, d), matrix.T,
-                  out=dst.reshape(-1, rows, d))
+        rows = min(src.size * d // matrix.size, per_item)
+        shape = stack + (-1, rows, d)
+        np.matmul(src.reshape(shape),
+                  np.swapaxes(matrix, -1, -2)[..., None, :, :],
+                  out=dst.reshape(shape))
         return
     c = min(lo, per_item)
-    shape, order = (-1, d, lo // c, c), (0, 2, 1, 3)
-    np.matmul(matrix, src.reshape(shape).transpose(order),
-              out=dst.reshape(shape).transpose(order))
+    shape = stack + (-1, d, lo // c, c)
+    np.matmul(matrix[..., None, None, :, :],
+              np.swapaxes(src.reshape(shape), -3, -2),
+              out=np.swapaxes(dst.reshape(shape), -3, -2))
 
 
-def _apply_gates(amps, n, gates):
-    """Apply ``gates`` in order to ``amps`` and return the resulting array.
+def _apply_gates(amps, program):
+    """Apply the gates of ``program`` in order to ``amps`` and return the
+    resulting array.
 
     ``amps`` has shape (N,) or (N, B); a trailing axis is a batch of B
-    independent states.  Each run of ``_fused_blocks`` becomes one dense
-    block on its qubit window, applied with one ``np.matmul(..., out=)`` on
-    a (hi, 2**w, lo) view, lo being 2**start times B.  A run may take gates
-    ahead of earlier gates on other qubits, which commute with them, so
-    the result is the list-order product up to rounding.  Results go to a
-    second buffer; the two buffers swap roles after every step, so ``amps``
-    itself is overwritten once there are two steps.
+    independent states.  Each window run of ``_runs`` becomes one dense
+    block on its qubit window (``_build_windows``), applied with one
+    ``np.matmul(..., out=)`` on a (hi, 2**w, lo) view, lo being 2**start
+    times B.  A run may take gates ahead of earlier gates on other qubits,
+    which commute with them, so the result is the list-order product up to
+    rounding.  Results go to a second buffer; the two buffers swap roles
+    after every step, so ``amps`` itself is overwritten once there are two
+    steps.
     """
+    n = program.dims.n
+    gates = program.gates
+    runs, layouts, windows = _schedule(tuple(t for t, _ in gates))
+    blocks = _build_windows(layouts, program._stacks)
     tensor = (2,) * n + amps.shape[1:]
     columns = amps.size >> n
     cur = amps.reshape(-1)
     nxt = np.empty_like(cur)
-    for start, stop, run in _fused_blocks(gates):
-        if start is None:
+    for (_, _, positions), window in zip(runs, windows):
+        if window is None:
             # A gate spanning more than FUSE_WIDTH qubits, such as (0, 23),
             # is contracted on the (2,)*n view: the only route that applies
             # it without a dense block of dimension 2**span.
-            _contract(cur.reshape(tensor), n, *run[0],
+            _contract(cur.reshape(tensor), n, *gates[positions[0]],
                       out=nxt.reshape(tensor))
         else:
-            # Below qubit _WIDEN_BELOW the contraction would run as
-            # thousands of tiny per-item matmuls; a wider block on qubits
-            # [0, stop) is cheaper.
-            if start < _WIDEN_BELOW:
-                start = 0
-            _apply_window(cur, nxt, start, columns,
-                          _window_matrix(start, stop, run))
+            # A window starting below _WIDEN_BELOW starts at qubit 0: the
+            # contraction would run as thousands of tiny per-item matmuls,
+            # and a wider block on qubits [0, stop) is cheaper.
+            start, layout, slot = window
+            _apply_window(cur, nxt, start, columns, blocks[layout][slot])
         cur, nxt = nxt, cur
     return cur.reshape(amps.shape)
 
@@ -370,7 +498,7 @@ def output_distribution(program):
     dims = program.dims
     amps = np.zeros(dims.N, dtype=np.complex128)
     amps[0] = 1.0
-    amps = _apply_gates(amps, dims.n, program.gates)
+    amps = _apply_gates(amps, program)
     # OutputDistribution checks that the probabilities sum to 1
     return OutputDistribution(dims, np.abs(amps) ** 2)
 
@@ -382,8 +510,7 @@ def program_unitary(program):
         raise ValueError("dense composition limited to n <= 12")
     # Column c is the image of basis state c: all N columns form the batch
     # axis of one kernel call.
-    return _apply_gates(np.eye(dims.N, dtype=np.complex128), dims.n,
-                        program.gates)
+    return _apply_gates(np.eye(dims.N, dtype=np.complex128), program)
 
 
 # ---------------------------------------------------------------------------

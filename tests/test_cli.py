@@ -17,6 +17,7 @@ from ergoxeb import cli, estimators
 from ergoxeb.cli import main
 from ergoxeb.ensembles import EnsembleSpec, haar_state_probs, sample_member
 from ergoxeb.estimators import linear_xeb, log_xeb
+from ergoxeb.harness import ScanConfig, run_ergodicity_scan, write_scan_result
 from ergoxeb.noise import (
     read_probabilities,
     read_samples,
@@ -428,7 +429,7 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
     (["scan", "--qubits", "2", "--fixed-file", "g.json"],
      "--fixed-file applies only to --ensemble fixed"),
     (["scan", "--qubits", "4", "--ensemble", "brickwork", "--depth", "-3"],
-     "--depth: expected an integer >= 0, got -3"),
+     "--depth: expected an integer >= 1, got -3"),
     (["scan", "--qubits", "2", "--instances", "0"],
      "--instances: expected an integer >= 1, got 0"),
     (["scan", "--qubits", "2", "--samples", "-5"],
@@ -448,6 +449,8 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--qubits: expected 1 <= LO <= HI <= 24, got '0'"),
     (["scan", "--qubits", "5..3"],
      "--qubits: expected 1 <= LO <= HI <= 24, got '5..3'"),
+    (["scan", "--qubits", "4", "--ensemble", "brickwork", "--depth", "0"],
+     "--depth: expected an integer >= 1, got 0"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
@@ -468,13 +471,19 @@ def test_huge_covariance_exponents_fail_at_once(tmp_path, capsys):
 
 
 def test_scan_brickwork_depth_0_means_5n(tmp_path, capsys):
+    # the CLI without --depth and ScanConfig(depth=0) both run depth 5n;
+    # an explicit --depth 0 is refused (test_flag_errors_name_the_flag)
     csv = []
-    for depth in ([], ["--depth", "0"], ["--depth", "15"]):
+    for depth in ([], ["--depth", "15"]):
         out = tmp_path / str(len(csv))
         assert main(["--out-dir", str(out), "scan", "--qubits", "3",
                      "--ensemble", "brickwork", "--instances", "2"]
                     + depth) == 0
         csv.append(next(out.glob("*.csv")).read_bytes())
+    cfg = ScanConfig(ensemble="brickwork", n_range=(3,), instances=2,
+                     depth=0)
+    csv_path, _ = write_scan_result(run_ergodicity_scan(cfg), tmp_path / "2")
+    csv.append(Path(csv_path).read_bytes())
     assert csv[0] == csv[1] == csv[2]
 
 

@@ -14,13 +14,14 @@ from ergoxeb.statevector import (
     OutputDistribution,
     PureState,
     SystemDims,
-    _fused_blocks,
+    _schedule,
     apply_block,
     check_probability_rows,
     output_distribution,
     program_from_dict,
     program_to_dict,
     program_unitary,
+    save_programs,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -99,6 +100,22 @@ def test_malformed_gate_reported_before_non_unitary_block():
         GateProgram(SystemDims(2), gates=[((0,), bad), ((2,), X)])
     with pytest.raises(ValueError, match="must be square"):
         GateProgram(SystemDims(2), gates=[((0,), bad), ((1,), X[:1])])
+
+
+def test_first_malformed_gate_reported_across_widths():
+    # gates are checked per width in whole-array steps; the error is still
+    # that of the first malformed gate in list order, whatever its width
+    block = np.eye(4, dtype=np.complex128)
+    with pytest.raises(ValueError, match="dimension 2 does not match 2"):
+        GateProgram(SystemDims(2), gates=[((0,), X), ((0, 1), X),
+                                          ((5,), X), ((1, 1), block)])
+    with pytest.raises(ValueError, match="duplicate"):
+        GateProgram(SystemDims(2), gates=[((0,), X), ((1, 1), block),
+                                          ((5,), X)])
+    with pytest.raises(ValueError, match=f"qubit {2**70} out of range"):
+        GateProgram(SystemDims(2), gates=[((0,), X), ((2**70,), X)])
+    with pytest.raises(ValueError, match="invalid literal"):
+        GateProgram(SystemDims(2), gates=[((0,), X), (("a",), X)])
 
 
 def test_duplicate_targets_rejected():
@@ -309,12 +326,16 @@ def test_wide_and_unordered_gates_match_element_formula():
              ((6, 4), sample_haar_unitary(4, seed=3)), ((7,), H),
              ((0, 7), sample_haar_unitary(4, seed=4)), ((1,), H)]
     prog = GateProgram(SystemDims(n), gates=gates)
-    windows = [(start, stop) for start, stop, _ in _fused_blocks(prog.gates)]
+    windows = [(start, stop) for start, stop, _ in _runs_of(prog.gates)]
     assert windows == [(4, 7), (None, None), (1, 4), (7, 8), (None, None)]
     expected = _element_formula_product(n, gates)
     np.testing.assert_allclose(program_unitary(prog), expected, atol=1e-12)
     np.testing.assert_allclose(output_distribution(prog).probs,
                                np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def _runs_of(gates):
+    return _schedule(tuple(targets for targets, _ in gates))[0]
 
 
 def _window_width(start, stop):
@@ -351,22 +372,20 @@ def test_fused_runs_keep_qubit_order_and_width(n):
     for _ in range(12):
         prog = _random_program(n, rng)
         gates = prog.gates
-        position = {id(block): i for i, (_, block) in enumerate(gates)}
-        runs = list(_fused_blocks(gates))
-        order = [position[id(block)] for _, _, run in runs
-                 for _, block in run]
+        runs = _runs_of(gates)
+        order = [i for _, _, run in runs for i in run]
         assert sorted(order) == list(range(len(gates)))
         for q in range(n):
             on_q = [i for i in order if q in gates[i][0]]
             assert on_q == sorted(on_q)
         applied = set()
         for start, stop, run in runs:
-            applied.update(position[id(block)] for _, block in run)
+            applied.update(run)
             if start is None:
-                (targets, _), = run
+                (targets, _), = [gates[i] for i in run]
                 assert not targets or max(targets) - min(targets) >= FUSE_WIDTH
                 continue
-            targets = [t for gate_targets, _ in run for t in gate_targets]
+            targets = [t for i in run for t in gates[i][0]]
             assert (start, stop) == (min(targets), max(targets) + 1)
             assert len(run) == 1 or _window_width(start, stop) <= FUSE_WIDTH
             # every gate left out is either behind a gate not yet applied
@@ -391,15 +410,65 @@ def test_fused_runs_keep_qubit_order_and_width(n):
 def test_brickwork_member_fuses_into_few_runs():
     # gates move ahead of earlier ones on other qubits: a depth-80 member
     # at n=16 (600 gates) is at most 100 runs, where merging only
-    # consecutive gates made 320.  Members share their targets, and so
-    # their grouping, but each run holds its own member's gates.
+    # consecutive gates made 320; every gate is in one run
     spec = EnsembleSpec("brickwork", SystemDims(16), depth=80, base_seed=3)
     for index in range(2):
         gates = sample_member(spec, index).gates
-        runs = list(_fused_blocks(gates))
+        runs = _runs_of(gates)
         assert len(runs) <= 100
-        assert sorted(id(block) for _, _, run in runs for _, block in run) \
-            == sorted(id(block) for _, block in gates)
+        assert sorted(i for _, _, run in runs for i in run) \
+            == list(range(len(gates)))
+
+
+def test_brickwork_windows_share_few_cached_layouts():
+    # a depth-80 member at n=16 has ~96 windows but few layouts (width and
+    # window-relative targets), and every member shares one cached plan
+    spec = EnsembleSpec("brickwork", SystemDims(16), depth=80, base_seed=3)
+    plans = [_schedule(tuple(t for t, _ in sample_member(spec, i).gates))
+             for i in range(2)]
+    runs, layouts, windows = plans[0]
+    assert len(layouts) <= 16
+    assert plans[1][1] is layouts
+    assert sum(count for _, count, _ in layouts) \
+        == sum(window is not None for window in windows) == len(runs)
+
+
+def test_fixed_programs_with_different_targets_get_own_layouts(tmp_path):
+    # two programs of one fixed file, with reversed, gapped and 3-qubit
+    # targets, are grouped separately, and each matches the element formula
+    n = 6
+    rng = np.random.default_rng(8)
+    targets = [[(0, 1), (3, 1), (2, 4, 3), (5,), (1, 0), (4, 5)],
+               [(2, 0), (5, 3), (1, 2), (0, 3, 1), (4,), (1, 0)]]
+    programs = [GateProgram(SystemDims(n), gates=[
+        (t, sample_haar_unitary(1 << len(t), rng=rng)) for t in row])
+        for row in targets]
+    path = tmp_path / "programs.json"
+    save_programs(programs, path)
+    spec = EnsembleSpec("fixed", SystemDims(n), source_path=str(path))
+    members = [sample_member(spec, i) for i in range(2)]
+    plans = [_schedule(tuple(t for t, _ in m.gates)) for m in members]
+    assert plans[0] is not plans[1] and plans[0][0] != plans[1][0]
+    assert any(gather is not None for plan in plans
+               for _, _, steps in plan[1] for *_, gather in steps)
+    for member in members:
+        expected = _element_formula_product(n, member.gates)
+        np.testing.assert_allclose(program_unitary(member), expected,
+                                   atol=1e-12)
+        np.testing.assert_allclose(output_distribution(member).probs,
+                                   np.abs(expected[:, 0]) ** 2, atol=1e-12)
+
+
+def test_programs_without_gates_run():
+    # an n=1 brickwork member has no qubit pairs, so no gates
+    spec = EnsembleSpec("brickwork", SystemDims(1), depth=4, base_seed=2)
+    member = sample_member(spec, 0)
+    assert member.gates == []
+    np.testing.assert_array_equal(output_distribution(member).probs, [1, 0])
+    empty = GateProgram(SystemDims(3))
+    np.testing.assert_array_equal(program_unitary(empty), np.eye(8))
+    np.testing.assert_array_equal(output_distribution(empty).probs,
+                                  np.eye(8)[0])
 
 
 def test_brickwork_collision_probability_porter_thomas():
@@ -419,14 +488,16 @@ def test_window_products_stay_below_blas_threading(monkeypatch):
     # for a single state (lo == 1 and lo > 1 windows) and for a batch
     from ergoxeb import statevector
 
-    sizes = []
+    sizes, builds = [], []
 
     class RecordingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         def matmul(self, a, b, out):
-            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            size = a.shape[-2] * a.shape[-1] * b.shape[-1]
+            # a build applies a (B, 1, 1, m, m) stack of gate blocks
+            (builds if a.ndim == 5 else sizes).append(size)
             return np.matmul(a, b, out=out)
 
     monkeypatch.setattr(statevector, "np", RecordingNumpy())
@@ -437,6 +508,7 @@ def test_window_products_stay_below_blas_threading(monkeypatch):
     program_unitary(sample_member(spec, 0))
     assert 0 < single < len(sizes)
     assert max(sizes) < 1 << 16
+    assert builds and max(builds) < 1 << 16
 
 
 def test_norm_check_makes_no_vdot_call(monkeypatch):
