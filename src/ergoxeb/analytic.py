@@ -198,23 +198,6 @@ def haar_covariance(q1, q2, N):
     return product * math.expm1(-delta)
 
 
-def pt_moment(i, N):
-    """Porter-Thomas moment approximation E[P^i] ~ i!/N^i, correctly
-    rounded: the quotient of two integers."""
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
-    return math.factorial(i) / N**i
-
-
-def pt_pdf(p, N):
-    """Porter-Thomas density N exp(-N p) on [0, 1]."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    out = N * np.exp(-N * p)
-    return float(out) if out.ndim == 0 else out
-
-
 def beta_pdf(p, N):
     """Beta(1, N-1) density (N-1)(1-p)^(N-2) on [0, 1]."""
     p = np.asarray(p, dtype=np.float64)
@@ -319,27 +302,8 @@ def sigma_of_scheme(scheme, N, mode="exact"):
 
 
 # ---------------------------------------------------------------------------
-# replica-trick covariance for f(p) = p ln p
+# covariance of f(p) = p ln p
 # ---------------------------------------------------------------------------
-
-def gi_covariance(i, N):
-    """Cov(g_i(P(x)), g_i(P(y))) with g_i(p) = (p^(i+1) - p)/i, x != y.
-
-    The i -> 0 limit of this expression is plogp_covariance(N).
-    """
-    i = float(i)
-    if not 0.0 < i <= 0.1:
-        raise ValueError(f"replica exponent must lie in (0, 0.1], got {i}")
-    if i < 1e-6:
-        raise ValueError(
-            f"replica exponent {i} below 1e-6: double-precision cancellation; "
-            "use plogp_covariance instead"
-        )
-    c_hh = haar_covariance(i + 1.0, i + 1.0, N)
-    c_hl = haar_covariance(i + 1.0, 1.0, N)
-    c_ll = haar_covariance(1.0, 1.0, N)
-    return (c_hh - 2.0 * c_hl + c_ll) / (i * i)
-
 
 def plogp_covariance(N):
     """Cov(P(x) ln P(x), P(y) ln P(y)) for x != y under Haar (closed form)."""
@@ -350,12 +314,3 @@ def plogp_covariance(N):
     b = polygamma(0, N + 1.0) + EULER_GAMMA - 1.0
     joint = (a * a - polygamma(1, N + 2.0)) / (N * (N + 1.0))
     return joint - (b * b) / (N * N)
-
-
-def plogp_covariance_asymptotic(N):
-    """Leading large-N form: -(ln N + gamma - 2)^2 / N^3."""
-    lnn = math.log(N)
-    return (
-        -lnn * lnn - 2.0 * EULER_GAMMA * lnn + 4.0 * lnn
-        - EULER_GAMMA * EULER_GAMMA + 4.0 * EULER_GAMMA - 4.0
-    ) / float(N) ** 3

@@ -213,20 +213,6 @@ def member_probs(spec, index):
     return output_distribution(sample_member(spec, index)).probs
 
 
-def pauli_ensemble_average(dims, f, x0):
-    """Exact mean of f(P(x0)) over all 4^n Pauli-group circuits."""
-    if dims.n > 8:
-        raise ValueError(f"Pauli enumeration limited to n <= 8, got {dims.n}")
-    if not 0 <= x0 < dims.N:
-        raise ValueError(f"bitstring index {x0} out of range")
-    func = getattr(f, "f", f)
-    total = 0.0
-    for index in range(4**dims.n):
-        probs = output_distribution(_pauli_program(dims, index)).probs
-        total += float(func(probs[x0]))
-    return total / 4**dims.n
-
-
 def _moment_tensor(u, t):
     a = u
     for _ in range(t - 1):

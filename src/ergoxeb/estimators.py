@@ -193,10 +193,6 @@ class FidelityEstimate:
     F_hat: float
     std_error: float = 0.0
 
-    @property
-    def out_of_range(self):
-        return not 0.0 <= self.F_hat <= 1.0
-
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -363,16 +359,21 @@ def depolarizing_scale(scheme, N, mode="exact"):
     """DE / (1 - F) of a polynomial ``scheme`` under depolarizing noise of
     fidelity F, cached: sum_i c_i (E_H[f_i] - E_H[f_{i-1}]), f_i = (N p)^i,
     as the numerators' moment sums at lags 0 and 1, each rounded once, over
-    D.  It is 0 at degree <= 1; (i-1)!(i-1) for monomial i in Porter-Thomas."""
+    D.  It is 0 at degree <= 1; (i-1)!(i-1) for monomial i in Porter-Thomas.
+    A logarithmic scheme has none here."""
+    if scheme.logarithmic:
+        raise ValueError(f"{scheme.name}: no depolarizing scale exists for "
+                         "a logarithmic scheme")
     sums = [analytic.moment_sum(scheme, N, mode, lag) for lag in (0, 1)]
     return (sums[0] - sums[1]) / scheme.integer_form[0]
 
 
 def fidelity_from_de_depolarizing(deviation, scheme, N, mode="exact",
                                   std_error=0.0):
-    """Invert DE = (1 - F) ``depolarizing_scale(scheme, N, mode)`` for F,
-    with the deviation measured from the Haar mean of the same N and
-    ``mode``."""
+    """Invert DE = (1 - F) ``depolarizing_scale(scheme, N, mode)`` for F.
+
+    ``deviation`` is the signed DE, the Haar mean of the same N and
+    ``mode`` minus C_f: a C_f above the Haar mean gives F_hat > 1."""
     scale = depolarizing_scale(scheme, N, mode)
     if scale == 0.0:
         raise ValueError(f"{scheme.name}: the depolarizing scale vanishes "
@@ -398,32 +399,3 @@ def log_xeb(P, samples):
     a power of two.
     """
     return P.dims.N * estimate_C_f(P, samples, SchemeFunction.plogp()).value
-
-
-@dataclass(frozen=True)
-class ViolationRate:
-    rate: float
-    violations: int
-    instances: int
-
-    def binomial_se(self, p=None):
-        if p is None:
-            p = self.rate
-        return math.sqrt(p * (1.0 - p) / self.instances)
-
-
-def chebyshev_violation_rate(verdicts):
-    """Fraction of exact-correlation verdicts that are 'violated'.
-
-    ``verdicts`` holds one ``ErgodicityReport.verdict`` string per instance.
-    """
-    if len(verdicts) < 100:
-        raise ValueError(
-            f"need at least 100 independent instances, got {len(verdicts)}"
-        )
-    violations = sum(v == "violated" for v in verdicts)
-    return ViolationRate(
-        rate=violations / len(verdicts),
-        violations=violations,
-        instances=len(verdicts),
-    )

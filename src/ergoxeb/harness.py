@@ -14,17 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic
 from .ensembles import (
     EnsembleSpec,
     haar_sample_values,
-    haar_state_probs,
+    haar_state_probs,  # noqa: F401 -- perfbench/tracing.py wraps it
     member_probs,
     mix64,
 )
 from .estimators import (
     SchemeFunction,
-    chebyshev_violation_rate,
     depolarizing_scale,
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
@@ -37,7 +35,6 @@ from .noise import (
 )
 from .statevector import DEFAULT_QUBIT_CAP, OutputDistribution, SystemDims
 
-N_BATCHES = 10
 # sampled values per chunk of the recovery driver's instances
 _CHUNK_DRAWS = 1 << 11
 # the recovery driver's labels are int64 draws on [0, 2^n + T / instances)
@@ -93,15 +90,16 @@ class ScanResult:
 
 
 def _instance_fidelity(scheme, report):
-    """Depolarizing-inversion F of one report; None for the logarithmic
-    schemes and where the depolarizing scale vanishes (degree <= 1), which
-    carry no fidelity."""
+    """Depolarizing-inversion F of one report's signed DE, above 1 where
+    C_f exceeds the Haar mean; None for the logarithmic schemes and where
+    the depolarizing scale vanishes (degree <= 1), which carry no
+    fidelity."""
     if scheme.logarithmic or not depolarizing_scale(
             scheme, report.N, report.haar_mean_mode):
         return None
     return fidelity_from_de_depolarizing(
-        report.deviation, scheme, report.N, report.haar_mean_mode,
-        report.std_error,
+        report.haar_mean - report.c_f_estimate, scheme, report.N,
+        report.haar_mean_mode, report.std_error,
     ).F_hat
 
 
@@ -163,61 +161,9 @@ def run_ergodicity_scan(cfg):
     return ScanResult(config=cfg.to_dict(), rows=rows, summary=summary)
 
 
-def scan_violation_rate(result):
-    """Chebyshev violation statistics over all rows of an exact scan."""
-    return chebyshev_violation_rate([r["verdict"] for r in result.rows])
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo verification drivers
 # ---------------------------------------------------------------------------
-
-def _batched(values, reducer):
-    """Mean and batch-means standard error of reducer(batch) over 10 batches."""
-    batches = np.array_split(values, N_BATCHES)
-    stats = np.array([reducer(b) for b in batches], dtype=np.float64)
-    mean = float(stats.mean())
-    se = float(stats.std(ddof=1) / math.sqrt(len(stats)))
-    return mean, se
-
-
-def _batch_covariance(batch):
-    """Sample covariance of the two columns of one (rows, 2) batch."""
-    return float(np.mean(batch[:, 0] * batch[:, 1])
-                 - np.mean(batch[:, 0]) * np.mean(batch[:, 1]))
-
-
-def run_moment_scaling(n_range, mc_samples=100_000, base_seed=0):
-    """Monte-Carlo vs analytic E[P], E[P(x)P(y)] and Cov at each n."""
-    rows = []
-    for n in n_range:
-        if n > 10:
-            raise ValueError("moment scaling limited to n <= 10")
-        N = 1 << n
-        rng = np.random.Generator(np.random.PCG64(mix64(base_seed, n)))
-        probs = haar_state_probs(N, rng, size=mc_samples)
-        u, v = probs[:, 0], probs[:, 1]
-        mean_mc, mean_se = _batched(u, np.mean)
-        joint_mc, joint_se = _batched(
-            np.stack([u, v], axis=1),
-            lambda b: float(np.mean(b[:, 0] * b[:, 1])),
-        )
-        cov_mc, cov_se = _batched(np.stack([u, v], axis=1), _batch_covariance)
-        rows.append({
-            "n": n,
-            "N": N,
-            "mean_analytic": 1.0 / N,
-            "mean_mc": mean_mc,
-            "mean_se": mean_se,
-            "joint_analytic": analytic.haar_joint_moment(1.0, 1.0, N),
-            "joint_mc": joint_mc,
-            "joint_se": joint_se,
-            "cov_analytic": analytic.haar_covariance(1.0, 1.0, N),
-            "cov_mc": cov_mc,
-            "cov_se": cov_se,
-        })
-    return rows
-
 
 def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
                               instances=1000, base_seed=0):
@@ -281,8 +227,8 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
             means = inst_means[a, b]
             pooled = float(means.mean())
             se = float(means.std(ddof=1) / math.sqrt(len(means)))
-            deviation = abs(scheme.haar_mean(N, "exact") - pooled)
-            est = fidelity_from_de_depolarizing(deviation, scheme, N,
+            signed = scheme.haar_mean(N, "exact") - pooled
+            est = fidelity_from_de_depolarizing(signed, scheme, N,
                                                 std_error=se)
             rows.append({
                 "fidelity": F,
@@ -292,7 +238,7 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
                 "instances": instances,
                 "c_f_pooled": pooled,
                 "std_error": se,
-                "deviation": deviation,
+                "deviation": abs(signed),
                 "f_hat": est.F_hat,
                 "f_hat_se": est.std_error,
             })

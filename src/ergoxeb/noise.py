@@ -199,10 +199,6 @@ def index_to_bitstring(j, n):
     return format(int(j), f"0{n}b")
 
 
-def bitstring_to_index(s):
-    return int(s, 2)
-
-
 # Rows per write chunk and bytes per read batch: whole-array steps whose
 # temporaries stay in cache.  1 MiB batches read no faster, and their
 # ~190 KiB temporaries fragment the heap that a read's N-vectors share.

@@ -219,13 +219,6 @@ class GateProgram:
         self._stacks = stacks
 
 
-def apply_block(state, targets, block):
-    """Apply a dense unitary block to the target qubits of ``state``."""
-    dims = state.dims
-    program = GateProgram(dims, gates=[(targets, block)])
-    return PureState(dims, _apply_gates(state.amplitudes, program))
-
-
 FUSE_WIDTH = 5  # widest qubit window merged into one dense block
 _WIDEN_BELOW = 3  # a window starting below this qubit is widened to qubit 0
 _ITEM_MACS = 1 << 15  # complex multiply-adds per matmul batch item

@@ -16,15 +16,14 @@ from ergoxeb.ensembles import (
     EnsembleSpec,
     design_moment_discrepancy,
     haar_state_probs,
-    pauli_ensemble_average,
+    member_probs,
+    mix64,
 )
 from ergoxeb.estimators import SchemeFunction, estimate_C_f, linear_xeb
 from ergoxeb.harness import (
     ScanConfig,
     run_depolarizing_recovery,
     run_ergodicity_scan,
-    run_moment_scaling,
-    scan_violation_rate,
     write_scan_result,
 )
 from ergoxeb.noise import sample_bitstrings
@@ -39,14 +38,20 @@ def _verdict(capsys, num, ok, detail):
 
 
 def test_criterion_01_covariance_oracle(capsys):
-    row = run_moment_scaling([2], mc_samples=1_000_000, base_seed=100)[0]
-    joint_ok = abs(row["joint_mc"] - 0.05) <= 4 * row["joint_se"]
-    cov_ok = abs(row["cov_mc"] - (-0.0125)) <= 4 * row["cov_se"]
+    rng = np.random.Generator(np.random.PCG64(mix64(100, 2)))
+    batches = np.array_split(haar_state_probs(4, rng, size=10**6)[:, :2], 10)
+    # E[PxPy] and Cov: mean and standard error of their 10 batch values
+    joint = np.array([np.mean(x[:, 0] * x[:, 1]) for x in batches])
+    cov = joint - [np.mean(x[:, 0]) * np.mean(x[:, 1]) for x in batches]
+    joint_mc, joint_se = joint.mean(), joint.std(ddof=1) / math.sqrt(10)
+    cov_mc, cov_se = cov.mean(), cov.std(ddof=1) / math.sqrt(10)
+    joint_ok = abs(joint_mc - 0.05) <= 4 * joint_se
+    cov_ok = abs(cov_mc - (-0.0125)) <= 4 * cov_se
     _verdict(
         capsys, 1, joint_ok and cov_ok,
-        f"N=4 1e6-sample MC: E[PxPy]={row['joint_mc']:.6f} (target 0.05, "
-        f"4SE={4 * row['joint_se']:.2g}), Cov={row['cov_mc']:.6f} "
-        f"(target -0.0125, 4SE={4 * row['cov_se']:.2g})",
+        f"N=4 1e6-sample MC: E[PxPy]={joint_mc:.6f} (target 0.05, "
+        f"4SE={4 * joint_se:.2g}), Cov={cov_mc:.6f} "
+        f"(target -0.0125, 4SE={4 * cov_se:.2g})",
     )
 
 
@@ -65,15 +70,19 @@ def test_criterion_02_covariance_negativity(capsys):
 
 
 def test_criterion_03_replica_consistency(capsys):
+    # replica: Cov of g_i(p) = (p^(1+i) - p)/i tends to that of p ln p as
+    # i -> 0, a second difference of Haar covariances over i^2
+    i, cov = 1e-4, analytic.haar_covariance
     rels = [
-        abs(analytic.gi_covariance(1e-4, N) / analytic.plogp_covariance(N)
+        abs((cov(1 + i, 1 + i, N) - 2.0 * cov(1 + i, 1.0, N)
+             + cov(1.0, 1.0, N)) / (i * i) / analytic.plogp_covariance(N)
             - 1.0)
         for N in (8, 16, 64)
     ]
-    asym = abs(
-        analytic.plogp_covariance_asymptotic(1024)
-        / analytic.plogp_covariance(1024) - 1.0
-    )
+    # leading large-N form -(ln N + gamma - 2)^2 / N^3
+    N = 1024
+    asym = -(math.log(N) + np.euler_gamma - 2.0) ** 2 / N**3
+    asym = abs(asym / analytic.plogp_covariance(N) - 1.0)
     ok = max(rels) <= 1e-3 and asym <= 0.10
     _verdict(
         capsys, 3, ok,
@@ -91,10 +100,11 @@ def test_criterion_04_chebyshev_bound(capsys):
                 ensemble="haar", n_range=(8,), instances=1000,
                 scheme=scheme, alpha=alpha, T=0, base_seed=4242,
             )
-            rate = scan_violation_rate(run_ergodicity_scan(cfg))
-            limit = bound_p + 4 * rate.binomial_se(p=bound_p)
-            ok &= rate.rate <= limit
-            results.append(f"{scheme.name}/a={alpha:g}:{rate.rate:.3f}")
+            rows = run_ergodicity_scan(cfg).rows
+            rate = sum(r["verdict"] == "violated" for r in rows) / 1000
+            ok &= rate <= bound_p + 4 * math.sqrt(bound_p * (1 - bound_p)
+                                                  / 1000)
+            results.append(f"{scheme.name}/a={alpha:g}:{rate:.3f}")
     _verdict(
         capsys, 4, ok,
         "violation rates over 1000 Haar instances (n=8, exact C_f) "
@@ -189,8 +199,9 @@ def test_criterion_08_distribution_law(capsys):
     probs = haar_state_probs(N, rng)
     pvalue = stats.kstest(probs, stats.beta(1, N - 1).cdf).pvalue
     grid = np.linspace(0.0, 10.0 / N, 2001)
+    # Porter-Thomas density N exp(-N p)
     sup = float(np.max(np.abs(
-        analytic.pt_pdf(grid, N) - analytic.beta_pdf(grid, N)
+        N * np.exp(-N * grid) - analytic.beta_pdf(grid, N)
     ))) / N
     ok = pvalue > 0.01 and sup <= 0.01
     _verdict(
@@ -201,11 +212,11 @@ def test_criterion_08_distribution_law(capsys):
 
 
 def test_criterion_09_pauli_counterexample(capsys):
-    dims = SystemDims(1)
-    mean_p = pauli_ensemble_average(dims, lambda p: p, 0)
-    mean_p2 = pauli_ensemble_average(dims, lambda p: p**2, 0)
+    spec = EnsembleSpec("pauli", SystemDims(1))
+    p0 = np.array([member_probs(spec, i)[0] for i in range(4)])
+    mean_p, mean_p2 = float(p0.mean()), float(np.mean(p0**2))
     haar_p2 = analytic.haar_joint_moment(2.0, 0.0, 2)  # = 1/3
-    gap = design_moment_discrepancy(EnsembleSpec("pauli", dims), 2)
+    gap = design_moment_discrepancy(spec, 2)
     ok = (
         mean_p == 0.5
         and mean_p2 == 0.5

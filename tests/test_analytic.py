@@ -302,28 +302,10 @@ def test_covariance_large_n_no_overflow():
 
 # -- Porter-Thomas limit ------------------------------------------------------
 
-def test_pt_moment_and_sigma():
-    N = 64
-    assert analytic.pt_moment(2, N) == pytest.approx(
-        2.0 / N**2, rel=1e-13, abs=0
-    )
-
-
-@pytest.mark.parametrize("N", [1 << 10, 1 << 20])
-def test_pt_moment_is_correctly_rounded(N):
-    assert analytic.pt_moment(2, 64) == 2 / 64**2
-    for i in range(1, 13):
-        exact = Fraction(math.factorial(i), N**i)
-        assert analytic.pt_moment(i, N) == float(exact)
-    with pytest.raises(ValueError, match="i >= 1"):
-        analytic.pt_moment(0, N)
-
-
 def test_pdfs_normalized():
     N = 48
-    for pdf in (analytic.pt_pdf, analytic.beta_pdf):
-        total, _ = quad(lambda p: pdf(p, N), 0.0, 1.0)
-        assert total == pytest.approx(1.0, abs=1e-6)
+    total, _ = quad(lambda p: analytic.beta_pdf(p, N), 0.0, 1.0)
+    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("i", [2, 3, 5])
@@ -334,7 +316,7 @@ def test_exact_moment_approaches_pt(i):
     for n in [5, 8, 11]:
         N = 1 << n
         exact = analytic.haar_joint_moment(float(i), 0.0, N)
-        gaps.append(abs(exact / analytic.pt_moment(i, N) - 1.0))
+        gaps.append(abs(exact * N**i / math.factorial(i) - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.05
 
@@ -508,28 +490,27 @@ def test_pt_monomial_mean_and_sigma_are_exact(i):
     )
 
 
-# -- replica covariance -------------------------------------------------------
+def _replica_covariance(i, N):
+    # Cov of g_i(p) = (p^(1+i) - p)/i: a second difference of Haar
+    # covariances over i^2, whose i -> 0 limit is plogp_covariance(N)
+    cov = analytic.haar_covariance
+    return (cov(1 + i, 1 + i, N) - 2.0 * cov(1 + i, 1.0, N)
+            + cov(1.0, 1.0, N)) / (i * i)
+
 
 def test_gi_covariance_converges_to_plogp():
     for N in [8, 16, 64]:
         target = analytic.plogp_covariance(N)
-        rel = abs(analytic.gi_covariance(1e-4, N) / target - 1.0)
+        rel = abs(_replica_covariance(1e-4, N) / target - 1.0)
         assert rel <= 1e-3
 
 
 def test_gi_covariance_monotone_in_i():
     N = 32
     target = analytic.plogp_covariance(N)
-    errs = [abs(analytic.gi_covariance(i, N) / target - 1.0)
+    errs = [abs(_replica_covariance(i, N) / target - 1.0)
             for i in (0.1, 0.01, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2] > errs[3]
-
-
-def test_gi_covariance_domain_guards():
-    with pytest.raises(ValueError, match="replica exponent"):
-        analytic.gi_covariance(0.5, 32)
-    with pytest.raises(ValueError, match="cancellation"):
-        analytic.gi_covariance(1e-9, 32)
 
 
 def test_plogp_covariance_vs_mpmath_limit():
@@ -577,9 +558,10 @@ def test_covariance_vs_haar_draws():
 
 
 def test_plogp_covariance_asymptotic_agreement():
+    # leading large-N form -(ln N + gamma - 2)^2 / N^3
     N = 1024
     exact = analytic.plogp_covariance(N)
-    asym = analytic.plogp_covariance_asymptotic(N)
+    asym = -(math.log(N) + np.euler_gamma - 2.0) ** 2 / N**3
     assert abs(asym / exact - 1.0) < 0.01
 
 

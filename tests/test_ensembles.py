@@ -15,7 +15,6 @@ from ergoxeb.ensembles import (
     member_probs,
     _moment_tensor,
     mix64,
-    pauli_ensemble_average,
     sample_haar_unitary,
     sample_member,
 )
@@ -265,11 +264,13 @@ def test_pauli_members_n1():
 
 def test_pauli_average_values():
     # over I, X, Y, Z acting on |0>: P(0) is 1 twice and 0 twice
-    dims = SystemDims(1)
-    assert pauli_ensemble_average(dims, lambda p: p, 0) == pytest.approx(0.5)
-    assert pauli_ensemble_average(dims, lambda p: p**2, 0) == pytest.approx(0.5)
-    dims2 = SystemDims(2)
-    assert pauli_ensemble_average(dims2, lambda p: p, 0) == pytest.approx(0.25)
+    spec = EnsembleSpec("pauli", SystemDims(1))
+    p0 = np.array([member_probs(spec, i)[0] for i in range(4)])
+    assert np.mean(p0) == pytest.approx(0.5)
+    assert np.mean(p0**2) == pytest.approx(0.5)
+    spec = EnsembleSpec("pauli", SystemDims(2))
+    p0 = np.array([member_probs(spec, i)[0] for i in range(16)])
+    assert np.mean(p0) == pytest.approx(0.25)
 
 
 def test_brickwork_covers_all_pairs():

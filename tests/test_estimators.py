@@ -11,7 +11,6 @@ from ergoxeb.estimators import (
     SchemeFunction,
     ZeroProbabilityError,
     _g_terms,
-    chebyshev_violation_rate,
     correlation_C_f,
     depolarizing_scale,
     deviation_of_ergodicity,
@@ -500,7 +499,7 @@ def test_fidelity_inversion():
     mono = SchemeFunction.monomial
     pt = "porter_thomas"
     est = fidelity_from_de_depolarizing(0.0, mono(2), 1024)
-    assert est.F_hat == 1.0 and not est.out_of_range
+    assert est.F_hat == 1.0
     # Porter-Thomas: DE = (1-F)(i-1)!(i-1), so the i=3 scale is 4
     est = fidelity_from_de_depolarizing(2.0, mono(3), 1024, pt,
                                         std_error=0.4)
@@ -511,8 +510,11 @@ def test_fidelity_inversion():
         0.5, SchemeFunction.normalized_monomial(3), 1024, pt, std_error=0.1
     )
     assert (est.F_hat, est.std_error) == (0.5, 0.1)
+    # the signed DE: a C_f above the Haar mean reads above 1
     est = fidelity_from_de_depolarizing(1.5, mono(2), 1024, pt)
-    assert est.out_of_range
+    assert est.F_hat == -0.5
+    est = fidelity_from_de_depolarizing(-0.5, mono(2), 1024, pt)
+    assert est.F_hat == 1.5
     with pytest.raises(ValueError, match="vanishes"):
         fidelity_from_de_depolarizing(0.1, mono(1), 1024)
     with pytest.raises(ValueError, match="vanishes"):
@@ -527,6 +529,18 @@ def test_fidelity_inversion():
     scales = [depolarizing_scale(mono(i), 1024) for i in (2, 3, 4)]
     assert scales == pytest.approx([0.99805, 3.98441, 17.87748],
                                    rel=0, abs=5e-6)
+
+
+@pytest.mark.parametrize("scheme", [SchemeFunction.plogp(),
+                                    SchemeFunction.neglog()])
+def test_logarithmic_scheme_has_no_depolarizing_scale(scheme):
+    message = (f"^{scheme.name}: no depolarizing scale exists for a "
+               "logarithmic scheme$")
+    for mode in ("exact", "porter_thomas"):
+        with pytest.raises(ValueError, match=message):
+            depolarizing_scale(scheme, 1024, mode)
+        with pytest.raises(ValueError, match=message):
+            fidelity_from_de_depolarizing(0.1, scheme, 1024, mode)
 
 
 @pytest.mark.parametrize("N", [2, 16, 1024, 1 << 24])
@@ -549,20 +563,3 @@ def test_fidelity_inversion_exact_scale(N):
             scale / norm, rel=1e-15, abs=0)
     with pytest.raises(ValueError, match="unknown mode"):
         depolarizing_scale(SchemeFunction.monomial(2), N, "typo")
-
-
-def test_violation_rate_needs_100():
-    with pytest.raises(ValueError, match="100"):
-        chebyshev_violation_rate([])
-
-
-def test_violation_rate_counts():
-    rate = chebyshev_violation_rate(["within"] * 95 + ["violated"] * 5)
-    assert rate.rate == pytest.approx(0.05)
-    assert rate.violations == 5
-    assert rate.binomial_se() == pytest.approx(
-        math.sqrt(0.05 * 0.95 / 100)
-    )
-    assert rate.binomial_se(p=0.01) == pytest.approx(
-        math.sqrt(0.01 * 0.99 / 100)
-    )

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +13,6 @@ from ergoxeb.harness import (
     config_hash,
     run_depolarizing_recovery,
     run_ergodicity_scan,
-    run_moment_scaling,
-    scan_violation_rate,
     write_scan_result,
 )
 from ergoxeb.noise import NoiseModel
@@ -21,6 +20,7 @@ from ergoxeb.statevector import SystemDims, save_programs
 from ergoxeb.ensembles import (
     EnsembleSpec,
     haar_sample_values,
+    member_probs,
     mix64,
     sample_member,
 )
@@ -49,6 +49,38 @@ def test_scan_fidelity_column():
         assert 0.0 <= row["f_hat"] <= 1.2
 
 
+@pytest.mark.parametrize("noise", [NoiseModel.noiseless(),
+                                   NoiseModel.depolarizing(0.95)])
+def test_scan_mean_f_hat_unbiased(noise):
+    # f_hat inverts the signed DE, so instances whose C_f lies above the
+    # Haar mean read above 1 and the mean is unbiased up to F = 1
+    cfg = ScanConfig(n_range=(10,), instances=400, T=0, base_seed=5,
+                     scheme=SchemeFunction.monomial(2), noise=noise)
+    f_hat = np.array([r["f_hat"] for r in run_ergodicity_scan(cfg).rows])
+    se = f_hat.std(ddof=1) / math.sqrt(f_hat.size)
+    assert abs(f_hat.mean() - noise.F) <= 5 * se
+
+
+def test_f_hat_above_one_where_c_f_exceeds_the_haar_mean():
+    # Q proportional to P^2 weights the likely bitstrings more than P does
+    dims = SystemDims(8)
+    P = member_probs(EnsembleSpec("haar", dims, base_seed=mix64(3, 8)), 0)
+    noise = NoiseModel.custom(0.0, P**2 / np.sum(P**2))
+    cfg = ScanConfig(n_range=(8,), instances=1, T=0, base_seed=3,
+                     scheme=SchemeFunction.monomial(2), noise=noise)
+    row = run_ergodicity_scan(cfg).rows[0]
+    assert row["c_f_estimate"] > row["haar_mean"]
+    assert row["f_hat"] > 1.0
+
+
+@pytest.mark.parametrize("scheme", [SchemeFunction.plogp(),
+                                    SchemeFunction.neglog()])
+def test_scan_leaves_f_hat_empty_for_logarithmic_schemes(scheme):
+    cfg = ScanConfig(n_range=(4,), instances=2, T=0, scheme=scheme,
+                     noise=NoiseModel.depolarizing(0.5), base_seed=2)
+    assert [r["f_hat"] for r in run_ergodicity_scan(cfg).rows] == [None] * 2
+
+
 @pytest.mark.parametrize("T", [0, 3000])
 def test_scan_fidelity_same_for_plain_and_normalized(T):
     def f_hats(scheme):
@@ -56,7 +88,7 @@ def test_scan_fidelity_same_for_plain_and_normalized(T):
                          noise=NoiseModel.depolarizing(0.4), T=T, base_seed=4)
         return [row["f_hat"] for row in run_ergodicity_scan(cfg).rows]
 
-    # the deviations differ by rounding only: |m - c|/norm vs |m/norm - c/norm|
+    # the deviations differ by rounding only: (m - c)/norm vs m/norm - c/norm
     for i in (2, 3, 4, 5):
         assert f_hats(SchemeFunction.normalized_monomial(i)) == pytest.approx(
             f_hats(SchemeFunction.monomial(i)), rel=0, abs=1e-12
@@ -124,20 +156,10 @@ def test_scan_config_refuses_qubit_counts_outside_1_to_the_cap(n_range):
 def test_violation_rate_wrapper():
     cfg = ScanConfig(n_range=(5,), instances=120, T=0, alpha=10.0,
                      base_seed=4)
-    rate = scan_violation_rate(run_ergodicity_scan(cfg))
-    assert rate.instances == 120
-    assert rate.rate <= 1.0 / 100.0  # Chebyshev bound 1/alpha^2
-
-
-def test_moment_scaling_consistency():
-    rows = run_moment_scaling([3, 4], mc_samples=50_000, base_seed=5)
-    for row in rows:
-        assert abs(row["mean_mc"] - row["mean_analytic"]) < 5 * row["mean_se"]
-        assert abs(row["joint_mc"] - row["joint_analytic"]) < (
-            5 * row["joint_se"]
-        )
-    with pytest.raises(ValueError, match="n <= 10"):
-        run_moment_scaling([11])
+    result = run_ergodicity_scan(cfg)
+    violations = sum(r["verdict"] == "violated" for r in result.rows)
+    assert result.summary[0]["violation_rate"] == violations / 120
+    assert violations / 120 <= 1.0 / 100.0  # Chebyshev bound 1/alpha^2
 
 
 def test_depolarizing_recovery_small():

@@ -14,8 +14,8 @@ from ergoxeb.statevector import (
     OutputDistribution,
     PureState,
     SystemDims,
+    _apply_gates,
     _schedule,
-    apply_block,
     check_probability_rows,
     output_distribution,
     program_from_dict,
@@ -42,8 +42,8 @@ def test_hadamard_all_uniform():
 
 def test_x_on_qubit0_bit_convention():
     # j = sum_k x_k 2^k: flipping qubit 0 of |00> lands on index 1 ("01")
-    s = apply_block(PureState.zero(SystemDims(2)), (0,), X)
-    np.testing.assert_allclose(np.abs(s.amplitudes) ** 2, [0, 1, 0, 0],
+    prog = GateProgram(SystemDims(2), gates=[((0,), X)])
+    np.testing.assert_allclose(output_distribution(prog).probs, [0, 1, 0, 0],
                                atol=1e-15)
 
 
@@ -51,24 +51,23 @@ def test_identity_block_bit_exact():
     rng = np.random.default_rng(0)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     amps /= np.linalg.norm(amps)
-    s = PureState(SystemDims(3), amps.copy())
-    out = apply_block(s, (1,), np.eye(2, dtype=np.complex128))
-    assert np.array_equal(out.amplitudes, amps)
+    prog = GateProgram(SystemDims(3),
+                       gates=[((1,), np.eye(2, dtype=np.complex128))])
+    assert np.array_equal(_apply_gates(amps.copy(), prog), amps)
 
 
 def test_hadamard_involution():
     rng = np.random.default_rng(1)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
-    s = PureState(SystemDims(2), amps.copy())
-    out = apply_block(apply_block(s, (1,), H), (1,), H)
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-12)
+    prog = GateProgram(SystemDims(2), gates=[((1,), H)])
+    out = _apply_gates(_apply_gates(amps.copy(), prog), prog)
+    np.testing.assert_allclose(out, amps, atol=1e-12)
 
 
 def test_target_out_of_range():
-    s = PureState.zero(SystemDims(2))
     with pytest.raises(ValueError, match="out of range"):
-        apply_block(s, (2,), X)
+        GateProgram(SystemDims(2), gates=[((2,), X)])
 
 
 def test_non_unitary_block_rejected():
@@ -126,7 +125,7 @@ def test_duplicate_targets_rejected():
 
 def test_apply_block_repeated_targets_rejected():
     with pytest.raises(ValueError, match="duplicate target qubits"):
-        apply_block(PureState.zero(SystemDims(3)), (1, 1), np.eye(4))
+        GateProgram(SystemDims(3), gates=[((1, 1), np.eye(4))])
 
 
 def test_norm_preserved_random_circuit():
@@ -279,11 +278,11 @@ def test_gate_kernel_matches_element_formula(data):
                                np.abs(expected[:, 0]) ** 2, atol=1e-12)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     amps = rng.standard_normal(dims.N) + 1j * rng.standard_normal(dims.N)
-    state = PureState(dims, amps / np.linalg.norm(amps))
+    amps /= np.linalg.norm(amps)
     targets, block = gates[0]
     np.testing.assert_allclose(
-        apply_block(state, targets, block).amplitudes,
-        _element_formula_unitary(n, targets, block) @ state.amplitudes,
+        _apply_gates(amps.copy(), GateProgram(dims, gates=[gates[0]])),
+        _element_formula_unitary(n, targets, block) @ amps,
         atol=1e-12,
     )
 
@@ -513,7 +512,7 @@ def test_window_products_stay_below_blas_threading(monkeypatch):
 
 def test_norm_check_makes_no_vdot_call(monkeypatch):
     # OpenBLAS threads zdotc from 2**16 amplitudes on; building the state
-    # that apply_block returns must not call it
+    # after a gate must not call it
     from ergoxeb import statevector
 
     calls = []
@@ -526,8 +525,10 @@ def test_norm_check_makes_no_vdot_call(monkeypatch):
             calls.append(a.size)
             return np.vdot(a, b)
 
-    state = PureState.zero(SystemDims(16))
+    dims = SystemDims(16)
+    state = PureState.zero(dims)
     monkeypatch.setattr(statevector, "np", RecordingNumpy())
-    out = apply_block(state, (3,), H)
+    prog = GateProgram(dims, gates=[((3,), H)])
+    out = PureState(dims, _apply_gates(state.amplitudes, prog))
     assert calls == []
     assert abs(out.amplitudes[0]) ** 2 == pytest.approx(0.5)
