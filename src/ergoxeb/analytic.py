@@ -243,11 +243,17 @@ def _in_float_range(scheme, N, statistic, value):
                         f"{statistic.format(form)} is past the float range")
 
 
-def moment_sum(scheme, N, mode="exact", lag=0):
-    """sum_i a_i E[(N P)^(i-lag)] of ``scheme.integer_form``, rounded once."""
+def moment_sum(scheme, N, mode="exact", lagged=False):
+    """sum_i c_i E[(N P)^i] of ``scheme``, less sum_i c_i E[(N P)^(i-1)]
+    if ``lagged``: the exact rational a_i sum over D, rounded once."""
     exact = _exact(mode)
-    return _in_float_range(scheme, N, "E[{}]", lambda D, terms: float(
-        sum(a * _moment(i - lag, N, exact) for i, a in terms)))
+
+    def value(D, terms):
+        total = sum(a * _moment(i, N, exact) for i, a in terms)
+        if lagged:
+            total -= sum(a * _moment(i - 1, N, exact) for i, a in terms)
+        return float(total / D)
+    return _in_float_range(scheme, N, "E[{}]", value)
 
 
 @functools.cache
@@ -256,7 +262,7 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
 
     ``mode`` "exact" uses the Beta(1, N-1) law of P(x); "porter_thomas" its
     large-N limit, which replaces psi(N + k) by ln N, psi'(N + k) by 0 and
-    N + k by N; a polynomial's mean is ``moment_sum`` over its D.  Cached:
+    N + k by N; a polynomial's mean is its ``moment_sum``.  Cached:
     the value depends on (scheme, N, mode) only.
     """
     exact = _exact(mode)
@@ -266,7 +272,7 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
         return (polygamma(0, 2.0) - tail) / N
     if scheme.kind == "neglog":
         return (polygamma(0, float(N)) if exact else math.log(N)) + EULER_GAMMA
-    return moment_sum(scheme, N, mode) / scheme.integer_form[0]
+    return moment_sum(scheme, N, mode)
 
 
 @functools.cache

@@ -358,14 +358,12 @@ def deviation_of_ergodicity_exact(P, Q, scheme, alpha=10.0,
 def depolarizing_scale(scheme, N, mode="exact"):
     """DE / (1 - F) of a polynomial ``scheme`` under depolarizing noise of
     fidelity F, cached: sum_i c_i (E_H[f_i] - E_H[f_{i-1}]), f_i = (N p)^i,
-    as the numerators' moment sums at lags 0 and 1, each rounded once, over
-    D.  It is 0 at degree <= 1; (i-1)!(i-1) for monomial i in Porter-Thomas.
-    A logarithmic scheme has none here."""
+    an exact rational rounded once.  It is 0 at degree <= 1; (i-1)!(i-1)
+    for monomial i in Porter-Thomas.  A logarithmic scheme has none here."""
     if scheme.logarithmic:
         raise ValueError(f"{scheme.name}: no depolarizing scale exists for "
                          "a logarithmic scheme")
-    sums = [analytic.moment_sum(scheme, N, mode, lag) for lag in (0, 1)]
-    return (sums[0] - sums[1]) / scheme.integer_form[0]
+    return analytic.moment_sum(scheme, N, mode, lagged=True)
 
 
 def fidelity_from_de_depolarizing(deviation, scheme, N, mode="exact",

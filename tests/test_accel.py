@@ -36,7 +36,8 @@ def test_neumaier_matches_fsum():
 @settings(max_examples=200, deadline=None)
 @given(
     length=st.integers(0, 3 * _accel._BLOCK + 1),
-    kind=st.sampled_from(["terms", "cancelling pairs", "signed zeros"]),
+    kind=st.sampled_from(["terms", "cancelling pairs", "signed zeros",
+                          "near-tie"]),
     exponents=st.tuples(st.integers(-1074, 1000), st.integers(-1074, 1000)),
     nonfinite=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
                        max_size=2),
@@ -47,6 +48,17 @@ def test_sum_is_fsum_bit_for_bit(length, kind, exponents, nonfinite, seed):
     lo, hi = sorted(exponents)
     if kind == "signed zeros":
         x = np.where(rng.random(length) < 0.5, 0.0, -0.0)
+    elif kind == "near-tie":
+        # b + ulp(b)/2 is a tie; three nudges of 2**-61..2**-2 ulp(b), or
+        # zeros, move the total off it or not, and cancelling pairs spread
+        # the terms over the blocks
+        b = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(lo, hi + 1)))
+        nudges = math.ulp(b) * np.ldexp(rng.choice([-1.0, 0.0, 1.0], 3),
+                                        -rng.integers(2, 62, 3))
+        pairs = np.ldexp(rng.uniform(-1.0, 1.0, length // 2),
+                         rng.integers(lo, hi + 1, length // 2))
+        x = rng.permutation(np.concatenate(
+            [[b, math.ulp(b) / 2], nudges, pairs, -pairs]))
     else:
         x = np.ldexp(rng.uniform(-1.0, 1.0, length),
                      rng.integers(lo, hi + 1, length))
@@ -58,31 +70,81 @@ def test_sum_is_fsum_bit_for_bit(length, kind, exponents, nonfinite, seed):
     assert _outcome(_accel.neumaier_sum, x) == _outcome(math.fsum, x)
 
 
+_B = _accel._BLOCK
+
+
+def _ill_conditioned():
+    # 3 * 2**13 terms of 1..2, their negatives and as many of 0..1e-16,
+    # shuffled over five blocks: sum|x| / |sum x| ~ 1e17
+    rng = np.random.default_rng(12)
+    a = rng.uniform(1.0, 2.0, 3 * _B // 2)
+    x = rng.permutation(np.concatenate([a, -a, rng.uniform(0, 1e-16, a.size)]))
+    assert math.fsum(np.abs(x)) >= 1e12 * abs(math.fsum(x))
+    return list(x)
+
+
 @pytest.mark.parametrize("x", [
     [], [0.0], [-0.0], [-0.0, -0.0], [-0.0, 1.0, -1.0], [math.inf],
     [-math.inf, 1.0], [math.nan, 1.0], [math.inf, -math.inf],
     [1e308, 1e308, -1e308], [1e308, -1e308, 1.0], [8.98e307] * 2,
     [2.0**1000] * 40_000,
+    # exact ties across two blocks, rounded down and up to the even float
+    [1.0] + [0.0] * (_B - 1) + [2.0**-53],
+    [1.0 + 2.0**-52] + [0.0] * (_B - 1) + [2.0**-53],
+    # exact-zero totals of cancelling blocks, either sign first
+    [1.5] * _B + [-1.5] * _B,
+    [-(2.0**-600)] * _B + [2.0**-600] * _B + [-0.0],
+    _ill_conditioned(),
+    # a block top just above 2**-900 is split; at or below it, fsum runs
+    [math.nextafter(2.0**-900, 1.0), -3 * 2.0**-902, 2.0**-950],
+    [2.0**-900, -3 * 2.0**-902, 2.0**-950],
+    [1.0 / 3.0] * _B + [math.nextafter(2.0**-900, 1.0), 2.0**-1074],
+    [1.0 / 3.0] * _B + [math.nextafter(2.0**-900, 0.0), 2.0**-1074],
 ])
-def test_sum_edge_cases_match_fsum(x):
+def test_sum_edge_cases_match_fsum(x, monkeypatch):
     x = np.array(x, dtype=np.float64)
-    assert _outcome(_accel.neumaier_sum, x) == _outcome(math.fsum, x)
+    expected = _outcome(math.fsum, x)
+    fsum, whole_input_sums = math.fsum, []
+
+    def counting_fsum(values):
+        whole_input_sums.append(values is x)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    assert _outcome(_accel.neumaier_sum, x) == expected
+    # a zero total is math.fsum's own, so it takes fsum's sign of zero
+    if expected in (struct.pack("<d", 0.0), struct.pack("<d", -0.0)):
+        assert any(whole_input_sums)
 
 
-def test_sum_takes_several_levels():
-    # one level keeps bits down to 2**-36 of the leading 1.0; the 2**-60
-    # terms survive only in the next level's split
+def test_sum_keeps_terms_below_the_split():
+    # the split keeps bits down to 2**-36 of the leading 1.0; the 2**-60
+    # terms lie wholly in the remainders, whose float sum keeps them
     x = np.full(2 * _accel._BLOCK, 2.0**-60)
     x[0] = 1.0
     assert _accel.neumaier_sum(x) == math.fsum(x)
     assert _accel.neumaier_sum(x) != 1.0
 
 
-def test_sum_of_haar_neglog_terms_n18():
-    N = 1 << 18
-    P = haar_state_probs(N, np.random.default_rng(18))
-    terms = SchemeFunction.neglog().g(P, N) * P
-    assert _outcome(_accel.neumaier_sum, terms) == _outcome(math.fsum, terms)
+def test_sum_of_haar_terms_needs_no_fallback(monkeypatch):
+    # the certificate settles every exact-correlation sum of a Haar
+    # instance: math.fsum only ever rounds the few block parts
+    fsum, whole_input_sums = math.fsum, []
+
+    def counting_fsum(values):
+        whole_input_sums.append(isinstance(values, np.ndarray))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    for n in (10, 14, 18):
+        N = 1 << n
+        P = haar_state_probs(N, np.random.default_rng(n))
+        for scheme in (SchemeFunction.monomial(2), SchemeFunction.plogp(),
+                       SchemeFunction.neglog()):
+            terms = scheme.g(P, N) * P
+            expected = _outcome(fsum, terms)
+            assert _outcome(_accel.neumaier_sum, terms) == expected
+    assert whole_input_sums and not any(whole_input_sums)
 
 
 def test_estimators_sum_through_the_module(monkeypatch):

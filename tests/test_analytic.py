@@ -406,10 +406,9 @@ def _haar_moment(k, N, mode):
 @pytest.mark.parametrize("N", [2, 16, 1024])
 @pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
 def test_polynomial_statistics_match_fractions(N, mode):
-    # f = (N p) - (N p)^2 + (N p)^3 / 2, so D = 2; the mean and sigma are
-    # rounded, divided by D and rounded again: within 2 ulp.  The scale is
-    # a difference of two rounded sums over D: within their ulps over D
-    # plus 2 ulp of itself
+    # f = (N p) - (N p)^2 + (N p)^3 / 2, so D = 2; the mean and the scale
+    # are exact rationals rounded once; the sigma is a rounded square root
+    # divided by D and rounded again: within 2 ulp
     scheme = SchemeFunction.polynomial([1, -1, Fraction(1, 2)])
     c = dict(scheme.terms)
     m = {k: _haar_moment(k, N, mode) for k in range(7)}
@@ -417,14 +416,24 @@ def test_polynomial_statistics_match_fractions(N, mode):
     var = sum(c[i] * c[j] * (m[i + j] - m[i] * m[j]) for i in c for j in c)
     lagged = sum(c[i] * m[i - 1] for i in c)
 
-    value = scheme.haar_mean(N, mode)
-    assert abs(Fraction(value) - mean) <= 2 * math.ulp(value)
+    assert scheme.haar_mean(N, mode) == float(mean)
     value = scheme.sigma(N, mode)
     ref = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
     assert abs(mpmath.mpf(value) - ref) <= 2 * math.ulp(value)
-    value = depolarizing_scale(scheme, N, mode)
-    tol = (math.ulp(float(2 * mean)) + math.ulp(float(2 * lagged))) / 2
-    assert abs(Fraction(value) - (mean - lagged)) <= tol + 2 * math.ulp(value)
+    assert depolarizing_scale(scheme, N, mode) == float(mean - lagged)
+
+
+@pytest.mark.parametrize("log2_N", range(10, 25))
+def test_exact_polynomial_means_are_rounded_once(log2_N):
+    # poly:0,1,-1/5 (D = 5) and the normalized monomials (D = (i-1)!(i-1))
+    N = 1 << log2_N
+    m = {k: _haar_moment(k, N, "exact") for k in range(41)}
+    cases = [(SchemeFunction.polynomial([0, 1, Fraction(-1, 5)]),
+              m[2] - m[3] / 5)]
+    cases += [(SchemeFunction.normalized_monomial(i),
+               m[i] / (math.factorial(i - 1) * (i - 1))) for i in range(2, 41)]
+    for scheme, mean in cases:
+        assert scheme.haar_mean(N, "exact") == float(mean)
 
 
 def test_scheme_means_vs_quadrature():

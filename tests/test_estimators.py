@@ -69,7 +69,11 @@ def test_normalized_monomial_is_monomial_over_norm_bit_exact(i, mode):
     p = np.random.default_rng(i).dirichlet(np.ones(N))
     assert np.array_equal(normed.f(p, N), plain.f(p, N) / norm)
     assert np.array_equal(normed.g(p, N), plain.g(p, N) / norm)
-    assert normed.haar_mean(N, mode) == plain.haar_mean(N, mode) / norm
+    # the mean is the exact E[(N P)^i] / norm, rounded once
+    moment = Fraction(math.factorial(i))
+    if mode == "exact":
+        moment *= Fraction(N**i, math.prod(range(N, N + i)))
+    assert normed.haar_mean(N, mode) == float(moment / norm)
     assert normed.sigma(N, mode) == plain.sigma(N, mode) / norm
 
 
@@ -541,6 +545,15 @@ def test_logarithmic_scheme_has_no_depolarizing_scale(scheme):
             depolarizing_scale(scheme, 1024, mode)
         with pytest.raises(ValueError, match=message):
             fidelity_from_de_depolarizing(0.1, scheme, 1024, mode)
+
+
+def test_normalized_monomial_pt_scale_is_one():
+    # (i! - (i-1)!) / ((i-1)! (i-1)) = 1 exactly: rounding the numerator
+    # before the division missed it by an ulp at degrees 23, 24, 28, ...
+    for i in range(2, 171):
+        scheme = SchemeFunction.normalized_monomial(i)
+        for N in (1024, 1 << 24):
+            assert depolarizing_scale(scheme, N, "porter_thomas") == 1.0
 
 
 @pytest.mark.parametrize("N", [2, 16, 1024, 1 << 24])

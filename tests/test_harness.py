@@ -177,7 +177,7 @@ _RECOVERY_GOLDEN = [
     (0.3, 2, 1.2909509678768267, 0.018952405112796302, 0.7070978126109781,
      0.2915197869733601, 0.018989457713212327),
     (0.3, 3, 3.12587302919656, 0.09076538150422371, 2.8565888164745283,
-     0.28305906798769, 0.022780113411772603),
+     0.28305906798768987, 0.022780113411772607),
     (0.9, 2, 1.8981359881205213, 0.019561250202174835, 0.09991279236728356,
      0.8998918747053122, 0.019599493115571073),
     (0.9, 3, 5.543321853818856, 0.13803134463934263, 0.4391399918522323,
