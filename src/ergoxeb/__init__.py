@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .statevector import (  # noqa: F401
     GateProgram,
     OutputDistribution,
-    PureState,
     SystemDims,
     output_distribution,
 )

@@ -279,7 +279,8 @@ def haar_mean_of_scheme(scheme, N, mode="exact"):
 def sigma_of_scheme(scheme, N, mode="exact"):
     """Ensemble standard deviation of a scheme function; see
     ``haar_mean_of_scheme`` for ``mode`` and the cache.  A polynomial's is
-    the square root of the exact variance of sum_i a_i (N P)^i over D."""
+    the square root of the exact variance of sum_i a_i (N P)^i over D^2,
+    rounded once."""
     exact = _exact(mode)
     if scheme.kind == "plogp":
         # second moment: the second q-derivative of the Beta moment at q = 2
@@ -300,10 +301,13 @@ def sigma_of_scheme(scheme, N, mode="exact"):
         var = (sum(a * b * _moment(i + j, N, exact)
                    for i, a in terms for j, b in terms)
                - sum(a * _moment(i, N, exact) for i, a in terms) ** 2)
-        # sqrt(num / den) rounded once, scaled by 4^k where num / den overflows
-        num, den = var.numerator, var.denominator
-        k = max(0, (num.bit_length() - den.bit_length()) // 2 - 500)
-        return math.ldexp(math.sqrt(num / (den << 2 * k)), k) / D
+        # r = floor(2^s sqrt(var) / D) has at least 55 bits, so r + 1/2
+        # when the root is inexact (a sticky bit) rounds as the root does
+        num, den = var.numerator, var.denominator * D * D
+        s = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+        q, rest = divmod(num << 2 * s, den)
+        r = math.isqrt(q)
+        return float(Fraction(2 * r + (rest != 0 or r * r != q), 1 << s + 1))
     return _in_float_range(scheme, N, "the standard deviation of {}", value)
 
 

@@ -64,7 +64,7 @@ class EnsembleSpec:
         return load_programs(self.source_path)
 
 
-def sample_haar_unitary(N, seed=None, rng=None, size=None):
+def sample_haar_unitary(N, rng, size=None):
     """Haar-random N x N unitary via Ginibre + QR with phase correction.
 
     ``size`` gives a batch shape (an int or a tuple): the result then has
@@ -75,8 +75,6 @@ def sample_haar_unitary(N, seed=None, rng=None, size=None):
     """
     if N > HAAR_DENSE_CAP:
         raise ValueError(f"dense Haar sampling limited to N <= {HAAR_DENSE_CAP}")
-    if rng is None:
-        rng = _rng(seed)
     batch = () if size is None else tuple(np.atleast_1d(size))
     g = rng.standard_normal((*batch, 2, N, N))
     q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])

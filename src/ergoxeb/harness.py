@@ -282,12 +282,12 @@ def write_json(doc, path):
         fh.write("\n")
 
 
-def write_scan_result(result, out_dir, prefix="scan"):
+def write_scan_result(result, out_dir):
     """Write rows CSV and summary JSON; returns the two paths."""
     os.makedirs(out_dir, exist_ok=True)
     tag = config_hash(result.config)
-    csv_path = os.path.join(out_dir, f"{prefix}_{tag}.csv")
-    json_path = os.path.join(out_dir, f"{prefix}_{tag}_summary.json")
+    csv_path = os.path.join(out_dir, f"scan_{tag}.csv")
+    json_path = os.path.join(out_dir, f"scan_{tag}_summary.json")
     write_rows_csv(result.rows, csv_path)
     write_json(
         {"config": result.config, "summary": result.summary}, json_path

@@ -383,28 +383,20 @@ def _sample_indices(text, ends, n):
     return _bit_indices(words.copy(), n)
 
 
-def read_samples(path, dims=None):
-    """Sample file: one bitstring of '0'/'1' per line.
+def read_samples(path, dims):
+    """Sample file: one bitstring of ``dims.n`` '0'/'1' characters per line.
 
-    Blank lines and surrounding whitespace are ignored.  Without ``dims``
-    the first bitstring sets n.  Errors name the offending ``path:line``.
+    Blank lines and surrounding whitespace are ignored.  Errors name the
+    offending ``path:line``, or the ``path`` of a file with no bitstrings.
     """
-    parts = [np.empty(0, dtype=np.int64)]
+    parts = []
     with open(path, "rb") as fh:
         for raw, lineno, text, ends in _batches(fh, 1):
-            if dims is None:
-                n = int(ends[0])
-                # a well-formed first line that sets n above the cap is the
-                # first offending line, whatever follows it in the batch
-                if _sample_indices(text, ends[:1], n) is not None:
-                    dims = _dims_at(path, raw, lineno, n)
-            else:
-                n = dims.n
-            indices = _sample_indices(text, ends, n)
+            indices = _sample_indices(text, ends, dims.n)
             if indices is None:
-                _scan_samples(path, raw, lineno, n)
+                _scan_samples(path, raw, lineno, dims.n)
             parts.append(indices)
-    if dims is None:
+    if not parts:
         raise ValueError(f"{path}: no bitstrings found")
     return SampleSet(dims, np.concatenate(parts))
 

@@ -38,64 +38,15 @@ class SystemDims:
 
 
 @dataclass
-class PureState:
-    """Normalized complex amplitude vector over computational basis states."""
-
-    dims: SystemDims
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.dims.N,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, "
-                f"expected ({self.dims.N},)"
-            )
-        # not np.vdot: OpenBLAS threads zdotc from 2**16 amplitudes on
-        norm = float((np.abs(self.amplitudes) ** 2).sum())
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm!r} deviates from 1")
-
-    @classmethod
-    def zero(cls, dims):
-        amps = np.zeros(dims.N, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(dims, amps)
-
-
-def check_probability_rows(probs):
-    """Validated probability vectors along the last axis of ``probs``.
-
-    Every row must have entries >= -NEGATIVE_TOL (no NaN) and a sum within
-    NORM_TOL of 1.  Tiny negative entries are clipped to zero, and a row
-    whose sum is off by more than 1e-12 is divided by it; other rows keep
-    their bits.  Both make new arrays, so the caller's array is never
-    modified.  Returns the float64 rows.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    # min() is NaN when any entry is, which fails the comparison; +inf
-    # fails the sum check below
-    lowest = probs.min(axis=-1)
-    if not (lowest >= -NEGATIVE_TOL).all():
-        raise ValueError(
-            f"probability entries below -{NEGATIVE_TOL:g} or NaN"
-        )
-    if (lowest < 0.0).any():
-        probs = np.clip(probs, 0.0, None)
-    total = probs.sum(axis=-1)
-    off = np.abs(total - 1.0)
-    if (off > 1e-12).any():
-        if (off > NORM_TOL).any():
-            bad = float(np.ravel(total)[np.ravel(off > NORM_TOL)][0])
-            raise ValueError(f"probabilities sum to {bad!r}, not 1")
-        # dividing by 1.0 leaves the rows within 1e-12 bit for bit
-        probs = probs / np.where(off > 1e-12, total, 1.0)[..., None]
-    return probs
-
-
-@dataclass
 class OutputDistribution:
-    """Probabilities P(x) = |<x|U|0^n>|^2 over all N bitstrings."""
+    """Probabilities P(x) = |<x|U|0^n>|^2 over all N bitstrings.
+
+    Every entry must be >= -NEGATIVE_TOL (no NaN) and the sum within
+    NORM_TOL of 1.  Tiny negative entries are clipped to zero, and a sum
+    off by more than 1e-12 is divided out; a sum within 1e-12 keeps the
+    entries' bits.  Both make new arrays, so the caller's array is never
+    modified.
+    """
 
     dims: SystemDims
     probs: np.ndarray
@@ -107,7 +58,20 @@ class OutputDistribution:
                 f"probability vector has shape {probs.shape}, "
                 f"expected ({self.dims.N},)"
             )
-        self.probs = check_probability_rows(probs)
+        # min() is NaN when any entry is, which fails the comparison; +inf
+        # fails the sum check below
+        lowest = probs.min()
+        if not lowest >= -NEGATIVE_TOL:
+            raise ValueError(
+                f"probability entries below -{NEGATIVE_TOL:g} or NaN"
+            )
+        if lowest < 0.0:
+            probs = np.clip(probs, 0.0, None)
+        total = float(probs.sum())
+        off = abs(total - 1.0)
+        if off > NORM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        self.probs = probs / total if off > 1e-12 else probs
 
 
 def _check_gate(n, targets, block):

@@ -403,12 +403,20 @@ def _haar_moment(k, N, mode):
     return Fraction(math.factorial(k) * N**k, math.prod(range(N, N + k)))
 
 
+def _nearest_root(var, D=1):
+    """The float nearest sqrt(var) / D, for a rational var: mpmath at
+    400 bits, then rounded to nearest."""
+    with mpmath.workprec(400):
+        var = Fraction(var)
+        return float(mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+                     / D)
+
+
 @pytest.mark.parametrize("N", [2, 16, 1024])
 @pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
 def test_polynomial_statistics_match_fractions(N, mode):
-    # f = (N p) - (N p)^2 + (N p)^3 / 2, so D = 2; the mean and the scale
-    # are exact rationals rounded once; the sigma is a rounded square root
-    # divided by D and rounded again: within 2 ulp
+    # f = (N p) - (N p)^2 + (N p)^3 / 2, so D = 2; the mean, the scale
+    # and the sigma are exact rationals (a root) rounded once
     scheme = SchemeFunction.polynomial([1, -1, Fraction(1, 2)])
     c = dict(scheme.terms)
     m = {k: _haar_moment(k, N, mode) for k in range(7)}
@@ -417,9 +425,7 @@ def test_polynomial_statistics_match_fractions(N, mode):
     lagged = sum(c[i] * m[i - 1] for i in c)
 
     assert scheme.haar_mean(N, mode) == float(mean)
-    value = scheme.sigma(N, mode)
-    ref = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
-    assert abs(mpmath.mpf(value) - ref) <= 2 * math.ulp(value)
+    assert scheme.sigma(N, mode) == _nearest_root(var)
     assert depolarizing_scale(scheme, N, mode) == float(mean - lagged)
 
 
@@ -434,6 +440,21 @@ def test_exact_polynomial_means_are_rounded_once(log2_N):
                m[i] / (math.factorial(i - 1) * (i - 1))) for i in range(2, 41)]
     for scheme, mean in cases:
         assert scheme.haar_mean(N, "exact") == float(mean)
+
+
+@pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
+@pytest.mark.parametrize("log2_N", [10, 16, 20, 24])
+def test_monomial_sigmas_are_rounded_once(log2_N, mode):
+    # the monomials (D = 1) and normalized monomials (D = (i-1)!(i-1)):
+    # sigma is sqrt(E[(N P)^2i] - E[(N P)^i]^2) / D, rounded once
+    N = 1 << log2_N
+    m = {k: _haar_moment(k, N, mode) for k in range(81)}
+    for i in range(2, 41):
+        var = m[2 * i] - m[i] ** 2
+        norm = math.factorial(i - 1) * (i - 1)
+        assert SchemeFunction.monomial(i).sigma(N, mode) == _nearest_root(var)
+        assert SchemeFunction.normalized_monomial(i).sigma(N, mode) == (
+            _nearest_root(var, norm))
 
 
 def test_scheme_means_vs_quadrature():
@@ -470,11 +491,26 @@ def test_scheme_sigmas_vs_quadrature():
         assert scheme.sigma(N, "exact") == pytest.approx(ref, rel=1e-5, abs=0)
 
 
+@pytest.mark.parametrize("log2_N", range(4, 25))
+def test_pt_plogp_sigma_vs_mpmath(log2_N):
+    # sqrt(2((psi(3) - ln N)^2 + psi'(3)) / N^2 - ((psi(2) - ln N) / N)^2),
+    # tolerance fixed before the run
+    N = 1 << log2_N
+    with mpmath.workprec(200):
+        log_N = mpmath.log(N)
+        second = 2 * ((mpmath.digamma(3) - log_N) ** 2
+                      + mpmath.polygamma(1, 3)) / N**2
+        mean = (mpmath.digamma(2) - log_N) / N
+        ref = mpmath.sqrt(second - mean**2)
+    sigma = SchemeFunction.plogp().sigma(N, "porter_thomas")
+    assert abs(sigma / ref - 1) <= 1e-12
+
+
 @pytest.mark.parametrize("i", range(1, 13))
 def test_pt_monomial_mean_and_sigma_are_exact(i):
     # the mean i!/norm is a correctly rounded quotient of integers; the
     # sigma is the square root of the integer (2i)! - (i!)^2 over norm,
-    # which mpmath puts within one ulp
+    # rounded once
     var = math.factorial(2 * i) - math.factorial(i) ** 2
     depolarizing_norm = math.factorial(i - 1) * (i - 1)
     schemes = [(SchemeFunction.monomial(i), 1)]
@@ -486,9 +522,7 @@ def test_pt_monomial_mean_and_sigma_are_exact(i):
             mean = scheme.haar_mean(N, "porter_thomas")
             sigma = scheme.sigma(N, "porter_thomas")
             assert mean == float(Fraction(math.factorial(i), norm))
-            assert sigma == math.sqrt(var) / norm
-            ref = mpmath.sqrt(var) / norm
-            assert abs(mpmath.mpf(sigma) - ref) <= math.ulp(sigma)
+            assert sigma == _nearest_root(var, norm)
             if i >= 2:
                 assert depolarizing_scale(scheme, N, "porter_thomas") == (
                     depolarizing_norm / norm
@@ -572,6 +606,25 @@ def test_plogp_covariance_asymptotic_agreement():
     exact = analytic.plogp_covariance(N)
     asym = -(math.log(N) + np.euler_gamma - 2.0) ** 2 / N**3
     assert abs(asym / exact - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: analytic.haar_joint_moment(0, 1, 4),
+     r"^need q1 > 0 and q2 >= 0, got q1=0.0, q2=1.0$"),
+    (lambda: analytic.haar_joint_moment(1, -0.5, 4),
+     r"^need q1 > 0 and q2 >= 0, got q1=1.0, q2=-0.5$"),
+    (lambda: analytic.haar_joint_moment(1, 1, 1), r"^need N >= 2, got 1$"),
+    (lambda: analytic.haar_covariance(1, 0, 4),
+     r"^need q1, q2 > 0, got q1=1.0, q2=0.0$"),
+    (lambda: analytic.haar_covariance(-1, 1, 4),
+     r"^need q1, q2 > 0, got q1=-1.0, q2=1.0$"),
+    (lambda: analytic.haar_covariance(1, 1, 1), r"^need N >= 2, got 1$"),
+    (lambda: analytic.beta_pdf(-0.25, 4), r"^p must lie in \[0, 1\]$"),
+    (lambda: analytic.beta_pdf([0.5, 1.5], 4), r"^p must lie in \[0, 1\]$"),
+])
+def test_moment_domains(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_plogp_covariance_domain():

@@ -209,7 +209,8 @@ def test_xeb_csv_output(tmp_path, capsys):
     fields = dict(line.split(",", 1) for line in out.splitlines())
     assert fields["n"] == "6"
     assert fields["T"] == "5000"
-    P, samples = read_probabilities(probs_path), read_samples(samples_path)
+    P = read_probabilities(probs_path)
+    samples = read_samples(samples_path, P.dims)
     lin = linear_xeb(P, samples)
     assert fields["f_xeb"] == f"{lin.F_hat:.12g}"
     assert fields["f_xeb_se"] == f"{lin.std_error:.12g}"
@@ -291,6 +292,18 @@ def test_xeb_bad_sample_length_exit_1(tmp_path, capsys):
     assert "length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blank", ["", "\n \r\n\t\n"])
+def test_xeb_samples_without_bitstrings_name_the_file(tmp_path, capsys,
+                                                      blank):
+    probs_path, samples_path = _write_pair(tmp_path, seed=26)
+    samples_path.write_text(blank)
+    code = main(["xeb", "--probs", str(probs_path),
+                 "--samples", str(samples_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"ergoxeb: error: {samples_path}: no bitstrings found\n")
+
+
 def test_xeb_missing_file_exit_1(tmp_path, capsys):
     code = main(["xeb", "--probs", str(tmp_path / "nope.csv"),
                  "--samples", str(tmp_path / "nope.txt")])
@@ -370,6 +383,8 @@ def _exit_code(argv):
       "--depth", "20", "--instances", "3"], {}),
     (["scan", "--qubits", "1", "--ensemble", "fixed",
       "--fixed-file", "g.json"], {"g.json": "[" * 200_000}),
+    (["scan", "--qubits", "1", "--ensemble", "fixed",
+      "--fixed-file", "g.json"], {"g.json": '{"n": 1, "gates": []}'}),
 ])
 def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
                                           argv, files):
@@ -629,6 +644,12 @@ _GOOD_PROGRAM = {"n": 2, "gates": [
         "gate block non-unitary: max |U^dag U - I| = nan",
         id="inf-entry",
     ),
+    ({"n": 2, "gates": {}}, "gates must be a JSON list"),
+    ({"n": 2, "gates": [{"targets": [0.0], "matrix": [[[1, 0], [0, 0]],
+                                                      [[0, 0], [1, 0]]]}]},
+     "gate 0: targets must be a list of integers"),
+    ({"n": 2, "gates": [{"targets": [0], "matrix": [[[1, 0], [0, 0]]]}]},
+     "gate 0: matrix must be a square list of rows"),
 ])
 def test_scan_fixed_file_malformed_program_exits_1(tmp_path, capsys, bad,
                                                    message):

@@ -7,6 +7,7 @@ from scipy import stats
 
 from ergoxeb import analytic
 from ergoxeb.ensembles import (
+    HAAR_DENSE_CAP,
     EnsembleSpec,
     design_moment_discrepancy,
     haar_moment_tensor,
@@ -29,6 +30,11 @@ from ergoxeb.statevector import (
 )
 
 
+def _pcg(seed):
+    """The PCG64 stream of ``seed``, as ``ensembles`` seeds its draws."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def test_mix64_spreads_indices():
     seeds = {mix64(0, i) for i in range(1000)}
     assert len(seeds) == 1000
@@ -37,13 +43,16 @@ def test_mix64_spreads_indices():
 
 def test_haar_unitary_is_unitary():
     for N in [1, 2, 7, 16]:
-        u = sample_haar_unitary(N, seed=3)
+        u = sample_haar_unitary(N, rng=_pcg(3))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(N), atol=1e-12)
+    with pytest.raises(ValueError,
+                       match=r"^dense Haar sampling limited to N <= 4096$"):
+        sample_haar_unitary(HAAR_DENSE_CAP + 1, rng=_pcg(3))
 
 
 def test_haar_unitary_deterministic():
-    a = sample_haar_unitary(8, seed=42)
-    b = sample_haar_unitary(8, seed=42)
+    a = sample_haar_unitary(8, rng=_pcg(42))
+    b = sample_haar_unitary(8, rng=_pcg(42))
     assert np.array_equal(a, b)
 
 
@@ -54,9 +63,9 @@ def test_haar_unitary_batch_starts_with_the_single_draw():
     z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    one = sample_haar_unitary(8, seed=5)
+    one = sample_haar_unitary(8, rng=_pcg(5))
     assert np.array_equal(one, q * (d / np.abs(d)))
-    batch = sample_haar_unitary(8, seed=5, size=(3,))
+    batch = sample_haar_unitary(8, rng=_pcg(5), size=(3,))
     assert batch.shape == (3, 8, 8)
     assert np.array_equal(batch[0], one)
     for u in batch:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from ergoxeb.estimators import (
     linear_xeb,
     log_xeb,
     parse_scheme,
+    sampled_probabilities,
 )
 from ergoxeb.noise import (
     NoiseModel,
@@ -74,7 +76,14 @@ def test_normalized_monomial_is_monomial_over_norm_bit_exact(i, mode):
     if mode == "exact":
         moment *= Fraction(N**i, math.prod(range(N, N + i)))
     assert normed.haar_mean(N, mode) == float(moment / norm)
-    assert normed.sigma(N, mode) == plain.sigma(N, mode) / norm
+    # the sigma is sqrt(E[(N P)^2i] - E[(N P)^i]^2) / norm, rounded once
+    m = [Fraction(math.factorial(k) * (N**k if mode == "exact" else 1),
+                  math.prod(range(N, N + k)) if mode == "exact" else 1)
+         for k in (i, 2 * i)]
+    var = m[1] - m[0] ** 2
+    with mpmath.workprec(400):
+        root = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+        assert normed.sigma(N, mode) == float(root / norm)
 
 
 def test_scheme_names_and_flags():
@@ -89,6 +98,19 @@ def test_scheme_degree_guards():
         SchemeFunction.monomial(0)
     with pytest.raises(ValueError):
         SchemeFunction.normalized_monomial(1)
+    with pytest.raises(ValueError, match="^unknown scheme kind 'cubic'$"):
+        SchemeFunction("cubic")
+
+
+def test_sample_estimates_check_their_samples():
+    P = _haar_P(3, 0)
+    other = SampleSet(SystemDims(2), np.array([0, 1]))
+    with pytest.raises(ValueError,
+                       match="^sample set dimensions differ from P$"):
+        sampled_probabilities(P, other)
+    empty = SampleSet(P.dims, np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        estimate_C_f(P, empty, SchemeFunction.monomial(2))
 
 
 def test_parse_scheme():

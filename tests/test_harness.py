@@ -335,3 +335,6 @@ def test_write_scan_result_files(tmp_path):
     doc = json.loads(Path(json_path).read_text())
     assert doc["config"]["n_range"] == [4]
     assert len(doc["summary"]) == 1
+    with pytest.raises(ValueError, match="^no rows to write$"):
+        harness.write_rows_csv([], tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()

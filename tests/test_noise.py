@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -24,11 +25,7 @@ from ergoxeb.noise import (
     write_probabilities,
     write_samples,
 )
-from ergoxeb.statevector import (
-    OutputDistribution,
-    SystemDims,
-    check_probability_rows,
-)
+from ergoxeb.statevector import OutputDistribution, SystemDims
 
 
 def _random_P(n, seed):
@@ -90,10 +87,19 @@ def test_custom_chi_checks():
     ([math.inf, -math.inf, 0.5, 0.5], "NaN or infinite"),
     ([[0.25, 0.25], [0.25, 0.25]], "1-D"),
     (1.0, "1-D"),
+    (None, "^custom noise needs a chi vector$"),
 ])
 def test_custom_chi_rejects_non_finite_or_non_vector(chi, message):
     with pytest.raises(ValueError, match=message):
         NoiseModel.custom(0.5, chi)
+
+
+def test_noise_kind_and_sample_count_are_checked():
+    with pytest.raises(ValueError, match="^unknown noise kind 'loud'$"):
+        NoiseModel("loud")
+    with pytest.raises(ValueError,
+                       match="^sample count must be >= 0, got -1$"):
+        sample_bitstrings(_random_P(2, 1), -1, seed=0)
 
 
 def test_custom_chi_shape_mismatch():
@@ -207,7 +213,9 @@ def _rows_with_zeros(rows, n, seed):
     zero = rng.random(probs.shape) < 0.3
     zero[:, :2] = zero[:, -5:] = True
     probs[zero] = 0.0
-    return check_probability_rows(probs / probs.sum(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return np.array([OutputDistribution(SystemDims(n), p).probs
+                     for p in probs])
 
 
 @pytest.mark.parametrize("rows, T", [(1, 500), (7, 1), (13, 300), (5, 0)])
@@ -344,24 +352,26 @@ def test_samples_round_trip(tmp_path):
 
 def test_read_samples_errors(tmp_path):
     p = tmp_path / "bad.txt"
+    dims = SystemDims(3)
     p.write_text("010\n01x\n")
     with pytest.raises(ValueError, match="bad.txt:2"):
-        read_samples(p)
+        read_samples(p, dims)
     p.write_text("010\n0110\n")
     with pytest.raises(ValueError, match="length"):
-        read_samples(p)
-    p.write_text("\n\n")
-    with pytest.raises(ValueError, match="no bitstrings"):
-        read_samples(p)
-    p.write_text("0101\n")
-    with pytest.raises(ValueError, match="length"):
-        read_samples(p, dims=SystemDims(3))
+        read_samples(p, dims)
+    for blank in ("", "\n\n", " \r\n\t\n"):
+        p.write_text(blank)
+        with pytest.raises(ValueError) as exc:
+            read_samples(p, dims)
+        assert str(exc.value) == f"{p}: no bitstrings found"
     p.write_bytes(b"010\n0\xff0\n")
     with pytest.raises(ValueError, match=r"bad\.txt:2: invalid bitstring"):
-        read_samples(p)
+        read_samples(p, dims)
+    # a line longer than n is a length error, not a new n
     p.write_text("\n" + "0" * 30 + "\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:2: .*exceeds cap"):
-        read_samples(p)
+    with pytest.raises(ValueError) as exc:
+        read_samples(p, dims)
+    assert str(exc.value) == f"{p}:2: bitstring length 30 != 3"
 
 
 def test_probabilities_round_trip(tmp_path):
@@ -478,6 +488,11 @@ def test_samples_round_trip_and_format(tmp_path_factory, n, data):
     path = tmp_path_factory.mktemp("samples") / "s.txt"
     write_samples(samples, path)
     assert path.read_bytes() == _reference_samples(samples)
+    if not indices:
+        # an empty set writes an empty file, which holds no bitstrings
+        with pytest.raises(ValueError, match="no bitstrings found"):
+            read_samples(path, dims)
+        return
     back = read_samples(path, dims=dims)
     assert np.array_equal(back.bitstrings, samples.bitstrings)
 
@@ -783,7 +798,8 @@ def test_readers_match_a_per_line_parse_to_the_last_byte(tmp_path, n,
     path = tmp_path / "s.txt"
     path.write_bytes(newline.join(index_to_bitstring(j, n).encode()
                                   for j in draws))
-    assert read_samples(path).bitstrings.tolist() == draws.tolist()
+    back = read_samples(path, SystemDims(n))
+    assert back.bitstrings.tolist() == draws.tolist()
 
 
 # forms '%.17g' never writes: other exponent and mantissa spellings, signs,
@@ -832,7 +848,8 @@ def test_readers_take_batches_shorter_than_a_line(tmp_path, monkeypatch,
     monkeypatch.setattr(noise, "_BATCH_BYTES", batch)
     expected = np.array([float(r.split(b",")[1]) for r in rows[1:-1]])
     assert np.array_equal(read_probabilities(path).probs, expected)
-    assert np.array_equal(read_samples(samples).bitstrings, draws.bitstrings)
+    assert np.array_equal(read_samples(samples, P.dims).bitstrings,
+                          draws.bitstrings)
 
 
 def _first_error(text):
@@ -897,21 +914,18 @@ def test_first_error_across_small_batches(tmp_path_factory, n, batch, data):
 @pytest.mark.parametrize("batch", [16, 33, 100, 1 << 20])
 def test_cap_error_names_first_row_whatever_the_batch(tmp_path, monkeypatch,
                                                       batch):
-    # a well-formed first row sets n = 25; the malformed rows after it share
-    # its batch or not, depending on the batch size
-    bits = "0" * 25
-    probs = tmp_path / "p.csv"
-    probs.write_text(f"bitstring,probability\n\n{bits},0.5\n"
-                     f"{bits[1:]}1,0.5\n{bits}x,0.25\n{bits},nan\n")
-    samples = tmp_path / "s.txt"
-    samples.write_text(f"\n{bits}\n{bits[1:]}\n01x\n")
+    # a well-formed first row sets n = 25 or 70 (past the 64 bits that an
+    # index holds); the malformed rows after it share its batch or not,
+    # depending on the batch size
     monkeypatch.setattr(noise, "_BATCH_BYTES", batch)
-    with pytest.raises(ValueError) as exc:
-        read_probabilities(probs)
-    assert str(exc.value) == f"{probs}:3: qubit count 25 exceeds cap 24"
-    with pytest.raises(ValueError) as exc:
-        read_samples(samples)
-    assert str(exc.value) == f"{samples}:2: qubit count 25 exceeds cap 24"
+    for n in (25, 70):
+        bits = "0" * n
+        probs = tmp_path / "p.csv"
+        probs.write_text(f"bitstring,probability\n\n{bits},0.5\n"
+                         f"{bits[1:]}1,0.5\n{bits}x,0.25\n{bits},nan\n")
+        with pytest.raises(ValueError) as exc:
+            read_probabilities(probs)
+        assert str(exc.value) == f"{probs}:3: qubit count {n} exceeds cap 24"
 
 
 def test_sample_errors_after_first_batch(tmp_path):
@@ -920,14 +934,14 @@ def test_sample_errors_after_first_batch(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("\n" + "\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"s\.txt:150002: bitstring length 7"):
-        read_samples(path)
+        read_samples(path, SystemDims(8))
 
 
 def test_readers_accept_crlf_whitespace_and_blank_lines(tmp_path):
     path = tmp_path / "s.txt"
     path.write_bytes(b"\r\n  01 \r\n\t10\n\n \n11\r\n")
-    back = read_samples(path)
-    assert back.dims.n == 2 and back.bitstrings.tolist() == [1, 2, 3]
+    back = read_samples(path, SystemDims(2))
+    assert back.bitstrings.tolist() == [1, 2, 3]
     path = tmp_path / "p.csv"
     path.write_bytes(b" bitstring,probability \r\n\r\n 1,0.25\t\r\n"
                      b"\n   \n0,0.75  \r\n\r\n")
@@ -951,7 +965,8 @@ _JUNK_LINES = st.lists(st.one_of(
 def test_readers_reject_junk_with_path(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("junk") / "junk.txt"
     path.write_bytes(content)
-    for read in (read_samples, read_probabilities):
+    for read in (functools.partial(read_samples, dims=SystemDims(2)),
+                 read_probabilities):
         try:
             read(path)
         except ValueError as exc:

@@ -12,11 +12,9 @@ from ergoxeb.statevector import (
     _WIDEN_BELOW,
     GateProgram,
     OutputDistribution,
-    PureState,
     SystemDims,
     _apply_gates,
     _schedule,
-    check_probability_rows,
     output_distribution,
     program_from_dict,
     program_to_dict,
@@ -26,6 +24,11 @@ from ergoxeb.statevector import (
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def _pcg(seed):
+    """The PCG64 stream of ``seed``, as ``ensembles`` seeds its draws."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def test_identity_program():
@@ -143,6 +146,12 @@ def test_gate_list_matches_dense_composition(n):
     np.testing.assert_allclose(via_gates, via_dense, atol=1e-10)
 
 
+def test_dense_composition_refuses_n_13():
+    with pytest.raises(ValueError,
+                       match="^dense composition limited to n <= 12$"):
+        program_unitary(GateProgram(SystemDims(13), gates=[]))
+
+
 def test_permutation_unitary_hits_single_index():
     dims = SystemDims(3)
     for j in [0, 3, 5, 7]:
@@ -206,32 +215,30 @@ def test_distribution_leaves_input_unchanged():
 
 
 def test_row_check_leaves_input_unchanged():
+    # each row of a 2-D array checked on its own: sums within 1e-12 of 1
+    # keep their bits, and the rows are never modified
     raw = np.array([[0.5, 0.5 + 1e-11, -1e-16, 0.0],
                     [0.25, 0.25, 0.25, 0.25 + 1e-13],
                     [0.1, 0.2, 0.3, 0.4]])
     before = raw.copy()
-    rows = check_probability_rows(raw)
+    probs = [OutputDistribution(SystemDims(2), row).probs for row in raw]
     assert np.array_equal(raw, before)
-    assert rows[0, 2] == 0.0
-    assert rows[0].sum() == pytest.approx(1.0, abs=1e-15)
-    # rows within 1e-12 of unit sum keep their bits
-    assert np.array_equal(rows[1:], raw[1:])
-    for row, one in zip(rows, raw):
-        d = OutputDistribution(SystemDims(2), one)
-        assert np.array_equal(d.probs, row)
+    assert probs[0][2] == 0.0
+    assert probs[0].sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(probs[1], raw[1])
+    assert np.array_equal(probs[2], raw[2])
 
 
 @pytest.mark.parametrize("bad, message", [
     ([0.5, np.nan, 0.5, 0.0], "below .* or NaN"),
     ([0.5, -1e-3, 0.5, 1e-3], "below .* or NaN"),
     ([0.5, 0.5, 0.5, 0.0], "sum to 1.5, not 1"),
+    ([0.5, 0.5, 0.0],
+     r"^probability vector has shape \(3,\), expected \(4,\)$"),
 ])
 def test_row_check_rejects_a_bad_row(bad, message):
-    raw = np.array([[0.25] * 4, bad, [0.25] * 4])
     with pytest.raises(ValueError, match=message):
-        check_probability_rows(raw)
-    with pytest.raises(ValueError, match=message):
-        OutputDistribution(SystemDims(2), raw[1])
+        OutputDistribution(SystemDims(2), np.array(bad))
 
 
 def _element_formula_unitary(n, targets, block):
@@ -267,7 +274,7 @@ def test_gate_kernel_matches_element_formula(data):
         window = range(low, low + span)
         targets = tuple(data.draw(st.permutations(window))[:k])
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        gates.append((targets, sample_haar_unitary(1 << k, seed=seed)))
+        gates.append((targets, sample_haar_unitary(1 << k, rng=_pcg(seed))))
     dims = SystemDims(n)
     expected = np.eye(dims.N, dtype=np.complex128)
     for targets, block in gates:
@@ -320,10 +327,10 @@ def test_wide_and_unordered_gates_match_element_formula():
     # next on its qubit after the first (0, 7), and would stretch [1, 4),
     # widened, to 8 qubits.
     n = 8
-    gates = [((5,), H), ((0, 7), sample_haar_unitary(4, seed=1)),
-             ((3, 1, 2), sample_haar_unitary(8, seed=2)), ((2,), X),
-             ((6, 4), sample_haar_unitary(4, seed=3)), ((7,), H),
-             ((0, 7), sample_haar_unitary(4, seed=4)), ((1,), H)]
+    gates = [((5,), H), ((0, 7), sample_haar_unitary(4, rng=_pcg(1))),
+             ((3, 1, 2), sample_haar_unitary(8, rng=_pcg(2))), ((2,), X),
+             ((6, 4), sample_haar_unitary(4, rng=_pcg(3))), ((7,), H),
+             ((0, 7), sample_haar_unitary(4, rng=_pcg(4))), ((1,), H)]
     prog = GateProgram(SystemDims(n), gates=gates)
     windows = [(start, stop) for start, stop, _ in _runs_of(prog.gates)]
     assert windows == [(4, 7), (None, None), (1, 4), (7, 8), (None, None)]
@@ -509,26 +516,3 @@ def test_window_products_stay_below_blas_threading(monkeypatch):
     assert max(sizes) < 1 << 16
     assert builds and max(builds) < 1 << 16
 
-
-def test_norm_check_makes_no_vdot_call(monkeypatch):
-    # OpenBLAS threads zdotc from 2**16 amplitudes on; building the state
-    # after a gate must not call it
-    from ergoxeb import statevector
-
-    calls = []
-
-    class RecordingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def vdot(self, a, b):
-            calls.append(a.size)
-            return np.vdot(a, b)
-
-    dims = SystemDims(16)
-    state = PureState.zero(dims)
-    monkeypatch.setattr(statevector, "np", RecordingNumpy())
-    prog = GateProgram(dims, gates=[((3,), H)])
-    out = PureState(dims, _apply_gates(state.amplitudes, prog))
-    assert calls == []
-    assert abs(out.amplitudes[0]) ** 2 == pytest.approx(0.5)
