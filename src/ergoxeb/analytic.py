@@ -133,13 +133,18 @@ def _log_moment(q1, q2, N):
             + _log_gamma_ratio(hi + 1.0, lo + (N - 1.0)))
 
 
+def _beta_moment(k1, k2, N):
+    """Exact E[P(x)^k1 P(y)^k2]: k1! k2! / (N (N+1) ... (N+k1+k2-1))."""
+    return Fraction(math.factorial(k1) * math.factorial(k2),
+                    math.prod(range(N, N + k1 + k2)))
+
+
 def haar_joint_moment(q1, q2, N):
     """E[P(x)^q1 * P(y)^q2] for x != y under Haar; q2=0 gives E[P^q1].
 
     For integer q1, q2 (total order up to 256) and integer N this is
-    q1! q2! / (N (N+1) ... (N+q1+q2-1)), divided in integers and so
-    correctly rounded.  Other exponents use Gamma(q1+1) Gamma(q2+1)
-    Gamma(N) / Gamma(q1+q2+N) in log space (``_log_moment``).
+    ``_beta_moment`` rounded once.  Other exponents use Gamma(q1+1)
+    Gamma(q2+1) Gamma(N) / Gamma(q1+q2+N) in log space (``_log_moment``).
     """
     q1, q2 = float(q1), float(q2)
     if q1 <= 0.0 or q2 < 0.0:
@@ -148,9 +153,7 @@ def haar_joint_moment(q1, q2, N):
         raise ValueError(f"need N >= 2, got {N}")
     if (q1.is_integer() and q2.is_integer() and float(N).is_integer()
             and q1 + q2 <= _EXACT_MOMENT_ORDER):
-        k1, k2, N = int(q1), int(q2), int(N)
-        return (math.factorial(k1) * math.factorial(k2)
-                / math.prod(range(N, N + k1 + k2)))
+        return float(_beta_moment(int(q1), int(q2), int(N)))
     return math.exp(_log_moment(q1, q2, float(N)))
 
 
@@ -224,11 +227,11 @@ def _exact(mode):
 
 
 def _moment(k, N, exact):
-    """E[(N P)^k], exactly: N^k k! / prod_{j<k} (N + j) under the Beta law,
-    k! in its Porter-Thomas limit."""
+    """E[(N P)^k], exactly: N^k ``_beta_moment(k, 0, N)`` under the Beta
+    law, k! in its Porter-Thomas limit."""
     N = int(N)
-    return Fraction(math.factorial(k) * (N**k if exact else 1),
-                    math.prod(range(N, N + k)) if exact else 1)
+    return N**k * _beta_moment(k, 0, N) if exact else Fraction(
+        math.factorial(k))
 
 
 def _in_float_range(scheme, N, statistic, value):

@@ -172,6 +172,8 @@ def parse_scheme(name):
                                  "not an integer, a decimal or a ratio a/b")
         return SchemeFunction.polynomial(items)
     if match := re.fullmatch(r"(normalized-)?monomial(\d+)", key):
+        if not match[1] and int(match[2]) < 1:
+            raise ValueError(f"scheme {name!r}: degree must be >= 1")
         return (SchemeFunction.normalized_monomial if match[1]
                 else SchemeFunction.monomial)(int(match[2]))
     candidates = ["plogp", "neglog", "monomial2", "monomial3",

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .ensembles import (
 )
 from .estimators import (
     SchemeFunction,
-    depolarizing_scale,
     deviation_of_ergodicity,
     deviation_of_ergodicity_exact,
     fidelity_from_de_depolarizing,
@@ -66,19 +65,11 @@ class ScanConfig:
                              f" for every n, got {lo}..{hi}")
 
     def to_dict(self):
-        return {
-            "ensemble": self.ensemble,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "n_range": list(self.n_range),
-            "instances": self.instances,
             "scheme": self.scheme.name,
-            "alpha": self.alpha,
-            "T": self.T,
             "noise": self.noise.kind,
             "fidelity": self.noise.F,
-            "base_seed": self.base_seed,
-            "depth": self.depth,
-            "source_path": self.source_path,
-            "mean_mode": self.mean_mode,
         }
 
 
@@ -91,16 +82,15 @@ class ScanResult:
 
 def _instance_fidelity(scheme, report):
     """Depolarizing-inversion F of one report's signed DE, above 1 where
-    C_f exceeds the Haar mean; None for the logarithmic schemes and where
-    the depolarizing scale vanishes (degree <= 1), which carry no
-    fidelity."""
-    if scheme.logarithmic or not depolarizing_scale(
-            scheme, report.N, report.haar_mean_mode):
+    C_f exceeds the Haar mean; None where the inversion refuses (the
+    logarithmic schemes, and a vanishing scale at degree <= 1)."""
+    try:
+        return fidelity_from_de_depolarizing(
+            report.haar_mean - report.c_f_estimate, scheme, report.N,
+            report.haar_mean_mode, report.std_error,
+        ).F_hat
+    except ValueError:
         return None
-    return fidelity_from_de_depolarizing(
-        report.haar_mean - report.c_f_estimate, scheme, report.N,
-        report.haar_mean_mode, report.std_error,
-    ).F_hat
 
 
 def _noisy_samples(P, noise, T, seed):

@@ -73,7 +73,8 @@ class SampleSet:
             if not whole.all():
                 bad = float(values[~whole][0])
                 raise ValueError(f"bitstring index {bad!r} is not an integer")
-        check_bitstring_range(values, self.dims.N)
+        if values.size and (values.min() < 0 or values.max() >= self.dims.N):
+            raise ValueError("bitstring index out of range")
         self.bitstrings = values.astype(np.int64, copy=False)
 
     @property
@@ -81,16 +82,11 @@ class SampleSet:
         return int(self.bitstrings.size)
 
 
-def check_bitstring_range(bitstrings, N):
-    """Raise unless every index in the ``bitstrings`` array lies in [0, N)."""
-    if bitstrings.size and (bitstrings.min() < 0 or bitstrings.max() >= N):
-        raise ValueError("bitstring index out of range")
-
-
 def depolarize(probs, F):
-    """Global depolarizing noise F * P + (1 - F) / N along the last axis."""
+    """Global depolarizing noise F * P + (1 - F) / N; at F = 0 every entry
+    is 1 / N exactly."""
     out = probs * F
-    out += (1.0 - F) / probs.shape[-1]
+    out += (1.0 - F) / probs.size
     return out
 
 
@@ -98,11 +94,9 @@ def experimental_distribution(P, noise):
     """Experimental distribution Q induced by a noise model on ideal P."""
     if noise.kind == "noiseless":
         return P
-    N = P.dims.N
-    if noise.kind == "completely_noisy":
-        return OutputDistribution(P.dims, np.full(N, 1.0 / N))
-    if noise.kind == "depolarizing":
+    if noise.kind != "custom":  # completely_noisy is F = 0
         return OutputDistribution(P.dims, depolarize(P.probs, noise.F))
+    N = P.dims.N
     chi = noise.chi
     if chi.shape != (N,):
         raise ValueError(
@@ -342,6 +336,8 @@ def _dims_at(path, raw, lineno, n):
 
 
 def write_samples(samples, path):
+    if not samples.T:
+        raise ValueError("no samples to write")
     n = samples.dims.n
     with open(path, "wb") as fh:
         for start in range(0, samples.T, _CHUNK_ROWS):

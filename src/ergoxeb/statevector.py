@@ -5,9 +5,10 @@ j = sum_k x_k 2^k, i.e. the rightmost character of the written string is the
 least significant bit.  All file formats in this package use this convention.
 """
 
+import contextlib
 import functools
-import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +75,18 @@ class OutputDistribution:
         self.probs = probs / total if off > 1e-12 else probs
 
 
+def _target(t):
+    """A target qubit as an int; ValueError for a bool or a non-integer."""
+    if not isinstance(t, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(t)
+    raise ValueError(f"target qubit {t!r} is not an integer")
+
+
 def _check_gate(n, targets, block):
     """One gate's (targets, block) as ints and complex128; ValueError if its
     targets or its block's shape are malformed."""
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(map(_target, targets))
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
     for t in targets:
@@ -92,42 +101,6 @@ def _check_gate(n, targets, block):
             f"{len(targets)} target qubits"
         )
     return targets, block
-
-
-def _stack_gates(n, gates):
-    """``_check_gate`` for every gate, in whole-array steps per width.
-
-    Returns (targets, by_width, stacks): each gate's targets as a tuple of
-    ints, the positions of the gates on k qubits under key k, and their
-    blocks as one (G, 2**k, 2**k) complex128 array under key k.  Returns
-    None if some gate fails ``_check_gate``.
-    """
-    try:
-        targets = [tuple(map(int, qubits)) for qubits, _ in gates]
-        blocks = [np.asarray(block, dtype=np.complex128) for _, block in gates]
-    except (TypeError, ValueError, OverflowError):
-        return None
-    by_width = {}
-    for i, qubits in enumerate(targets):
-        by_width.setdefault(len(qubits), []).append(i)
-    stacks = {}
-    for k, index in by_width.items():
-        d = 1 << k
-        if any(blocks[i].shape != (d, d) for i in index):
-            return None
-        try:
-            qubits = np.fromiter(
-                itertools.chain.from_iterable(targets[i] for i in index),
-                dtype=np.int64, count=len(index) * k,
-            ).reshape(len(index), k)
-        except OverflowError:  # a target past int64 is out of range
-            return None
-        ordered = np.sort(qubits, axis=1)
-        if ((qubits < 0) | (qubits >= n)).any() \
-                or (ordered[:, 1:] == ordered[:, :-1]).any():
-            return None
-        stacks[k] = np.array([blocks[i] for i in index])
-    return targets, by_width, stacks
 
 
 def _unitarity_errors(stack):
@@ -161,25 +134,24 @@ class GateProgram:
 
     def __post_init__(self):
         n = self.dims.n
-        checked = _stack_gates(n, self.gates)
-        if checked is None:
-            # _check_gate raises for the first malformed gate
-            checked = _stack_gates(n, [_check_gate(n, targets, block)
-                                       for targets, block in self.gates])
-        targets, by_width, stacks = checked
-        errs = np.empty(len(targets))
+        checked = [_check_gate(n, targets, block)
+                   for targets, block in self.gates]
+        by_width = {}
+        for i, (targets, _) in enumerate(checked):
+            by_width.setdefault(len(targets), []).append(i)
+        stacks, errs = {}, np.empty(len(checked))
         for k, index in by_width.items():
+            stacks[k] = np.array([checked[i][1] for i in index])
             errs[index] = _unitarity_errors(stacks[k])
         bad = np.flatnonzero(~(errs <= UNITARY_TOL))  # NaN entries fail too
         if bad.size:
             raise ValueError(
                 f"gate block non-unitary: max |U^dag U - I| = {errs[bad[0]]:g}"
             )
-        blocks = [None] * len(targets)
+        self.gates = [None] * len(checked)
         for k, index in by_width.items():
             for i, block in zip(index, stacks[k]):
-                blocks[i] = block
-        self.gates = list(zip(targets, blocks))
+                self.gates[i] = (checked[i][0], block)
         self._stacks = stacks
 
 

@@ -466,11 +466,16 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "--qubits: expected 1 <= LO <= HI <= 24, got '5..3'"),
     (["scan", "--qubits", "4", "--ensemble", "brickwork", "--depth", "0"],
      "--depth: expected an integer >= 1, got 0"),
+    (["scan", "--qubits", "2", "--scheme", "monomial0"],
+     "scheme 'monomial0': degree must be >= 1"),
+    (["oracle", "--haar-mean", "monomial0", "8"],
+     "scheme 'monomial0': degree must be >= 1"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
+    assert "Fraction(" not in err
     assert err.startswith(f"ergoxeb: error: {message}")
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,36 @@ def test_config_hash_sensitivity():
     b = ScanConfig(n_range=(4,), base_seed=1).to_dict()
     assert config_hash(a) != config_hash(b)
     assert config_hash(a) == config_hash(dict(reversed(list(a.items()))))
+
+
+_FIELD_CHANGES = [
+    ("ensemble", "brickwork"), ("n_range", (5,)), ("instances", 11),
+    ("scheme", SchemeFunction.monomial(2)), ("alpha", 9.0), ("T", 100),
+    ("noise", NoiseModel.completely_noisy()),  # the kind alone
+    ("noise", NoiseModel.depolarizing(0.5)),  # the fidelity alone
+    ("base_seed", 1), ("depth", 7), ("source_path", "g.json"),
+    ("mean_mode", "porter_thomas"),
+]
+
+
+@pytest.mark.parametrize("name, value", _FIELD_CHANGES)
+def test_config_hash_moves_with_every_field(name, value):
+    # every field has a case here, so a field added later joins the hash
+    assert {f.name for f in fields(ScanConfig)} == dict(_FIELD_CHANGES).keys()
+    base = ScanConfig(n_range=(4,), noise=NoiseModel.depolarizing(0.0))
+    changed = replace(base, **{name: value})
+    assert config_hash(changed.to_dict()) != config_hash(base.to_dict())
+
+
+@pytest.mark.parametrize("T", [0, 500])
+def test_completely_noisy_scan_is_depolarizing_at_zero(T):
+    results = [run_ergodicity_scan(ScanConfig(
+        n_range=(4, 5, 6), instances=3, T=T, base_seed=7, noise=noise,
+        scheme=SchemeFunction.monomial(2)))
+        for noise in (NoiseModel.completely_noisy(),
+                      NoiseModel.depolarizing(0.0))]
+    assert results[0].rows == results[1].rows
+    assert results[0].summary == results[1].summary
 
 
 def test_scan_config_validation():

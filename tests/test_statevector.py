@@ -105,8 +105,8 @@ def test_malformed_gate_reported_before_non_unitary_block():
 
 
 def test_first_malformed_gate_reported_across_widths():
-    # gates are checked per width in whole-array steps; the error is still
-    # that of the first malformed gate in list order, whatever its width
+    # blocks are stacked per width after every gate is checked; the error
+    # is that of the first malformed gate in list order, whatever its width
     block = np.eye(4, dtype=np.complex128)
     with pytest.raises(ValueError, match="dimension 2 does not match 2"):
         GateProgram(SystemDims(2), gates=[((0,), X), ((0, 1), X),
@@ -116,8 +116,23 @@ def test_first_malformed_gate_reported_across_widths():
                                           ((5,), X)])
     with pytest.raises(ValueError, match=f"qubit {2**70} out of range"):
         GateProgram(SystemDims(2), gates=[((0,), X), ((2**70,), X)])
-    with pytest.raises(ValueError, match="invalid literal"):
+    with pytest.raises(ValueError, match="target qubit 'a' is not an int"):
         GateProgram(SystemDims(2), gates=[((0,), X), (("a",), X)])
+
+
+@pytest.mark.parametrize("target", [1.7, True, np.float64(1.0), "a"])
+def test_non_integer_targets_refused(target):
+    # int() would truncate 1.7 and True to qubit 1
+    with pytest.raises(ValueError) as err:
+        GateProgram(SystemDims(2), gates=[((target,), X)])
+    assert str(err.value) == f"target qubit {target!r} is not an integer"
+
+
+def test_numpy_integer_targets_accepted():
+    targets = (np.int64(1), np.uint8(0))
+    prog = GateProgram(SystemDims(2), gates=[(targets, np.kron(X, H))])
+    assert prog.gates[0][0] == (1, 0)
+    assert all(type(t) is int for t in prog.gates[0][0])
 
 
 def test_duplicate_targets_rejected():
