@@ -180,7 +180,10 @@ def _make_noise(args):
         return NoiseModel.completely_noisy()
     if args.fidelity is None:
         raise ValueError("depolarizing noise requires --fidelity")
-    return NoiseModel.depolarizing(args.fidelity)
+    try:
+        return NoiseModel.depolarizing(args.fidelity)
+    except ValueError as exc:
+        raise ValueError(f"--fidelity: {exc}") from None
 
 
 def _cmd_scan(args):

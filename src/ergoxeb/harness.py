@@ -5,6 +5,7 @@ file names embed a hash of the generating configuration, and identical
 configurations produce byte-identical files.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -93,27 +94,6 @@ def _instance_fidelity(scheme, report):
         return None
 
 
-def _noisy_samples(P, noise, T, seed):
-    """Noise and sampling stages: Q = ``noise`` applied to P, and T
-    bitstrings drawn from Q, or None when T = 0 (exact correlation)."""
-    Q = experimental_distribution(P, noise)
-    if T == 0:
-        return Q, None
-    return Q, sample_bitstrings(Q, T, seed=seed)
-
-
-def _estimate_row(P, Q, samples, scheme, alpha, mean_mode, **keys):
-    """Ergodicity report as a result row: ``report.to_dict()``, then
-    ``keys``, then ``f_hat``.  Exact from Q when ``samples`` is None."""
-    if samples is None:
-        report = deviation_of_ergodicity_exact(P, Q, scheme, alpha, mean_mode)
-    else:
-        report = deviation_of_ergodicity(P, samples, scheme, alpha, mean_mode)
-    row = report.to_dict() | keys
-    row["f_hat"] = _instance_fidelity(scheme, report)
-    return row
-
-
 def run_ergodicity_scan(cfg):
     """One ergodicity report per (qubit count, circuit instance)."""
     rows = []
@@ -130,12 +110,17 @@ def run_ergodicity_scan(cfg):
         n_rows = []
         for inst in range(cfg.instances):
             P = OutputDistribution(dims, member_probs(spec, inst))
-            Q, samples = _noisy_samples(
-                P, cfg.noise, cfg.T, mix64(spec.base_seed, 10_000 + inst)
-            )
-            n_rows.append(_estimate_row(P, Q, samples, cfg.scheme, cfg.alpha,
-                                        cfg.mean_mode, instance=inst))
-        sigma = cfg.scheme.sigma(dims.N, cfg.mean_mode)
+            Q = experimental_distribution(P, cfg.noise)
+            if cfg.T:
+                samples = sample_bitstrings(
+                    Q, cfg.T, seed=mix64(spec.base_seed, 10_000 + inst))
+                report = deviation_of_ergodicity(P, samples, cfg.scheme,
+                                                 cfg.alpha, cfg.mean_mode)
+            else:
+                report = deviation_of_ergodicity_exact(
+                    P, Q, cfg.scheme, cfg.alpha, cfg.mean_mode)
+            n_rows.append(report.to_dict() | dict(
+                instance=inst, f_hat=_instance_fidelity(cfg.scheme, report)))
         violations = sum(r["verdict"] == "violated" for r in n_rows)
         summary.append({
             "n": n,
@@ -144,8 +129,9 @@ def run_ergodicity_scan(cfg):
                 r["deviation"] for r in n_rows
             ),
             "violation_rate": violations / cfg.instances,
-            "sigma_over_sqrt_n": sigma / math.sqrt(dims.N),
-            "threshold": cfg.alpha * sigma / math.sqrt(dims.N),
+            "sigma_over_sqrt_n": (cfg.scheme.sigma(dims.N, cfg.mean_mode)
+                                  / math.sqrt(dims.N)),
+            "threshold": n_rows[0]["threshold"],
         })
         rows.extend(n_rows)
     return ScanResult(config=cfg.to_dict(), rows=rows, summary=summary)
@@ -172,7 +158,7 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
     Instances run in chunks of max(1, 2^11 // (T / instances)), chunk c
     from one PCG64 seeded ``mix64(base_seed, 62_000 + c)``.  Every fidelity
     of an instance uses the same P and uniforms, and each scheme is
-    evaluated once per chunk and fidelity.
+    evaluated once per chunk, on all the fidelities at once.
     """
     if not fidelities:
         raise ValueError("need at least one fidelity")
@@ -207,10 +193,10 @@ def run_depolarizing_recovery(fidelities, degrees, n=10, T=100_000,
         rng = np.random.Generator(
             np.random.PCG64(mix64(base_seed, 62_000 + c)))
         u, ps, pu = haar_sample_values(N, stop - start, per, rng)
-        for a, F in enumerate(fidelities):
-            pvals = np.where(u < F, ps, pu)
-            for b, scheme in enumerate(schemes):
-                inst_means[a, b, start:stop] = scheme.g(pvals, N).mean(axis=1)
+        # (fidelity, instance, draw): every fidelity uses the same P and u
+        pvals = np.where(u < np.array(fidelities)[:, None, None], ps, pu)
+        for b, scheme in enumerate(schemes):
+            inst_means[:, b, start:stop] = scheme.g(pvals, N).mean(axis=-1)
     rows = []
     for a, F in enumerate(fidelities):
         for b, scheme in enumerate(schemes):
@@ -247,23 +233,19 @@ def config_hash(config):
 def _fmt_cell(value):
     if isinstance(value, float):
         return format(value, ".12g")
-    if value is None:
-        return ""
-    text = str(value)
-    # a poly: scheme name holds commas: quote it as RFC 4180 does
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return "" if value is None else value
 
 
 def write_rows_csv(rows, path):
+    """Rows as CSV, a cell with a comma (a poly: name) quoted per RFC 4180."""
     if not rows:
         raise ValueError("no rows to write")
     fields = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(fields) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(fields)
         for row in rows:
-            fh.write(",".join(_fmt_cell(row[k]) for k in fields) + "\n")
+            out.writerow([_fmt_cell(row[k]) for k in fields])
 
 
 def write_json(doc, path):

@@ -68,7 +68,10 @@ class SampleSet:
         values = np.asarray(self.bitstrings)
         if values.ndim != 1:
             raise ValueError("bitstrings must be a flat integer array")
-        if values.dtype.kind not in "biu":
+        # a boolean mask passed by mistake would read as indices 0 and 1
+        if values.dtype.kind == "b":
+            raise ValueError("bitstring indices are booleans, not integers")
+        if values.dtype.kind not in "iu":
             whole = np.isfinite(values) & (np.trunc(values) == values)
             if not whole.all():
                 bad = float(values[~whole][0])
@@ -103,7 +106,7 @@ def experimental_distribution(P, noise):
             f"chi has shape {chi.shape}, expected ({N},)"
         )
     q = noise.F * P.probs + (1.0 - noise.F) * chi
-    if np.any(q < -1e-12):
+    if not q.min() >= -NEGATIVE_TOL:
         raise ValueError(
             "custom noise produces negative experimental probabilities "
             f"(min {q.min():g})"

@@ -470,6 +470,18 @@ def test_error_paths_exit_1_with_one_line(tmp_path, monkeypatch, capsys,
      "scheme 'monomial0': degree must be >= 1"),
     (["oracle", "--haar-mean", "monomial0", "8"],
      "scheme 'monomial0': degree must be >= 1"),
+    (["scan", "--qubits", "4", "--noise", "depolarizing",
+      "--fidelity", "2"],
+     "--fidelity: fidelity must lie in [0, 1], got 2.0"),
+    (["scan", "--qubits", "4", "--noise", "depolarizing",
+      "--fidelity", "-0.1"],
+     "--fidelity: fidelity must lie in [0, 1], got -0.1"),
+    (["scan", "--qubits", "4", "--noise", "depolarizing",
+      "--fidelity", "nan"],
+     "--fidelity: fidelity must lie in [0, 1], got nan"),
+    (["scan", "--qubits", "4", "--noise", "depolarizing",
+      "--fidelity", "inf"],
+     "--fidelity: fidelity must lie in [0, 1], got inf"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 1

@@ -129,6 +129,17 @@ def test_scan_computes_haar_reference_once_per_n(monkeypatch, mode):
         assert row["threshold"] == 10.0 * scheme.sigma(N, mode) / np.sqrt(N)
 
 
+@pytest.mark.parametrize("mode", ["exact", "porter_thomas"])
+def test_summary_threshold_is_the_rows_threshold(mode):
+    cfg = ScanConfig(n_range=(4, 5), instances=3, T=0, base_seed=4,
+                     scheme=SchemeFunction.monomial(3), mean_mode=mode)
+    result = run_ergodicity_scan(cfg)
+    for s in result.summary:
+        for row in result.rows:
+            if row["n"] == s["n"]:
+                assert row["threshold"].hex() == s["threshold"].hex()
+
+
 def test_config_hash_sensitivity():
     a = ScanConfig(n_range=(4,), base_seed=0).to_dict()
     b = ScanConfig(n_range=(4,), base_seed=1).to_dict()
@@ -369,3 +380,21 @@ def test_write_scan_result_files(tmp_path):
     with pytest.raises(ValueError, match="^no rows to write$"):
         harness.write_rows_csv([], tmp_path / "empty.csv")
     assert not (tmp_path / "empty.csv").exists()
+
+
+def test_write_rows_csv_bytes(tmp_path):
+    # a None cell is empty, floats take 12 significant digits, and a cell
+    # with a comma or a quote is quoted with its quotes doubled
+    rows = [
+        {"scheme": "poly:0,1,-1/5", "c_f": 0.1, "f_hat": None, "T": 3000,
+         "note": 'a "b"'},
+        {"scheme": "neglog", "c_f": 1 / 3, "f_hat": 0.5, "T": 0,
+         "note": "plain"},
+    ]
+    path = tmp_path / "rows.csv"
+    harness.write_rows_csv(rows, path)
+    assert path.read_bytes() == (
+        b'scheme,c_f,f_hat,T,note\n'
+        b'"poly:0,1,-1/5",0.1,,3000,"a ""b"""\n'
+        b'neglog,0.333333333333,0.5,0,plain\n'
+    )

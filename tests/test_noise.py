@@ -81,6 +81,19 @@ def test_custom_chi_checks():
         experimental_distribution(P, NoiseModel.custom(0.1, bad))
 
 
+def test_custom_noise_negativity_uses_the_probability_tolerance():
+    # at F = 0, Q is chi itself: -5e-16 is rounding noise that Q clips to
+    # 0, and -1e-13 is refused by the custom check, which names the model
+    P = OutputDistribution(SystemDims(2), np.full(4, 0.25))
+    tiny = NoiseModel.custom(0.0, np.array([0.5, 0.5, -5e-16, 5e-16]))
+    assert experimental_distribution(P, tiny).probs.min() == 0.0
+    bad = NoiseModel.custom(0.0, np.array([0.5, 0.5 + 1e-13, -1e-13, 0.0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "custom noise produces negative experimental probabilities "
+            "(min -1e-13)")):
+        experimental_distribution(P, bad)
+
+
 @pytest.mark.parametrize("chi, message", [
     ([math.nan, 0.5, 0.25, 0.25], "NaN or infinite"),
     ([math.inf, -math.inf, 0.5, 0.5], "NaN or infinite"),
@@ -172,6 +185,14 @@ def test_sample_set_validation():
     for values in ([0, 3, 1, 4], [0, 3, -1, 2]):
         with pytest.raises(ValueError, match="out of range"):
             SampleSet(SystemDims(2), np.array(values))
+
+
+@pytest.mark.parametrize("values", [np.array([True, False, True]),
+                                    [False, True]])
+def test_sample_set_refuses_boolean_masks(values):
+    with pytest.raises(ValueError,
+                       match="^bitstring indices are booleans, not integers$"):
+        SampleSet(SystemDims(2), values)
 
 
 @pytest.mark.parametrize("values", [
